@@ -61,5 +61,21 @@ class DeterministicRng:
         return self._random.sample(population, k)
 
     def rand_string(self, length, alphabet="abcdefghijklmnopqrstuvwxyz"):
-        """Return a random string of ``length`` characters from ``alphabet``."""
-        return "".join(self._random.choice(alphabet) for _ in range(length))
+        """Return a random string of ``length`` characters from ``alphabet``.
+
+        Draws exactly what one ``random.choice(alphabet)`` per character
+        draws on CPython 3.10-3.12 (``getrandbits`` of the alphabet
+        size's bit length, values past the end rejected) without that
+        call chain, so strings and generator state are unchanged.
+        """
+        size = len(alphabet)
+        if not size:
+            raise ValueError("cannot draw characters from an empty alphabet")
+        bits = size.bit_length()
+        getrandbits = self._random.getrandbits
+        chars = []
+        while len(chars) < length:
+            index = getrandbits(bits)
+            if index < size:
+                chars.append(alphabet[index])
+        return "".join(chars)

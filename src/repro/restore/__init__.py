@@ -32,15 +32,16 @@ operation              seed (linear scan)     indexed (PR 1)
                                               or after a removal)
 matcher pass           O(n·C)                 O(k·C): only entries whose
                                               loads ⊆ the job's loads
-``remove``             O(n), leaks the        O(n + cache): prunes the
-                       subsumption cache      cache, edges, and indexes
+``remove``             O(n), leaks the        O(n): prunes the edges
+                       subsumption cache      and indexes
 =====================  =====================  ==========================
 
-The supporting structures live in :mod:`repro.restore.index` (canonical
-plan fingerprints and the leaf-load inverted index). The contract is that
-indexing changes *nothing* observable: ``scan()`` yields the exact order
-the seed's reorder produced and every match/rewrite/registration decision
-is bit-identical. The seed implementation is frozen as
+C is a lookup of the entry's frontier fingerprint in a digest of the
+other plan, confirmed exactly on a hit (:mod:`repro.restore.matcher`); the
+leaf-load inverted index lives in :mod:`repro.restore.index`. The contract
+is that indexing changes *nothing* observable: ``scan()`` yields the exact
+order the seed's reorder produced and every match/rewrite/registration
+decision is bit-identical. The seed implementation is frozen as
 :class:`repro.restore.baseline.LinearScanRepository`, and the property
 suite (``tests/test_property_restore.py``) checks order- and
 decision-equivalence against it on randomized workflow streams;
@@ -143,14 +144,14 @@ from repro.restore.heuristics import (
     ConservativeHeuristic,
     NoHeuristic,
 )
-from repro.restore.index import (
-    leaf_loads,
-    operator_fingerprint,
-    plan_fingerprint,
-)
+from repro.restore.index import leaf_loads, plan_fingerprint
 from repro.restore.ingest import IngestQueue, Registrar
 from repro.restore.manager import ReStore, ReStoreReport
-from repro.restore.matcher import find_containment, pairwise_plan_traversal
+from repro.restore.matcher import (
+    find_containment,
+    operator_fingerprint,
+    pairwise_plan_traversal,
+)
 from repro.restore.persistence import (
     load_repository,
     LoaderReport,

@@ -4,34 +4,33 @@ The paper's repository matcher is a *sequential scan* in priority order
 (Section 3): every ``find_equivalent`` walks all entries with a full
 mutual-containment check, and every insert re-derives the subsumption
 partial order with O(n^2) containment tests. That is faithful — and it is
-exactly the overhead Figs. 11/14 measure. This module provides the two
-structures that remove the linear factors without changing a single
-matching decision:
+exactly the overhead Figs. 11/14 measure. Two structures remove the
+linear factors without changing a single matching decision:
 
-* **plan fingerprints** (:func:`plan_fingerprint`) — a canonical
-  structural hash over operator signatures and DAG edges of a plan's
-  match frontier. Operator equivalence is signature equality plus
-  pairwise-equivalent inputs (splits skipped), so two mutually-contained
-  single-Store plans always hash identically; the fingerprint therefore
-  never produces a false negative and turns ``find_equivalent`` into a
-  dict lookup plus an exact confirmation of the (tiny) bucket.
+* **plan fingerprints** — a canonical structural hash over operator
+  signatures and DAG edges. The hash and the per-plan
+  :class:`~repro.restore.matcher.PlanDigest` built from it live in
+  :mod:`repro.restore.matcher`, next to the equivalence test they
+  mirror; :func:`plan_fingerprint` here is the digest's fingerprint of a
+  plan's match frontier. Two mutually-contained single-Store plans always
+  hash identically, so the fingerprint never produces a false negative
+  and turns ``find_equivalent`` into a dict lookup plus an exact
+  confirmation of the (tiny) bucket.
 
-* **leaf-load keys** (:func:`leaf_loads`) — the frozenset of
-  ``(path, version)`` pairs a plan reads. Containment maps every
-  repository Load onto an input-plan Load with an identical signature
-  (``LOAD[path@vN]``), so an entry can only match a job whose load set is
-  a superset of the entry's. An inverted index over these keys lets the
-  matcher try only plausible entries instead of scanning everything.
+* **leaf-load keys** (:func:`leaf_loads`, :class:`LoadIndex`) — the
+  frozenset of ``(path, version)`` pairs a plan reads. Containment maps
+  every repository Load onto an input-plan Load with an identical
+  signature (``LOAD[path@vN]``), so an entry can only match a job whose
+  load set is a superset of the entry's. An inverted index over these
+  keys lets the matcher try only plausible entries instead of scanning
+  everything.
 
-Both functions accept skeleton plans reloaded from persistence: a
-skeleton Load carries no ``path``/``version`` attributes, but its
-canonical signature embeds them and :func:`parse_load_signature` recovers
-the pair.
+Both accept skeleton plans reloaded from persistence: a skeleton Load
+carries no ``path``/``version`` attributes, but its canonical signature
+embeds them and :func:`parse_load_signature` recovers the pair.
 """
 
-import hashlib
-
-from repro.restore.matcher import match_frontier, skip_splits
+from repro.restore.matcher import PlanDigest
 
 
 def parse_load_signature(signature):
@@ -76,51 +75,12 @@ def leaf_loads(plan):
     return frozenset(keys)
 
 
-def operator_fingerprint(op):
-    """Canonical structural hash of the subtree rooted at ``op``.
-
-    The fingerprint is a SHA-256 Merkle hash over (signature, child
-    fingerprints) with Split operators skipped — precisely the structure
-    :func:`repro.restore.matcher.find_containment` recurses over. Mutual
-    containment of two single-Store plans implies equivalent frontiers,
-    hence equal fingerprints; unequal fingerprints prove non-equivalence.
-    Child *digests* are combined rather than child serializations, so
-    shared subplans cost O(nodes), not O(paths). Stable across processes,
-    so it round-trips through persistence.
-
-    Because the hash covers the frontier subtree only (never the Store),
-    an uncloned sub-plan operator and the cloned entry plan built from it
-    fingerprint identically — which is what lets the async ingest queue
-    coalesce duplicate registrations without cloning on the hot path.
-    """
-    memo = {}
-
-    def canon(node_op):
-        node_op = skip_splits(node_op)
-        key = id(node_op)
-        cached = memo.get(key)
-        if cached is None:
-            signature = node_op.signature()
-            node = hashlib.sha256(
-                f"[{len(signature)}:{signature}".encode("utf-8"))
-            for parent in node_op.inputs:
-                node.update(canon(parent).encode("ascii"))
-            node.update(b"]")
-            cached = node.hexdigest()
-            memo[key] = cached
-        return cached
-
-    return canon(op)
-
-
 def plan_fingerprint(plan):
-    """Canonical structural hash of ``plan``'s match frontier.
-
-    Delegates to :func:`operator_fingerprint` at
-    :func:`~repro.restore.matcher.match_frontier` — see there for the
-    hash's equivalence guarantees.
-    """
-    return operator_fingerprint(match_frontier(plan))
+    """Canonical structural hash of ``plan``'s match frontier — the
+    operator feeding its single Store (ValueError otherwise). See
+    :func:`~repro.restore.matcher.operator_fingerprint` for the hash's
+    equivalence guarantees."""
+    return PlanDigest(plan).fingerprint
 
 
 #: sentinel distinguishing "caller did not pass keys" from None (unkeyable)

@@ -51,7 +51,7 @@ import threading
 import time
 from collections import deque
 
-from repro.restore.index import operator_fingerprint
+from repro.restore.matcher import operator_fingerprint
 from repro.restore.stats import IngestStats
 
 
@@ -119,7 +119,7 @@ class RegistrationRecord:
         """The frontier subtree's structural fingerprint, lazily.
 
         Computed on the *uncloned* operator —
-        :func:`~repro.restore.index.operator_fingerprint` never hashes
+        :func:`~repro.restore.matcher.operator_fingerprint` never hashes
         the Store, so this equals the fingerprint of the entry plan the
         apply side will clone, without cloning on the hot path.
         """

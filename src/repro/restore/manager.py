@@ -31,7 +31,7 @@ from repro.restore.ingest import (
     RegistrationRecord,
     SubmitEndRecord,
 )
-from repro.restore.matcher import find_containment
+from repro.restore.matcher import find_containment, PlanDigest
 from repro.restore.ranking import (
     estimate_entry_savings,
     realized_entry_savings,
@@ -343,7 +343,9 @@ class ReStore(JobControl):
         an identically-versioned job Load), so the first candidate that
         matches is exactly the entry the seed's full sequential scan
         would have chosen. The candidates are recomputed every pass
-        because a rewrite changes the job's load set.
+        because a rewrite changes the job's load set, and so is the
+        job's :class:`~repro.restore.matcher.PlanDigest`: one walk of
+        the job plan per pass, however many candidates it is tried on.
 
         Every candidate the filter let through is accounted for in the
         report's :class:`~repro.restore.stats.MatchCounters`: matched,
@@ -366,12 +368,14 @@ class ReStore(JobControl):
             progressed = True
             while progressed:
                 progressed = False
-                for entry in self._match_candidates(job):
+                candidates = self._match_candidates(job)
+                job_digest = PlanDigest(job.plan) if candidates else None
+                for entry in candidates:
                     counters.candidates_tried += 1
                     if not self.dfs.exists(entry.output_path):
                         counters.skipped_missing_output += 1
                         continue
-                    match = find_containment(entry.plan, job.plan)
+                    match = find_containment(entry.digest, job_digest)
                     if match is None:
                         counters.skipped_no_containment += 1
                         continue

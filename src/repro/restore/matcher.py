@@ -13,16 +13,27 @@ are canonical and position-based (see :mod:`repro.physical.operators`), so
 names chosen by different queries do not matter. Load signatures embed the
 dataset path *and version*, which realizes "the same data sets".
 
+Containment is decided from **Merkle subtree fingerprints**
+(:func:`operator_fingerprint`), a hash over exactly the structure operator
+equivalence recurses over. A :class:`PlanDigest` fingerprints every
+operator of a plan in one walk; "entry ⊆ job" is then a dict lookup of the
+entry's frontier fingerprint in the job's digest, confirmed by the exact
+recursive test. Callers that test one plan many times (the manager's scan
+pass, subsumption discovery) build its digest once and pass that instead.
+
 Two entry points:
 
 * :func:`find_containment` — the containment test used by ReStore proper;
   returns the repo-op -> input-op mapping on success.
 * :func:`pairwise_plan_traversal` — a faithful transcription of the
   paper's Algorithm 1 (simultaneous depth-first traversal over successor
-  sets). It is equivalent on the plans ReStore produces and is kept both
-  as executable documentation and as a cross-check (property-tested
-  against :func:`find_containment`).
+  sets), which never looks at a fingerprint. It is equivalent on the plans
+  ReStore produces and is kept both as executable documentation and as
+  the independent oracle :func:`find_containment` is property-tested
+  against.
 """
+
+import hashlib
 
 from repro.physical.operators import POStore
 
@@ -51,14 +62,87 @@ def skip_splits(op):
     return op
 
 
-def match_frontier(entry_plan):
-    """A single-Store plan's last operator before its Store — the point
-    whose output a repository entry materializes, and the root of the
-    structure all matching (and fingerprinting) recurses over."""
-    stores = entry_plan.stores()
-    if len(stores) != 1:
-        raise ValueError(f"repository plans must have exactly one Store, got {len(stores)}")
-    return skip_splits(stores[0].inputs[0])
+def _fingerprint(op, memo):
+    op = skip_splits(op)
+    cached = memo.get(id(op))
+    if cached is None:
+        signature = op.signature()
+        node = hashlib.sha256(f"[{len(signature)}:{signature}".encode("utf-8"))
+        for parent in op.inputs:
+            node.update(_fingerprint(parent, memo).encode("ascii"))
+        node.update(b"]")
+        cached = memo[id(op)] = node.hexdigest()
+    return cached
+
+
+def operator_fingerprint(op):
+    """Canonical structural hash of the subtree rooted at ``op``.
+
+    The fingerprint is a SHA-256 Merkle hash over (signature, child
+    fingerprints) with Split operators skipped — precisely the structure
+    :func:`find_containment`'s exact test recurses over. Equivalent
+    operators have equal fingerprints, so unequal fingerprints prove
+    non-equivalence; equal ones fall short of it only on a collision or
+    when the repository-side subtree holds an interior Split (skipped
+    here, equivalent to nothing there). Child *digests* are combined
+    rather than child serializations, so shared subplans cost O(nodes),
+    not O(paths). Stable across processes, so it round-trips through
+    persistence.
+
+    Because the hash covers the frontier subtree only (never the Store),
+    an uncloned sub-plan operator and the cloned entry plan built from it
+    fingerprint identically — which is what lets the async ingest queue
+    coalesce duplicate registrations without cloning on the hot path.
+    """
+    return _fingerprint(op, {})
+
+
+_NOT_SINGLE_STORE = "repository plans must have exactly one Store"
+
+
+class PlanDigest:
+    """What containment asks of one plan, gathered in a single walk.
+
+    ``sites`` maps a fingerprint to the operators carrying it that may
+    be a match frontier, in topological order: Stores and bare Loads
+    never are (reusing a stored output to replace a plain Load would be
+    a no-op rewrite), nor are Splits. ``frontier`` and ``fingerprint``
+    read the plan as a repository entry and raise ValueError unless it
+    has exactly one Store. A digest describes the plan as it was when
+    walked; a rewritten plan needs a new one.
+    """
+
+    __slots__ = ("sites", "_frontier", "_fingerprint")
+
+    def __init__(self, plan):
+        memo = {}
+        self.sites = sites = {}
+        stores = []
+        for op in plan.operators():
+            if isinstance(op, POStore):
+                stores.append(op)
+            elif op.kind not in ("load", "split"):
+                sites.setdefault(_fingerprint(op, memo), []).append(op)
+        self._frontier = self._fingerprint = None
+        if len(stores) == 1:
+            self._frontier = skip_splits(stores[0].inputs[0])
+            self._fingerprint = _fingerprint(self._frontier, memo)
+
+    @property
+    def frontier(self):
+        """The last operator before the plan's Store — the point whose
+        output a repository entry materializes, and the root of the
+        structure all matching (and fingerprinting) recurses over."""
+        if self._frontier is None:
+            raise ValueError(_NOT_SINGLE_STORE)
+        return self._frontier
+
+    @property
+    def fingerprint(self):
+        """:func:`operator_fingerprint` of :attr:`frontier`."""
+        if self._fingerprint is None:
+            raise ValueError(_NOT_SINGLE_STORE)
+        return self._fingerprint
 
 
 def _equivalent(repo_op, input_op, memo):
@@ -96,24 +180,26 @@ def _build_mapping(repo_frontier, input_frontier):
     return mapping
 
 
+def _digest(plan):
+    return plan if isinstance(plan, PlanDigest) else PlanDigest(plan)
+
+
 def find_containment(entry_plan, input_plan):
     """Test whether ``entry_plan`` is contained in ``input_plan``.
 
     Returns a :class:`Match` (repo-op mapping plus the input-plan frontier
-    operator) or None. Candidate frontiers are tried in topological order,
-    so the result is deterministic; Store operators and bare Loads are
-    never frontiers (reusing a stored output to replace a plain Load would
-    be a no-op rewrite).
+    operator) or None. Only the input operators whose fingerprint equals
+    the entry frontier's can be equivalent to it; they are confirmed with
+    the exact test in topological order, so the result is deterministic
+    and no decision rests on the hash. Either argument may be the plan's
+    :class:`PlanDigest` instead of the plan.
     """
-    repo_frontier = match_frontier(entry_plan)
+    entry, target = _digest(entry_plan), _digest(input_plan)
+    frontier = entry.frontier
     memo = {}
-    for candidate in input_plan.operators():
-        if isinstance(candidate, POStore):
-            continue
-        if candidate.kind in ("load", "split"):
-            continue
-        if _equivalent(repo_frontier, candidate, memo):
-            return Match(_build_mapping(repo_frontier, candidate), candidate)
+    for site in target.sites.get(entry.fingerprint, ()):
+        if _equivalent(frontier, site, memo):
+            return Match(_build_mapping(frontier, site), site)
     return None
 
 

@@ -27,8 +27,12 @@ it incrementally on top of :mod:`repro.restore.index`:
 * ``match_candidates`` gives the matcher only the entries whose loads are
   a subset of the job's, in scan order — provably the same first match as
   the seed's full scan;
-* ``remove`` prunes the subsumption cache, the edge sets, and all index
-  buckets, so eviction-heavy retention policies no longer leak.
+* ``remove`` prunes the edge sets and all index buckets, so
+  eviction-heavy retention policies no longer leak.
+
+Containment tests run on each entry's cached
+:class:`~repro.restore.matcher.PlanDigest`: two dict lookups per
+subsumption check, plus an exact confirmation of the rare hit.
 
 The frozen seed implementation lives in :mod:`repro.restore.baseline` and
 the property suite asserts order- and decision-equivalence against it.
@@ -38,8 +42,8 @@ import heapq
 import itertools
 
 from repro.common.errors import RepositoryError
-from repro.restore.index import LoadIndex, leaf_loads, plan_fingerprint
-from repro.restore.matcher import contains
+from repro.restore.index import LoadIndex, leaf_loads
+from repro.restore.matcher import contains, PlanDigest
 
 
 class RepositoryEntry:
@@ -68,15 +72,25 @@ class RepositoryEntry:
         self.owns_file = owns_file
         #: "whole-job" or "sub-job" (provenance, for reporting)
         self.origin = origin
-        self._fingerprint = None
+        self._digest = None
+
+    @property
+    def digest(self):
+        """:class:`~repro.restore.matcher.PlanDigest` of the entry's
+        immutable plan: built on first use, never serialized. Filling it
+        is idempotent and happens under locks that exist already:
+        ``insert`` files the entry under its fingerprint before any
+        other thread can reach it, and matching and registration read
+        it holding the manager's ingest lock."""
+        if self._digest is None:
+            self._digest = PlanDigest(self.plan)
+        return self._digest
 
     @property
     def fingerprint(self):
         """Canonical structural hash of the entry's plan (computed once,
         round-tripped by persistence)."""
-        if self._fingerprint is None:
-            self._fingerprint = plan_fingerprint(self.plan)
-        return self._fingerprint
+        return self.digest.fingerprint
 
     @property
     def num_operators(self):
@@ -118,8 +132,6 @@ class Repository:
         self._rank_for = None         # the scan() snapshot _rank was built from
         self._by_id = {}
         self._sequence = 0
-        self._subsumption_cache = {}
-        self._cache_keys = {}         # entry id -> cache keys involving it
         self._load_index = LoadIndex()
         self._buckets = {}            # fingerprint -> [entries, insert order]
         self._edges_out = {}          # a subsumes b: edges_out[a] ∋ b (ids)
@@ -255,8 +267,8 @@ class Repository:
             return self.scan()
         if not candidate_ids:
             return ()
-        return tuple(entry for entry in self.scan()
-                     if entry.entry_id in candidate_ids)
+        return tuple(map(self._by_id.__getitem__, sorted(
+            candidate_ids, key=self.scan_rank().__getitem__)))
 
     def scan_rank(self):
         """entry_id -> position in the global scan order (cached per
@@ -394,15 +406,11 @@ class Repository:
         return touched
 
     def _subsumes(self, a, b):
-        """Does entry ``a``'s plan strictly contain entry ``b``'s?"""
-        key = (a.entry_id, b.entry_id)
-        cached = self._subsumption_cache.get(key)
-        if cached is None:
-            cached = contains(b.plan, a.plan) and not contains(a.plan, b.plan)
-            self._subsumption_cache[key] = cached
-            self._cache_keys.setdefault(a.entry_id, set()).add(key)
-            self._cache_keys.setdefault(b.entry_id, set()).add(key)
-        return cached
+        """Does entry ``a``'s plan strictly contain entry ``b``'s? Asked
+        once per pair, when the younger one is inserted; the yeses live
+        on as subsumption edges."""
+        return (contains(b.digest, a.digest)
+                and not contains(a.digest, b.digest))
 
     def _splice(self, entry):
         """Insert an edge-free entry into a greedy order, keeping it greedy."""
@@ -481,35 +489,29 @@ class Repository:
         one earliest in scan order is returned, as the seed's linear scan
         would.
         """
-        if len(plan.stores()) != 1:
-            # Degenerate probe (no single match frontier): fall back to
-            # the seed's literal scan so behavior stays bit-identical —
-            # an empty repository answers None instead of raising.
-            for entry in self._entries:
-                if contains(entry.plan, plan) and contains(plan, entry.plan):
-                    return entry
-            return None
-        bucket = self._buckets.get(plan_fingerprint(plan))
-        if not bucket:
-            return None
-        matches = [entry for entry in bucket
-                   if contains(entry.plan, plan) and contains(plan, entry.plan)]
-        if not matches:
-            return None
-        if len(matches) == 1:
-            return matches[0]
-        positions = {entry.entry_id: index
-                     for index, entry in enumerate(self._entries)}
-        return min(matches, key=lambda entry: positions[entry.entry_id])
+        probe = PlanDigest(plan)
+        # A probe without a single match frontier has no fingerprint:
+        # fall back to the seed's literal scan so behavior stays
+        # bit-identical — an empty repository answers None instead of
+        # raising.
+        candidates = (self._buckets.get(probe.fingerprint, ())
+                      if len(plan.stores()) == 1 else self._entries)
+        matches = [entry for entry in candidates
+                   if contains(entry.digest, probe)
+                   and contains(probe, entry.digest)]
+        if len(matches) > 1:
+            rank = self.scan_rank()
+            return min(matches, key=lambda entry: rank[entry.entry_id])
+        return matches[0] if matches else None
 
     # Removal --------------------------------------------------------------------
 
     def remove(self, entry, dfs=None):
         """Drop ``entry``; delete its file when ReStore owns it.
 
-        All index state referencing the entry is pruned — including its
-        pairs in the subsumption cache, which the seed left behind to grow
-        without bound under eviction-heavy retention policies.
+        Afterwards no index, bucket or edge set mentions the entry (the
+        seed left subsumption pairs behind to grow without bound under
+        eviction-heavy retention policies).
         """
         try:
             self._entries.remove(entry)
@@ -529,12 +531,6 @@ class Repository:
             self._edges_in.get(other_id, set()).discard(entry_id)
         for other_id in self._edges_in.pop(entry_id, ()):
             self._edges_out.get(other_id, set()).discard(entry_id)
-        for key in self._cache_keys.pop(entry_id, ()):
-            self._subsumption_cache.pop(key, None)
-            partner = key[0] if key[1] == entry_id else key[1]
-            partner_keys = self._cache_keys.get(partner)
-            if partner_keys is not None:
-                partner_keys.discard(key)
         self._notify("remove", entry)
         self._post_remove(entry)
         if dfs is not None and entry.owns_file:

@@ -11,6 +11,7 @@ degenerates into a map-only job.
 
 from repro.common.errors import PlanError
 from repro.physical.operators import MAP_STAGE, POLoad, REDUCE_STAGE
+from repro.restore.matcher import skip_splits
 
 
 def apply_rewrite(job, match, entry, dfs):
@@ -53,12 +54,6 @@ def restamp_stages(job):
                 if any(parent.stage == REDUCE_STAGE for parent in op.inputs)
                 else MAP_STAGE
             )
-
-
-def skip_splits(op):
-    while op.kind == "split":
-        op = op.inputs[0]
-    return op
 
 
 def classify_copy_stores(job):

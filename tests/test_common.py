@@ -42,6 +42,22 @@ class TestDeterministicRng:
         assert len(text) == 20
         assert text.islower()
 
+    def test_rand_string_golden_stream(self):
+        # Pins the exact draws (one `random.choice` per character, i.e.
+        # getrandbits + rejection) and the generator state they leave
+        # behind: generated tables, and every benchmark number derived
+        # from their bytes, depend on both.
+        rng = DeterministicRng(2012)
+        assert rng.rand_string(12) == "dplgksaqtjkp"
+        assert rng.rand_string(5, "xyz") == "xyyxy"
+        assert rng.rand_string(7, "0123456789abcdef") == "95d9b90"
+        assert rng.rand_string(0) == ""
+        assert rng.random() == 0.8571403712384045
+
+    def test_rand_string_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError):
+            DeterministicRng(1).rand_string(3, "")
+
     def test_choice_and_shuffle_deterministic(self):
         rng = DeterministicRng(5)
         items = list(range(10))

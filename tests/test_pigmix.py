@@ -1,5 +1,7 @@
 """Tests for the PigMix workload: generator properties and query behaviour."""
 
+import hashlib
+
 import pytest
 
 from repro import PigSystem
@@ -26,6 +28,17 @@ class TestDataGenerator:
         assert a.page_views_rows() == b.page_views_rows()
         assert a.users_rows() == b.users_rows()
         assert a.power_users_rows() == b.power_users_rows()
+
+    def test_rows_are_pinned(self):
+        # Digests taken before rand_string stopped calling random.choice
+        # per character: the data (and with it sim_speedup,
+        # stored_bytes_ratio, durable_bytes_per_entry) must not move.
+        data = PigMixData(tiny_config())
+        digest = lambda rows: hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest(data.page_views_rows()) == (
+            "567a35794fde0caffad0ba7f06b8d5d33ebbe2512866c8feff36bface2d530ca")
+        assert digest(data.users_rows()) == (
+            "43262cc9de6dd8a21c300a761a2d6c1efd655a7a7844338235c36fd325beee79")
 
     def test_row_counts(self):
         data = PigMixData(tiny_config())

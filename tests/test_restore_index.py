@@ -187,3 +187,29 @@ class TestRepositoryIndexIntegration:
         found = repo.find_equivalent(plan_of(BASE))
         assert found is repo.scan()[0]
         assert found is fast  # longer producing time scans first
+
+    def test_reloaded_entries_digest_like_their_live_twins(self):
+        # load_repository rebuilds entries around skeleton plans and
+        # re-inserts them: their lazily built digests — hence the
+        # subsumption edges found from them — must equal the live ones.
+        from repro.dfs import DistributedFileSystem
+        from repro.restore import load_repository, save_repository
+        live = Repository()
+        inner = live.insert(entry(BASE))
+        outer = live.insert(entry(
+            BASE.replace("store B", "C = foreach B generate k; store C"),
+            output="/stored/outer"))
+        live.insert(entry(TWO_LOADS, output="/stored/j"))
+        assert live._edges_out[outer.entry_id] == {inner.entry_id}
+        dfs = DistributedFileSystem()
+        save_repository(live, dfs)
+        loaded = load_repository(dfs)
+        position = {stored.entry_id: index
+                    for index, stored in enumerate(loaded.scan())}
+        assert len(loaded) == 3
+        for old, new in zip(live.scan(), loaded.scan()):
+            assert new.digest.fingerprint == old.digest.fingerprint
+            assert list(new.digest.sites) == list(old.digest.sites)
+            assert ({position[below] for below in loaded._edges_out[new.entry_id]}
+                    == {live.scan().index(live.entry(below))
+                        for below in live._edges_out[old.entry_id]})

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.logical import build_logical_plan
+from repro.physical import logical_to_physical, PhysicalPlan
+from repro.piglatin import parse_query
 from repro.restore import (
     AggressiveHeuristic,
     ConservativeHeuristic,
     NoHeuristic,
+    RepositoryEntry,
     ReStore,
 )
+from repro.restore.stats import EntryStats
 
 from tests.helpers import (
     compile_query,
@@ -230,6 +235,98 @@ class TestRepositoryBehaviour:
         no_reuse.repository = restore.repository
         no_reuse.submit(compile_query(Q2_TEXT, "q2", self.dfs))
         assert no_reuse.last_report.num_rewrites == 0
+
+
+PAGE_VIEWS_AS = """(user:chararray, timestamp:int,
+    est_revenue:double, page_info:chararray, page_links:chararray)"""
+
+
+class TestScanPass:
+    """One plan digest per scan pass: taken anew after every rewrite,
+    shared by every candidate of the pass."""
+
+    def setup_method(self):
+        self.dfs = make_dfs()
+        seed_page_views(self.dfs)
+
+    def test_second_entry_matches_only_after_the_first_rewrite(self):
+        # STEP2 reads STEP1's stored output, so its entry is contained
+        # in BOTH's plan only once the first rewrite has put a Load of
+        # that output there. A pass that kept the pre-rewrite digest
+        # would stop after one rewrite.
+        restore = fresh_restore(self.dfs, heuristic=None)
+        project = f"A = load '/data/page_views' as {PAGE_VIEWS_AS};" \
+                  "B = foreach A generate user, est_revenue;"
+        restore.submit(compile_query(
+            project + "store B into '/out/step1';", "step1", self.dfs))
+        restore.submit(compile_query(
+            "P = load '/out/step1' as (user:chararray, est_revenue:double);"
+            "Q = filter P by est_revenue > 2.0;"
+            "store Q into '/out/step2';", "step2", self.dfs))
+        first, second = restore.repository.scan()
+        if first.output_path != "/out/step1":
+            first, second = second, first
+        both = compile_query(
+            project + "Q = filter B by est_revenue > 2.0;"
+            "store Q into '/out/both';", "both", self.dfs)
+        (job,) = both.jobs
+        restore.submit(both)
+        report = restore.last_report
+        assert report.rewrites == [(job.job_id, first.entry_id),
+                                   (job.job_id, second.entry_id)]
+        assert report.match_counters.matched == 2
+        assert self.dfs.read_lines("/out/both") == \
+            self.dfs.read_lines("/out/step2")
+
+    def test_job_plan_walks_do_not_grow_with_candidates(self, monkeypatch):
+        # The cost guard no machine noise can fail: every candidate is
+        # tested against the pass's one digest of the job plan, so
+        # offering ten times the candidates walks the job plan exactly
+        # as often (the walk-per-candidate matcher did 2 + N).
+        watched = set()
+        walks = []
+        original = PhysicalPlan.operators
+
+        def counting(plan):
+            if id(plan) in watched:
+                walks.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(PhysicalPlan, "operators", counting)
+        version = self.dfs.status("/data/page_views").version
+
+        def walks_of_job_plan(num_candidates):
+            """operators() calls on the job's plan during one submit
+            against ``num_candidates`` candidates that all fail
+            containment."""
+            restore = fresh_restore(self.dfs, heuristic=None,
+                                    enable_registration=False)
+            for number in range(num_candidates):
+                plan = logical_to_physical(build_logical_plan(parse_query(
+                    f"A = load '/data/page_views' as {PAGE_VIEWS_AS};"
+                    f"B = filter A by timestamp < {number};"
+                    f"store B into '/stored/c{number}';")),
+                    {"/data/page_views": version})
+                self.dfs.write_lines(f"/stored/c{number}", ["x"],
+                                     overwrite=True)
+                restore.repository.insert(RepositoryEntry(
+                    plan, f"/stored/c{number}", EntryStats(1000, 100, 60.0)))
+            workflow = compile_query(
+                f"A = load '/data/page_views' as {PAGE_VIEWS_AS};"
+                "B = filter A by timestamp > 5; C = foreach B generate user;"
+                f"store C into '/out/walks{num_candidates}';", "walks",
+                self.dfs)
+            watched.update(id(job.plan) for job in workflow.jobs)
+            del walks[:]
+            restore.submit(workflow)
+            counters = restore.last_report.match_counters
+            assert counters.skipped_no_containment == num_candidates
+            assert counters.matched == 0
+            return len(walks)
+
+        few, many = walks_of_job_plan(4), walks_of_job_plan(40)
+        assert few == many
+        assert many < 40
 
 
 class TestResourceAccounting:

@@ -8,8 +8,14 @@ from repro.logical import build_logical_plan
 from repro.physical import logical_to_physical, PhysicalPlan
 from repro.physical.operators import POLoad, POSplit, POStore
 from repro.piglatin import parse_query
-from repro.restore.matcher import contains, find_containment, pairwise_plan_traversal
-from repro.restore.persistence import SkeletonOp
+from repro.restore.matcher import (
+    contains,
+    find_containment,
+    operator_fingerprint,
+    pairwise_plan_traversal,
+    PlanDigest,
+)
+from repro.restore.persistence import plan_from_json, plan_to_json, SkeletonOp
 
 from tests.helpers import Q1_TEXT, Q2_TEXT
 
@@ -261,8 +267,13 @@ class TestDifferentialFuzz:
                 continue
             target = _random_input_plan(rng, entry)
             pairs += 1
-            via_containment = find_containment(entry, target) is not None
+            match = find_containment(entry, target)
+            via_containment = match is not None
             via_traversal = pairwise_plan_traversal(target, entry)
+            # Digests stand in for their plans, to the same frontier.
+            via_digests = find_containment(PlanDigest(entry), PlanDigest(target))
+            assert (via_digests and via_digests.frontier) is (
+                match and match.frontier)
             assert via_containment == via_traversal, (
                 f"pair {pairs}: find_containment={via_containment}, "
                 f"pairwise_plan_traversal={via_traversal}\n"
@@ -304,6 +315,47 @@ class TestDifferentialFuzz:
         target = PhysicalPlan([POStore(target_chain, "/out/p")])
         assert find_containment(entry, target) is None
         assert not pairwise_plan_traversal(target, entry)
+        # The fingerprint skips Splits on both sides, so the lookup
+        # *hits* here; it is the exact confirmation that says no — a
+        # fingerprint hit alone never decides a match.
+        assert PlanDigest(target).sites[PlanDigest(entry).fingerprint] == [
+            target_chain]
+
+    def test_repeated_subplan_matches_first_in_topological_order(self):
+        # A job computing the same thing twice (two textually separate
+        # branches) offers two sites with one fingerprint; the match
+        # frontier is the first in the plan's topological order, as the
+        # operator-by-operator walk chose.
+        def branch():
+            return SkeletonOp("filter", "FILTER[t0]", None,
+                              [POLoad("/data/a", None, 0)])
+        entry = PhysicalPlan([POStore(branch(), "/stored/s")])
+        first, second = branch(), branch()
+        target = PhysicalPlan([
+            POStore(SkeletonOp("foreach", "FOREACH[x]", None, [first]),
+                    "/out/p1"),
+            POStore(SkeletonOp("distinct", "DISTINCT[y]", None, [second]),
+                    "/out/p2")])
+        assert PlanDigest(target).sites[operator_fingerprint(first)] == [
+            first, second]
+        assert find_containment(entry, target).frontier is first
+        swapped = PhysicalPlan(list(reversed(target.sinks)))
+        assert find_containment(entry, swapped).frontier is second
+
+    def test_reloaded_skeleton_digests_like_its_live_twin(self):
+        # load_repository hands back skeleton plans; they must digest to
+        # the fingerprints of the compiled plans they were saved from,
+        # operator for operator, or reloaded entries would stop matching.
+        live = physical(Q2_TEXT)
+        reloaded = plan_from_json(plan_to_json(live))
+        live_digest, reloaded_digest = PlanDigest(live), PlanDigest(reloaded)
+        assert reloaded_digest.fingerprint == live_digest.fingerprint
+        assert ([(fp, [op.kind for op in ops])
+                 for fp, ops in reloaded_digest.sites.items()]
+                == [(fp, [op.kind for op in ops])
+                    for fp, ops in live_digest.sites.items()])
+        assert find_containment(reloaded, physical(Q2_TEXT)) is not None
+        assert find_containment(physical(Q1_TEXT), reloaded) is not None
 
     def test_multi_store_input_plan_matches_in_either_branch(self):
         entry = PhysicalPlan([POStore(
@@ -332,7 +384,11 @@ class TestDifferentialFuzz:
                        [POLoad("/data/a", None, 0)]), "/out/p")])
         with pytest.raises(ValueError):
             find_containment(entry, target)
+        with pytest.raises(ValueError):
+            find_containment(PlanDigest(entry), PlanDigest(target))
         assert pairwise_plan_traversal(target, entry)
+        # ... while on the input side several Stores are the normal case.
+        assert find_containment(target, entry) is not None
 
     def test_bare_load_entry_is_a_documented_boundary(self):
         # A Load->Store entry has no match frontier by design (replacing
@@ -346,3 +402,6 @@ class TestDifferentialFuzz:
                        [POLoad("/data/a", None, 0)]), "/out/p")])
         assert find_containment(entry, target) is None
         assert pairwise_plan_traversal(target, entry)
+        # Loads are never match sites, whatever they hash to.
+        assert PlanDigest(entry).fingerprint not in PlanDigest(target).sites
+        assert PlanDigest(entry).sites == {}

@@ -186,30 +186,41 @@ class TestScanSnapshot:
 
 
 class TestIndexMaintenance:
-    def test_remove_prunes_subsumption_cache(self):
-        # Seed regression: remove() left every cached pair referencing the
-        # removed entry behind, so eviction-heavy retention policies (e.g.
-        # KeepEverythingPolicy churn via manual sweeps) grew the cache
-        # without bound.
-        repo = Repository()
-        churn = 12
-        for round_index in range(churn):
-            stored = repo.insert(entry(PROJECT, output=f"/stored/x{round_index}"))
-            other = repo.insert(entry(Q1_TEXT, output=f"/stored/q{round_index}"))
-            repo.remove(stored)
-            repo.remove(other)
-        assert len(repo) == 0
-        assert repo._subsumption_cache == {}
+    def test_remove_leaves_no_mention_of_the_entry(self):
+        # Seed regression: remove() left state keyed by the removed entry
+        # behind, so eviction-heavy retention policies grew it without
+        # bound. After remove() no index, bucket or edge set of the
+        # repository may hold the entry or its id — while the survivor's
+        # own state (here: nothing left to subsume) stays consistent.
+        def mentions(value, entry):
+            if value is entry or value == entry.entry_id:
+                return True
+            if isinstance(value, dict):
+                return any(mentions(item, entry)
+                           for pair in value.items() for item in pair)
+            if isinstance(value, (list, tuple, set, frozenset)):
+                return any(mentions(item, entry) for item in value)
+            if hasattr(value, "__dict__") and not isinstance(value, RepositoryEntry):
+                return mentions(vars(value), entry)
+            return False
 
-    def test_cache_keeps_pairs_of_surviving_entries(self):
         repo = Repository()
         kept = repo.insert(entry(PROJECT))
-        dropped = repo.insert(entry(Q1_TEXT, output="/stored/q1"))
-        assert any(kept.entry_id in key and dropped.entry_id in key
-                   for key in repo._subsumption_cache)
-        repo.remove(dropped)
-        assert all(dropped.entry_id not in key
-                   for key in repo._subsumption_cache)
+        for round_index in range(12):
+            container = repo.insert(
+                entry(Q1_TEXT, output=f"/stored/q{round_index}"))
+            sibling = repo.insert(
+                entry(FILTERED, output=f"/stored/f{round_index}"))
+            assert kept.entry_id in repo._edges_out[container.entry_id]
+            repo.match_candidates(plan_of(Q1_TEXT))  # fills the rank cache
+            for dropped in (container, sibling):
+                assert mentions(vars(repo), dropped)
+                repo.remove(dropped)
+                repo.scan_rank()  # per-snapshot cache, rebuilt on next use
+                assert not mentions(vars(repo), dropped)
+        assert repo.scan() == (kept,)
+        assert mentions(vars(repo), kept)
+        assert repo._edges_in[kept.entry_id] == set()
 
     def test_match_candidates_filters_disjoint_loads(self):
         repo = Repository()
