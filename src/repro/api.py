@@ -14,7 +14,7 @@ import hashlib
 import itertools
 
 from repro.common import LogicalClock
-from repro.data import encode_row
+from repro.data import encode_rows
 from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
 from repro.logical.optimizer import optimize as optimize_logical
@@ -55,8 +55,8 @@ class PigSystem:
 
     def write_table(self, path, rows, schema, overwrite=True):
         """Serialize ``rows`` under ``schema`` into the DFS at ``path``."""
-        lines = [encode_row(row, schema) for row in rows]
-        return self.dfs.write_lines(path, lines, overwrite=overwrite)
+        return self.dfs.write_lines(path, encode_rows(rows, schema),
+                                    overwrite=overwrite)
 
     # Compilation ----------------------------------------------------------------
 

@@ -54,7 +54,12 @@ class Field:
 class Schema:
     """An immutable, ordered collection of :class:`Field` objects."""
 
-    __slots__ = ("fields", "_index")
+    #: ``_codec`` holds the row codec :mod:`repro.data.codec` compiles (or
+    #: finds) for this schema on first use. It is derived from the fields'
+    #: types alone, so it takes no part in equality, hashing or the
+    #: canonical text, and a copy or a pickle leaves it behind (it is made
+    #: of closures).
+    __slots__ = ("fields", "_index", "_codec")
 
     def __init__(self, fields):
         fields = tuple(fields)
@@ -73,6 +78,10 @@ class Schema:
             short = field.short_name
             if short not in self._index and short_counts[short] == 1:
                 self._index[short] = pos
+        self._codec = None
+
+    def __reduce__(self):
+        return (Schema, (self.fields,))
 
     def __len__(self):
         return len(self.fields)

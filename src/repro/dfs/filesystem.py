@@ -246,8 +246,7 @@ class DistributedFileSystem:
         start = 0
         current_bytes = 0
         base = zlib.crc32(path.encode("utf-8")) % len(self.datanodes)
-        line_sizes = [encoded_size(line) for line in lines]
-        for position, line_size in enumerate(line_sizes):
+        for position, line_size in enumerate(map(encoded_size, lines)):
             current_bytes += line_size
             if current_bytes >= self.block_size:
                 blocks.append(self._make_block(

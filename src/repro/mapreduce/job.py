@@ -22,12 +22,12 @@ class MRJob:
         self._check_stages()
 
     def _check_stages(self):
-        for op in self.plan.operators():
+        operators = self.plan.operators()
+        for op in operators:
             if op.stage not in ("map", "reduce"):
                 raise PlanError(f"operator {op!r} has no stage assigned")
         if self.shuffle_op is None:
-            reducers = [op for op in self.plan.operators() if op.stage == "reduce"]
-            if reducers:
+            if any(op.stage == "reduce" for op in operators):
                 raise PlanError("map-only job has reduce-stage operators")
 
     @property

@@ -6,8 +6,10 @@ feeds the reduce-side pipeline; every Store writes real lines to the DFS.
 Counters are collected along the way and priced by the cost model.
 """
 
-from repro.common.errors import ExecutionError
-from repro.data.codec import encode_row, encoded_size
+from itertools import compress, repeat
+
+from repro.common.errors import DataError, ExecutionError
+from repro.data.codec import decode_lines, encode_rows
 from repro.data.comparators import key_sort_key
 from repro.mapreduce.counters import JobStats
 from repro.mapreduce.shuffle import estimate_row_bytes, grouped_partitions
@@ -58,7 +60,7 @@ def _bytes_estimate(rows):
     if not rows:
         return 0
     sample = rows[:64]
-    average = sum(estimate_row_bytes(row) for row in sample) / len(sample)
+    average = sum(map(estimate_row_bytes, sample)) / len(sample)
     return int(average * len(rows))
 
 
@@ -79,9 +81,11 @@ class _JobExecution:
 
     def _run_store(self, store):
         rows = self._rows_of(store.inputs[0])
-        lines = [encode_row(row, store.schema) for row in rows]
-        num_bytes = sum(encoded_size(line) for line in lines)
-        self.dfs.write_lines(store.path, lines, overwrite=True)
+        lines = encode_rows(rows, store.schema)
+        # The DFS sizes every line to place its blocks; the status carries
+        # the sum (also when identical content made the write a no-op).
+        num_bytes = self.dfs.write_lines(
+            store.path, lines, overwrite=True).size_bytes
         stats = self.stats
         stats.output_paths.append(store.path)
         stats.output_bytes += num_bytes
@@ -111,22 +115,15 @@ class _JobExecution:
         return rows
 
     def _eval_load(self, op):
-        lines = self.dfs.read_lines(op.path)
-        rows = [self._decode(line, op.schema, op.path) for line in lines]
+        try:
+            rows = decode_lines(self.dfs.read_lines(op.path), op.schema)
+        except DataError as exc:
+            raise ExecutionError(f"bad record in {op.path!r}: {exc}") from exc
         self.stats.map_input_bytes += self.dfs.file_size(op.path)
         self.stats.map_input_records += len(rows)
         self.stats.input_paths.append(op.path)
         self.stats.charge_op("load", op.stage, len(rows), self.dfs.file_size(op.path))
         return rows
-
-    @staticmethod
-    def _decode(line, schema, path):
-        from repro.data.codec import decode_row
-
-        try:
-            return decode_row(line, schema)
-        except Exception as exc:
-            raise ExecutionError(f"bad record in {path!r}: {exc}") from exc
 
     def _eval_foreach(self, op):
         source = self._rows_of(op.inputs[0])
@@ -179,20 +176,20 @@ class _JobExecution:
             )
 
     def _branch_keyed_rows(self, op, drop_null_keys):
-        key_fns = op.key_functions()
         keyed = []
-        total_rows = 0
         total_bytes = 0
-        for branch, parent in enumerate(op.inputs):
-            key_fn = key_fns[branch]
-            for row in self._rows_of(parent):
-                key = key_fn(row)
-                if drop_null_keys and _key_is_null(key):
-                    continue
-                keyed.append((branch, key, row))
-                total_rows += 1
-                total_bytes += estimate_row_bytes(row) + 4
-        return keyed, total_rows, total_bytes
+        for branch, (key_fn, parent) in enumerate(
+                zip(op.key_functions(), op.inputs)):
+            rows = self._rows_of(parent)
+            keys = list(map(key_fn, rows))
+            if drop_null_keys:
+                kept = [not _key_is_null(key) for key in keys]
+                if not all(kept):
+                    rows = list(compress(rows, kept))
+                    keys = list(compress(keys, kept))
+            keyed.extend(zip(repeat(branch), keys, rows))
+            total_bytes += sum(map(estimate_row_bytes, rows)) + 4 * len(rows)
+        return keyed, len(keyed), total_bytes
 
     def _eval_join(self, op):
         self._check_is_shuffle(op)

@@ -6,8 +6,11 @@ form.
 """
 
 import zlib
+from operator import itemgetter
 
 from repro.data.comparators import key_sort_key
+
+_first = itemgetter(0)
 
 
 def stable_hash(key):
@@ -59,23 +62,27 @@ def grouped_partitions(keyed_rows, num_partitions):
     list of partitions; each partition is a list of (key, groups) where
     ``groups`` maps branch_index -> list of rows, in deterministic order
     (partitions by index, keys ascending, rows in arrival order).
+
+    Rows are grouped by key first, so a key is hashed and given its sort
+    key once, however many rows carry it. Keys that compare equal (``2``
+    and ``2.0``) share a group, which reports the first one to arrive.
     """
+    groups = {}
+    for branch, key, row in keyed_rows:
+        by_branch = groups.get(key)
+        if by_branch is None:
+            groups[key] = by_branch = {}
+        rows = by_branch.get(branch)
+        if rows is None:
+            by_branch[branch] = [row]
+        else:
+            rows.append(row)
     buckets = [[] for _ in range(num_partitions)]
-    for sequence, (branch, key, row) in enumerate(keyed_rows):
+    for key, by_branch in groups.items():
         buckets[partition_index(key, num_partitions)].append(
-            (key_sort_key(key), sequence, branch, key, row)
-        )
-    partitions = []
+            (key_sort_key(key), key, by_branch))
     for bucket in buckets:
-        bucket.sort(key=lambda item: (item[0], item[1]))
-        groups = []
-        current_key_sort = object()
-        current = None
-        for sort_key, _, branch, key, row in bucket:
-            if current is None or sort_key != current_key_sort:
-                current = (key, {})
-                groups.append(current)
-                current_key_sort = sort_key
-            current[1].setdefault(branch, []).append(row)
-        partitions.append(groups)
-    return partitions
+        # Distinct keys have distinct sort keys: no tie reaches the keys.
+        bucket.sort(key=_first)
+    return [[(key, by_branch) for _, key, by_branch in bucket]
+            for bucket in buckets]

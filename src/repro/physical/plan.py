@@ -42,13 +42,20 @@ class PhysicalPlan:
         return [op for op in self.operators() if isinstance(op, POStore)]
 
     def consumers(self):
-        """Mapping op -> list of operators reading it (by identity)."""
-        table = {id(op): [] for op in self.operators()}
-        index = {id(op): op for op in self.operators()}
-        for op in self.operators():
+        """Mapping op -> list of operators reading it (by identity).
+
+        Like :meth:`successors_of`, a reader is listed once however many
+        of its inputs are the same operator (``union B, B``).
+        """
+        operators = self.operators()
+        table = {id(op): [] for op in operators}
+        for op in operators:
             for parent in op.inputs:
-                table[id(parent)].append(op)
-        return {index[key]: value for key, value in table.items()}
+                readers = table[id(parent)]
+                # Entries for ``op`` are appended back to back.
+                if not readers or readers[-1] is not op:
+                    readers.append(op)
+        return {op: table[id(op)] for op in operators}
 
     def successors_of(self, target):
         return [op for op in self.operators() if target in op.inputs]

@@ -14,7 +14,7 @@ The user popularity distribution is Zipf-like, as in PigMix's generator.
 """
 
 from repro.common import DeterministicRng
-from repro.data import DataType, encode_row, Field, Schema
+from repro.data import DataType, encode_rows, Field, Schema
 
 PAGE_VIEWS_SCHEMA = Schema(
     [
@@ -153,6 +153,6 @@ class PigMixData:
         }
         statuses = {}
         for path, (rows, schema) in tables.items():
-            lines = [encode_row(row, schema) for row in rows]
-            statuses[path] = dfs.write_lines(path, lines, overwrite=True)
+            statuses[path] = dfs.write_lines(
+                path, encode_rows(rows, schema), overwrite=True)
         return statuses

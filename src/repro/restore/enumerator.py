@@ -41,12 +41,13 @@ def enumerate_and_inject(job, heuristic, allocate_path):
     and anything ReStore previously injected.
     """
     candidates = []
-    for op in list(job.plan.operators()):
+    # One walk answers every "who reads this operator": injecting a Split
+    # after one operator changes no other operator's readers.
+    for op, consumers in job.plan.consumers().items():
         if op.kind in ("load", "store", "split") or op.injected:
             continue
         if not heuristic.should_materialize(op):
             continue
-        consumers = job.plan.successors_of(op)
         if any(isinstance(consumer, POStore) for consumer in consumers):
             # Output is already materialized by the job's own Store; the
             # whole-job registration covers it.

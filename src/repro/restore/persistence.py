@@ -83,6 +83,7 @@ mismatches — and the replay state a
 :class:`~repro.restore.wal.RepositoryLog` needs to resume appending.
 """
 
+import gc
 import json
 import warnings
 
@@ -677,7 +678,27 @@ def load_repository(dfs, path=DEFAULT_REPOSITORY_PATH, repository=None):
     loads into a ``ShardedRepository`` with identical scan order and
     match decisions (the shard layout is a pure function of the entries'
     load keys).
+
+    The cyclic garbage collector is suspended for the duration of the
+    load (and put back as it was): a reload allocates tens of thousands
+    of objects that all stay alive, so every collection it triggers
+    walks a growing heap and frees nothing — and whether a full pass
+    happened to land inside the load moved its time by a quarter from
+    one run to the next. The switch is the interpreter's, not this
+    thread's: other threads (ingest, gateway) also run uncollected until
+    the load returns, and cyclic garbage already on the heap stays there
+    under the loaded repository until the next collection after it.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_repository(dfs, path, repository)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _load_repository(dfs, path, repository):
     report = LoaderReport(path, dfs)
     lines = dfs.read_lines(path) if dfs.exists(path) else []
     if not lines:
@@ -751,7 +772,8 @@ def _warn_unbrickable(message):
     recovery path into a load failure."""
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        # 4: this helper, _load_repository, load_repository, its caller.
+        warnings.warn(message, RuntimeWarning, stacklevel=4)
 
 
 def _load_sharded(manifest, body, repository, report):

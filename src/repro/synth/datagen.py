@@ -21,7 +21,7 @@
 """
 
 from repro.common import DeterministicRng
-from repro.data import DataType, encode_row, Field, Schema
+from repro.data import DataType, encode_rows, Field, Schema
 
 #: (field name, cardinality, expected selected fraction of an equality
 #: predicate on value 0) — Table 2 of the paper.
@@ -73,5 +73,5 @@ class SynthData:
         return rows
 
     def install(self, dfs, path="/data/synth"):
-        lines = [encode_row(row, SYNTH_SCHEMA) for row in self.rows()]
-        return dfs.write_lines(path, lines, overwrite=True)
+        return dfs.write_lines(
+            path, encode_rows(self.rows(), SYNTH_SCHEMA), overwrite=True)

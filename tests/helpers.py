@@ -5,10 +5,20 @@ compile pipeline as one call, so tests read like user code.
 """
 
 from repro.common import DeterministicRng
-from repro.data import DataType, encode_row, Field, Schema
+from repro.common.errors import DataError
+from repro.data import (
+    DataType,
+    encode_row,
+    Field,
+    key_sort_key,
+    parse_value,
+    render_value,
+    Schema,
+)
 from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
 from repro.mapreduce import ClusterConfig, CostModel, CostModelConfig
+from repro.mapreduce.shuffle import partition_index
 from repro.mrcompiler import compile_to_workflow
 from repro.physical import logical_to_physical
 from repro.piglatin import parse_query
@@ -107,3 +117,142 @@ D = group C by $0;
 E = foreach D generate group, SUM(C.est_revenue);
 store E into '/out/L3_out';
 """
+
+
+def outcome(function, *args):
+    """What a call did, in a form two implementations can be compared by:
+    the repr of the result (nan-safe, and 2 is not 2.0) or the error's
+    type and text."""
+    try:
+        return "ok", repr(function(*args))
+    except Exception as exc:  # whatever it raises is the thing compared
+        return type(exc).__name__, str(exc)
+
+
+# Reference implementations ---------------------------------------------------
+#
+# The row codec and the shuffle as they were before they worked a batch at
+# a time: one field, one row at a time, dispatching on the type per field.
+# Tests compare the engine's versions against these.
+
+_REFERENCE_ESCAPES = {
+    "\\": "\\\\", "\t": "\\t", "\n": "\\n", "|": "\\p", ",": "\\c",
+    "(": "\\l", ")": "\\r", "{": "\\a", "}": "\\z",
+}
+_REFERENCE_UNESCAPES = {
+    escaped[1]: raw for raw, escaped in _REFERENCE_ESCAPES.items()}
+
+
+def _reference_escape(text):
+    if not set(_REFERENCE_ESCAPES).intersection(text):
+        return text
+    return "".join(_REFERENCE_ESCAPES.get(char, char) for char in text)
+
+
+def _reference_unescape(text):
+    if "\\" not in text:
+        return text
+    out = []
+    chars = iter(text)
+    for char in chars:
+        if char != "\\":
+            out.append(char)
+            continue
+        try:
+            marker = next(chars)
+        except StopIteration as exc:
+            raise DataError(f"dangling escape in {text!r}") from exc
+        try:
+            out.append(_REFERENCE_UNESCAPES[marker])
+        except KeyError as exc:
+            raise DataError(f"unknown escape \\{marker} in {text!r}") from exc
+    return "".join(out)
+
+
+def _reference_encode_bag(bag, element_schema):
+    rows = []
+    for row in bag:
+        parts = [
+            _reference_escape(render_value(value, field.dtype))
+            for value, field in zip(row, element_schema.fields)
+        ]
+        rows.append("(" + "|".join(parts) + ")")
+    return "{" + ",".join(rows) + "}"
+
+
+def _reference_decode_bag(text, element_schema):
+    if not (text.startswith("{") and text.endswith("}")):
+        raise DataError(f"bad bag literal {text!r}")
+    body = text[1:-1]
+    if not body:
+        return ()
+    rows = []
+    for chunk in body.split(","):
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise DataError(f"bad bag row {chunk!r}")
+        raw_fields = chunk[1:-1].split("|")
+        if len(raw_fields) != len(element_schema):
+            raise DataError(
+                f"bag row has {len(raw_fields)} fields, schema expects {len(element_schema)}"
+            )
+        rows.append(
+            tuple(
+                parse_value(_reference_unescape(raw), field.dtype)
+                for raw, field in zip(raw_fields, element_schema.fields)
+            )
+        )
+    return tuple(rows)
+
+
+def reference_encode_row(row, schema):
+    if len(row) != len(schema):
+        raise DataError(f"row has {len(row)} fields, schema expects {len(schema)}")
+    parts = []
+    for value, field in zip(row, schema.fields):
+        if field.dtype is DataType.BAG:
+            if value is None:
+                parts.append("")
+            else:
+                parts.append(_reference_encode_bag(value, field.element))
+        else:
+            parts.append(_reference_escape(render_value(value, field.dtype)))
+    return "\t".join(parts)
+
+
+def reference_decode_row(line, schema):
+    raw_fields = line.split("\t")
+    if len(raw_fields) != len(schema):
+        raise DataError(
+            f"line has {len(raw_fields)} fields, schema expects {len(schema)}: {line!r}"
+        )
+    values = []
+    for raw, field in zip(raw_fields, schema.fields):
+        if field.dtype is DataType.BAG:
+            values.append(None if raw == "" else _reference_decode_bag(raw, field.element))
+        else:
+            values.append(parse_value(_reference_unescape(raw), field.dtype))
+    return tuple(values)
+
+
+def reference_grouped_partitions(keyed_rows, num_partitions):
+    """Sort-then-scan: hash and sort-key every row, sort each partition by
+    (key, arrival), start a group wherever the sort key changes."""
+    buckets = [[] for _ in range(num_partitions)]
+    for sequence, (branch, key, row) in enumerate(keyed_rows):
+        buckets[partition_index(key, num_partitions)].append(
+            (key_sort_key(key), sequence, branch, key, row)
+        )
+    partitions = []
+    for bucket in buckets:
+        bucket.sort(key=lambda item: (item[0], item[1]))
+        groups = []
+        current_key_sort = object()
+        current = None
+        for sort_key, _, branch, key, row in bucket:
+            if current is None or sort_key != current_key_sort:
+                current = (key, {})
+                groups.append(current)
+                current_key_sort = sort_key
+            current[1].setdefault(branch, []).append(row)
+        partitions.append(groups)
+    return partitions

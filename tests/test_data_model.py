@@ -1,13 +1,19 @@
 """Unit + property tests for repro.data: types, schema, codec, comparators."""
 
-import pytest
-from hypothesis import given, strategies as st
+import copy
+import pickle
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import outcome, reference_decode_row, reference_encode_row
 from repro.common.errors import DataError
 from repro.data import (
     DataType,
+    decode_lines,
     decode_row,
     encode_row,
+    encode_rows,
     encoded_size,
     Field,
     key_sort_key,
@@ -173,6 +179,167 @@ class TestCodec:
             if row[0] == "":
                 continue
             assert decode_row(encode_row(row, schema), schema) == row
+
+
+# Compiled codec vs the per-field reference ----------------------------------
+
+_SCALAR_TYPES = [DataType.INT, DataType.DOUBLE, DataType.CHARARRAY]
+# Every structural character, the escape letters, non-ASCII, digits.
+_TEXT = st.text(alphabet="\\\t\n|,(){}tnpclraz q1-.é\u4e2d\x00", max_size=8)
+_VALUES = {
+    DataType.INT: st.one_of(
+        st.none(), st.integers(-10**20, 10**20), st.booleans(),
+        st.floats(-1e6, 1e6), st.sampled_from(["7", "x"])),
+    DataType.DOUBLE: st.one_of(
+        st.none(), st.floats(), st.integers(-10**6, 10**6), st.booleans(),
+        st.sampled_from(["1.5", "x"])),
+    DataType.CHARARRAY: st.one_of(st.none(), _TEXT, st.integers(0, 9)),
+}
+
+
+@st.composite
+def _schemas(draw, depth=0):
+    fields = []
+    for position in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from(_SCALAR_TYPES + [DataType.BAG]))
+        element = None
+        if dtype is DataType.BAG:
+            if depth:
+                # A bag inside a bag row: only its null can be written.
+                element = Schema([Field("x", DataType.INT)])
+            else:
+                element = draw(_schemas(depth=1))
+        fields.append(Field(f"f{position}", dtype, element))
+    return Schema(fields)
+
+
+def _rows_of(schema, depth=0):
+    columns = []
+    for field in schema.fields:
+        if field.dtype is not DataType.BAG:
+            columns.append(_VALUES[field.dtype])
+        elif depth:
+            columns.append(st.one_of(st.none(), st.just(((1,),))))
+        else:
+            inner = _rows_of(field.element, depth=1)
+            ragged = inner.map(lambda row: row[:-1])
+            columns.append(st.one_of(
+                st.none(),
+                st.lists(st.one_of(inner, inner, ragged), max_size=3)
+                .map(tuple)))
+    return st.tuples(*columns)
+
+
+@st.composite
+def _schema_and_rows(draw):
+    schema = draw(_schemas())
+    return schema, draw(st.lists(_rows_of(schema), min_size=1, max_size=6))
+
+
+def _mangle(draw, line):
+    """One of the ways a stored line goes bad."""
+    cut = draw(st.integers(0, len(line)))
+    junk = draw(st.sampled_from(
+        ["\\", "\\q", "\t", "|", ",", "(", ")", "{", "}", "x", ""]))
+    if draw(st.booleans()):
+        return line[:cut] + junk + line[cut:]
+    return line[:cut] + junk + line[cut + 1:]
+
+
+class TestCompiledCodecAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_schema_and_rows())
+    def test_rows_encode_and_decode_alike(self, schema_and_rows):
+        schema, rows = schema_and_rows
+        expected = [outcome(reference_encode_row, row, schema) for row in rows]
+        assert [outcome(encode_row, row, schema) for row in rows] == expected
+        failures = [result for result in expected if result[0] != "ok"]
+        if failures:
+            # A batch fails like its first bad row.
+            assert outcome(encode_rows, rows, schema) == failures[0]
+            rows = [row for row, result in zip(rows, expected)
+                    if result[0] == "ok"]
+        lines = [reference_encode_row(row, schema) for row in rows]
+        assert encode_rows(rows, schema) == lines
+        # (A line holding a bag row with a bag field decodes to an error.)
+        decoded = [outcome(reference_decode_row, line, schema)
+                   for line in lines]
+        assert [outcome(decode_row, line, schema) for line in lines] == decoded
+        if all(kind == "ok" for kind, _ in decoded):
+            assert (repr(decode_lines(lines, schema))
+                    == "[" + ", ".join(text for _, text in decoded) + "]")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bad_lines_fail_alike(self, data):
+        schema, rows = data.draw(_schema_and_rows())
+        lines = []
+        for row in rows:
+            kind, text = outcome(reference_encode_row, row, schema)
+            if kind == "ok":
+                lines.append(reference_encode_row(row, schema))
+        lines = [_mangle(data.draw, line) if data.draw(st.booleans()) else line
+                 for line in lines]
+        lines.append(data.draw(_TEXT))
+        expected = [outcome(reference_decode_row, line, schema)
+                    for line in lines]
+        assert [outcome(decode_row, line, schema) for line in lines] == expected
+        for number, (kind, text) in enumerate(expected, 1):
+            if kind != "ok":
+                # The batch names the first bad line and says what it says.
+                assert outcome(decode_lines, lines, schema) == (
+                    kind, f"line {number}: {text}")
+                break
+        else:
+            assert repr(decode_lines(lines, schema)) == repr(
+                [reference_decode_row(line, schema) for line in lines])
+
+    def test_empty_string_and_null_collapse_as_ever(self):
+        schema = Schema([Field("s", DataType.CHARARRAY), Field("n", DataType.INT)])
+        assert encode_rows([("", 1), (None, 1)], schema) == ["\t1", "\t1"]
+        assert decode_lines(["\t1"], schema) == [(None, 1)]
+
+    def test_batches_take_any_iterable(self):
+        schema = make_schema()
+        rows = [("a", 1, 2.0), ("b", 2, 2.5)]
+        lines = encode_rows(iter(rows), schema)
+        assert lines == [encode_row(row, schema) for row in rows]
+        assert decode_lines(iter(lines), schema) == rows
+        assert encode_rows([], schema) == [] == decode_lines([], schema)
+
+
+class TestCompiledSchemaStaysAValue:
+    """The compiled codec rides in a slot of the schema; it must not leak
+    into what a schema *is* — nor into a pickle (worker queues pickle
+    whatever the service sends, and the codec is made of closures)."""
+
+    def compiled(self):
+        element = Schema([Field("n", DataType.INT)])
+        schema = Schema([Field("s", DataType.CHARARRAY),
+                         Field("b", DataType.BAG, element)])
+        encode_row(("x", ((1,),)), schema)
+        assert schema._codec is not None
+        return schema, Schema([Field("s", DataType.CHARARRAY),
+                               Field("b", DataType.BAG, element)])
+
+    def test_equal_and_hash_equal_to_a_fresh_twin(self):
+        schema, twin = self.compiled()
+        assert twin._codec is None
+        assert schema == twin and hash(schema) == hash(twin)
+        assert schema.canonical() == twin.canonical()
+        assert {schema: 1}[twin] == 1
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, copy.copy,
+        lambda schema: pickle.loads(pickle.dumps(schema)),
+    ])
+    def test_copies_drop_the_compiled_slot(self, clone):
+        schema, twin = self.compiled()
+        copied = clone(schema)
+        assert copied == twin and copied._codec is None
+        assert copied.position_of("b") == 1
+        row = ("x", ((1,), (2,)))
+        assert encode_row(row, copied) == encode_row(row, schema)
 
 
 class TestComparators:

@@ -84,6 +84,20 @@ class TestPlanStructure:
         (join,) = [op for op in plan.operators() if op.kind == "join"]
         assert [op.kind for op in consumers[join]] == ["store"]
 
+    def test_consumer_reading_an_operator_twice_is_listed_once(self):
+        plan = physical("""
+            A = load '/data/t' as (user:chararray, timespent:int);
+            B = filter A by timespent > 3;
+            C = union B, B;
+            store C into '/out/u';
+        """)
+        (union,) = [op for op in plan.operators() if op.kind == "union"]
+        assert union.inputs[0] is union.inputs[1]
+        consumers = plan.consumers()
+        assert consumers[union.inputs[0]] == [union]
+        for op in plan.operators():
+            assert consumers[op] == plan.successors_of(op)
+
     def test_validate_rejects_non_store_sink(self):
         load = POLoad("/d", SCHEMA)
         plan = PhysicalPlan([load])

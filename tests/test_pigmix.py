@@ -193,3 +193,120 @@ class TestQueryExecution:
         power = {row[0] for row in data.power_users_rows()}
         matched = [row for row in data.page_views_rows() if row[0] in power]
         assert len(lines) == len(matched)
+
+
+def _sha1_lines(lines):
+    return hashlib.sha1("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _stats_record(stats, execution_time):
+    """Every counter the cost model reads, plus what it made of them."""
+    return (
+        stats.map_input_bytes, stats.map_input_records,
+        stats.map_output_records, stats.map_output_bytes, stats.num_reducers,
+        stats.reduce_input_groups, stats.output_bytes, stats.map_store_bytes,
+        stats.reduce_store_bytes, stats.injected_store_bytes,
+        stats.final_output_bytes, stats.reduce_output_records,
+        sorted(stats.op_charges.items()), repr(execution_time),
+    )
+
+
+GOLDEN_QUERIES = sorted(
+    set(ALL_QUERIES) | set(VARIANT_FAMILIES["L3"]) | set(VARIANT_FAMILIES["L11"]))
+
+
+class TestGoldenEngine:
+    """Digests taken at the commit before the schema-compiled codec and the
+    per-key shuffle: every byte the engine writes and every counter the
+    cost model prices must come out the same."""
+
+    TABLE_LINES = {
+        "/data/page_views": "8190738ce199f033f26fd0716705786818bfbc03",
+        "/data/users": "ac798002f2cadd368e92c755afe732e1d98fb732",
+        "/data/power_users": "c1e5a5edc5c83c6cbf5faa418f7efcbc2767d202",
+    }
+    #: query -> (SHA-1 of the output lines, SHA-1 of the per-job counters)
+    PLAIN_RUNS = {
+        "L11": ("a5b36a9b216d1151adbb6783789de4e49520ad5e",
+                "89bce9e2d38803a5811976d2bbd43dda38780731"),
+        "L11a": ("a5b36a9b216d1151adbb6783789de4e49520ad5e",
+                 "740ee060b1738ed0960447f6cfc221b91d5d49c0"),
+        "L11b": ("deed6fae502fe1bae91656b5985cddbaf2974b49",
+                 "52455f1495591506addd8c84ec8e7f05082f081e"),
+        "L11c": ("a5b36a9b216d1151adbb6783789de4e49520ad5e",
+                 "496bd6de51f0cf6d0aeaec1a05990bbe243449da"),
+        "L11d": ("deed6fae502fe1bae91656b5985cddbaf2974b49",
+                 "9570112abff78717d98dc0ef90cd53f33f6859f9"),
+        "L2": ("a1adb25033d94d935ed0a2fbf5ea244aedf98f34",
+               "27d4ddcdef55004eefb0eaa4021c60cb78dd482a"),
+        "L3": ("36ddf9ac55473159426a0a3a4cb546fa74e1cc3a",
+               "e183ab5a32613fcf695849310c24f43ae3b2b218"),
+        "L3a": ("b875fc121273202c5f04c3518d89eea59ef4f920",
+                "6403d5a67125c6ec65caa031a8b62136421953ca"),
+        "L3b": ("53478d9dc58333de912f17f9ae5bb9ec98c792e1",
+                "1431451a59a1926ca0a2fbfdb69bafe8f3d15647"),
+        "L3c": ("47ebad7587d85dadcae8a3d7ab08cdb8f191740a",
+                "e4381c0ecafa0adb6272b3b4c4a262753f9d02de"),
+        "L4": ("cd778b4168742f3ff0b2328c7a689d2d3523e9e6",
+               "5d22cd09946abcf4d18d24bd529d229fe555e2dd"),
+        "L5": ("f440bc7e191a563a1d02a8f15f1d679c576e6fcd",
+               "5ad4cbd658704e220afd8c0d6ffc35e044817238"),
+        "L6": ("ba147ca8d45cce07052f36ea05c4f4f4b97e1fa5",
+               "cc7982fb61f39223269418abd6460d23378eff53"),
+        "L7": ("7985a3016a15253607dd502129500238a9e73280",
+               "0441dd8324a4b0f04b19c86ba45f939e9d15df35"),
+        "L8": ("78fc6f11731731a9cb3d6c4100cb7dd6f78bd581",
+               "0a986901c47568565bdaf18b02861092a39b0d5a"),
+    }
+    #: the same set submitted in order through ReStore (Aggressive
+    #: heuristic): injected Stores write projected and bag-valued schemas
+    RESTORE_FILES = "d179731a8dc47420e8887392c0a46d43435d5148"
+    RESTORE_STATS = "b348d808ef0dfb43ea3ad5aebb4f90308d1c3d71"
+
+    @pytest.fixture
+    def system(self):
+        system = PigSystem()
+        PigMixData(tiny_config()).install(system.dfs)
+        # Scaled like the harness's 15 GB instance, so reducer choice and
+        # task waves depend on the byte counters as they do there.
+        scale = 15 * 2**30 / system.dfs.file_size("/data/page_views")
+        return system.with_scale(scale)
+
+    def test_table_lines(self, system):
+        got = {path: _sha1_lines(system.dfs.read_lines(path))
+               for path in self.TABLE_LINES}
+        assert got == self.TABLE_LINES
+
+    def test_plain_runs(self, system):
+        got = {}
+        for name in GOLDEN_QUERIES:
+            result = system.run(query_text(name), name)
+            records = [
+                _stats_record(run.stats, run.execution_time)
+                for _, run in sorted(result.job_results.items())
+            ]
+            got[name] = (
+                _sha1_lines(system.dfs.read_lines(f"/out/{name}_out")),
+                hashlib.sha1(repr(records).encode()).hexdigest(),
+            )
+        assert got == self.PLAIN_RUNS
+
+    def test_restore_stream(self, system):
+        restore = system.restore()
+        records = []
+        for name in GOLDEN_QUERIES:
+            result = restore.submit(system.compile(query_text(name), name))
+            records.append([
+                _stats_record(run.stats, run.execution_time)
+                for _, run in sorted(result.job_results.items())
+            ])
+        # Materialized paths carry a process-global counter: compare the
+        # stored files by content, not by name.
+        files = sorted(
+            _sha1_lines(system.dfs.read_lines(path))
+            for path in system.dfs.list_files("/")
+            if not path.startswith("/data/"))
+        assert len(files) > len(GOLDEN_QUERIES)
+        assert hashlib.sha1(repr(files).encode()).hexdigest() == self.RESTORE_FILES
+        assert (hashlib.sha1(repr(records).encode()).hexdigest()
+                == self.RESTORE_STATS)

@@ -150,6 +150,34 @@ class TestSubJobReuse:
             Q2_TEXT, "/out/L3_out"
         )
 
+    @pytest.mark.parametrize("heuristic", [
+        ConservativeHeuristic(), AggressiveHeuristic(), NoHeuristic()],
+        ids=lambda heuristic: heuristic.name)
+    @pytest.mark.parametrize("combine, out_path", [
+        ("C = union B, B;", "/out/self_union"),
+        ("C = cogroup B by user, B by user;", "/out/self_cogroup"),
+    ])
+    def test_operator_read_twice_by_one_consumer(self, heuristic, combine,
+                                                 out_path):
+        # The Split goes between B and its one reader, on both edges.
+        text = f"""
+        A = load '/data/page_views' as (user:chararray, timestamp:int,
+            est_revenue:double, page_info:chararray, page_links:chararray);
+        B = filter A by timestamp > 20000;
+        {combine}
+        store C into '{out_path}';
+        """
+        expected = baseline_output(text, out_path)
+        assert expected
+        restore = fresh_restore(self.dfs, heuristic=heuristic)
+        restore.submit(compile_query(text, "first", self.dfs))
+        assert ("filter" in {kind for _, kind, _ in
+                             restore.last_report.injected_stores})
+        assert self.dfs.read_lines(out_path) == expected
+        restore.submit(compile_query(text, "second", self.dfs))
+        assert restore.last_report.num_rewrites >= 1
+        assert self.dfs.read_lines(out_path) == expected
+
     def test_q1_reuses_projection_subjobs(self):
         # Figure 6: after the projections are stored, a re-submitted Q1 is
         # rewritten to load the two projected datasets.

@@ -433,3 +433,49 @@ class TestShardedPersistence:
         system.dfs.write_lines("/restore/future", [manifest], overwrite=True)
         with pytest.raises(RepositoryError):
             load_repository(system.dfs, "/restore/future")
+
+
+class TestLoadSuspendsTheCollector:
+    """A reload only allocates; collections inside it cost time and free
+    nothing. The collector is off for the load and back as it was after."""
+
+    def _saved(self):
+        system = PigSystem()
+        seed_page_views(system.dfs)
+        seed_users(system.dfs)
+        restore = system.restore()
+        restore.submit(system.compile(Q2_TEXT))
+        save_repository(restore.repository, system.dfs)
+        return system
+
+    def test_collector_state_is_restored(self, monkeypatch):
+        import gc
+
+        import repro.restore.persistence as persistence
+
+        system = self._saved()
+        seen = []
+        real = persistence.entry_from_json
+        monkeypatch.setattr(
+            persistence, "entry_from_json",
+            lambda *args: seen.append(gc.isenabled()) or real(*args))
+        assert gc.isenabled()
+        assert len(load_repository(system.dfs)) > 0
+        assert seen and not any(seen)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            load_repository(system.dfs)
+            assert not gc.isenabled()   # was off before: stays off
+        finally:
+            gc.enable()
+
+    def test_restored_when_the_load_fails(self):
+        import gc
+
+        system = self._saved()
+        system.dfs.write_lines("/restore/repository.jsonl", ["{not json"],
+                               overwrite=True)
+        with pytest.raises(ValueError):
+            load_repository(system.dfs)
+        assert gc.isenabled()
