@@ -13,11 +13,11 @@
   cost-model ``SavingsRanker`` over a PigMix-style stream — identical
   outputs, total simulated workflow time never worse, estimator error
   reported per arm;
-* **incremental persistence** (PR 4): per-checkpoint cost of the full
-  ``save_repository`` rewrite (O(repository)) vs the append-only
-  ``RepositoryLog`` (O(delta)) at 1000 entries under a steady stream of
+* **incremental persistence** (PR 4): per-checkpoint cost of
+  ``save_repository`` — one full compaction, O(repository) — vs the
+  append-only ``RepositoryLog`` checkpoint (O(delta)) at 1000 entries under a steady stream of
   small deltas — with the replayed state verified bit-identical;
-* **segmented persistence** (PR 5, v5 order-delta manifests in PR 6):
+* **segmented persistence** (PR 5, order-delta manifests in PR 6):
   dirty-only compaction vs whole-repository compaction at 1000 entries
   across 8 shards with mutations confined to one shard — only the dirty
   shard's snapshot section is rewritten, only its segment truncated,
@@ -919,7 +919,7 @@ def test_ranking_savings_never_loses_to_structural(benchmark, record_experiment)
 
 # --- Incremental persistence: append-only log vs full rewrite (PR 4) ----------
 #
-# The steady-state checkpoint scenario the v3 format exists for: a
+# The steady-state checkpoint scenario the append-only segments exist for: a
 # repository of 1000 entries, mutated by a small delta (2 inserts + 1
 # use-stamp) between checkpoints. The full-rewrite arm re-serializes all
 # ~1000 entries every time; the incremental arm appends 3 records. Both
@@ -993,11 +993,11 @@ def test_incremental_checkpoint_beats_full_rewrite(benchmark, record_experiment)
         f"({_PERSIST_INSERTS_PER_ROUND} inserts + 1 use-stamp per delta)",
         ["arm", "total_s", "per_checkpoint_s", "speedup"],
         [
-            {"arm": "full-rewrite (v1 save_repository)",
+            {"arm": "full compaction (save_repository)",
              "total_s": round(timings["full"], 6),
              "per_checkpoint_s": round(per_checkpoint["full"], 6),
              "speedup": 1.0},
-            {"arm": "incremental (v3 RepositoryLog)",
+            {"arm": "incremental (RepositoryLog checkpoint)",
              "total_s": round(timings["incremental"], 6),
              "per_checkpoint_s": round(per_checkpoint["incremental"], 6),
              "speedup": round(speedup, 1)},
@@ -1018,7 +1018,7 @@ def test_incremental_checkpoint_beats_full_rewrite(benchmark, record_experiment)
 
 # --- Segmented persistence: dirty-only vs whole-repository compaction (PR 5) ---
 #
-# The steady-state compaction scenario the v4 format exists for: a
+# The steady-state compaction scenario the per-shard files exist for: a
 # 1000-entry repository partitioned across 8 shards, with a mutation
 # burst confined to a single shard. The dirty-only arm compacts just
 # that shard (one section rewrite + one segment truncation + the

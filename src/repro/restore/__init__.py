@@ -66,17 +66,18 @@ rank as the deterministic tiebreak); every applied rewrite's estimated
 vs realized savings is recorded on the
 :class:`~repro.restore.manager.ReStoreReport`'s ranking ledger.
 
-Incremental persistence (PR 4, segmented in PR 5) keeps the repository
-durable without rewriting the whole file per checkpoint: the repository
-exposes a change-event channel (``add_listener`` / ``record_use``) and
+Persistence has one durable format and one writer
+(:mod:`repro.restore.wal`), which keeps the repository durable without
+rewriting the whole file per checkpoint: the repository exposes a
+change-event channel (``add_listener`` / ``record_use``) and
 :class:`~repro.restore.wal.RepositoryLog` appends one JSONL record per
 mutation — tagged with a monotonic sequence number and the owning shard
 — to that shard's own segment file. Compaction is dirty-only: a shard
 whose segment outgrows its slice gets its snapshot section rewritten
 (an immutable generation-suffixed file) and its segment truncated,
 while clean shards' sections are reused on disk — steady-state
-compaction is O(dirty shards), not O(repository). ``load_repository``
-replays sections-then-segments (merged by sequence number, with
+compaction is O(dirty shards), not O(repository). ``save_repository``
+is one full compaction of the same files; ``load_repository`` replays sections-then-segments (merged by sequence number, with
 per-segment torn-tail tolerance and stale-record watermarks) and
 reports what it saw via
 :class:`~repro.restore.persistence.LoaderReport`. See
@@ -93,7 +94,7 @@ out by load-key hash while ``find_equivalent``, ordering, ranking, and
 statistics stay with the coordinator — decisions bit-identical to the
 serial path. A crashed worker is respawned and re-seeded from its
 partition's own section + segment files when a
-:class:`~repro.restore.wal.RepositoryLog` is attached (which the v5
+:class:`~repro.restore.wal.RepositoryLog` is attached (which the
 order-delta manifests keep O(partition)), or from the front-end's
 in-memory members otherwise.
 :class:`~repro.restore.service.RepositoryService` wraps the
@@ -152,12 +153,7 @@ from repro.restore.matcher import (
     operator_fingerprint,
     pairwise_plan_traversal,
 )
-from repro.restore.persistence import (
-    load_repository,
-    LoaderReport,
-    save_repository,
-    save_snapshot,
-)
+from repro.restore.persistence import load_repository, LoaderReport
 from repro.restore.ranking import (
     CandidateRanker,
     estimate_entry_savings,
@@ -173,7 +169,7 @@ from repro.restore.selector import (
 from repro.restore.service import RepositoryService, ShardWorkerPool
 from repro.restore.sharding import ShardedRepository
 from repro.restore.stats import IngestStats
-from repro.restore.wal import RepositoryLog
+from repro.restore.wal import RepositoryLog, save_repository
 
 __all__ = [
     "AggressiveHeuristic",
@@ -196,7 +192,6 @@ __all__ = [
     "Registrar",
     "ReplicatedWorkerPool",
     "save_repository",
-    "save_snapshot",
     "Repository",
     "RepositoryEntry",
     "RepositoryLog",

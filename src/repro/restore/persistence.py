@@ -16,71 +16,32 @@ path and version are recovered from the canonical signature) so a
 reloaded repository rebuilds its leaf-load and fingerprint indexes
 identically to the original's.
 
-File formats (spec in ``docs/ARCHITECTURE.md``):
+The on-disk format (spec in ``docs/PERSISTENCE.md``) has one version,
+written only by :class:`~repro.restore.wal.RepositoryLog` — per
+checkpoint, or as the one full compaction that is
+:func:`~repro.restore.wal.save_repository`. This module holds the record
+grammar both sides share and the loader:
 
-* **v1 (legacy, unsharded)** — one JSON entry record per line, in scan
-  order. Written for plain :class:`Repository` instances; reloading by
-  sequential insert reproduces the scan order exactly (the order is a
-  pure function of the entry set with ties broken by insertion
-  sequence).
-
-* **v2 (sharded)** — a **manifest** header line
-  (``{"restore-manifest": 2, "num_shards": N, "sections": [...]}``)
-  followed by one JSONL **section per shard** (catch-all shard id
-  ``-1``). Each section line wraps an entry record with its global scan
-  ``position`` so the loader can re-insert in the original global
-  priority order even though the file is grouped by shard.
-
-* **v3 (incremental, legacy)** — a **snapshot** in the v2 sectioned
-  shape (the manifest says ``"restore-manifest": 3`` and additionally
-  points at a sibling **append-only change log** via
-  ``"log"``/``"base_seq"``; each body record also carries the entry's
-  stable log ``key``). The log holds one JSONL record per mutation
-  (insert / remove / use-stamp), tagged with a monotonic sequence
-  number and the owning shard id; the loader replays snapshot-then-log,
-  skipping records at or below the snapshot's ``base_seq`` and
-  tolerating a torn final log line (a crash mid-append drops the
-  partial record instead of failing the restart). Still written by
-  :func:`save_snapshot` and fully loadable, but
-  :class:`~repro.restore.wal.RepositoryLog` now writes v4.
-
-* **v4 (segmented, legacy)** — the incremental format partitioned along
-  the shard layout. The file at ``path`` holds only the **manifest**:
-  the global scan order (stable key + tie-break sequence per entry,
-  valid at the manifest's ``last_seq``) and one descriptor per partition
-  pointing at that shard's immutable, generation-suffixed snapshot
-  **section file** and its append-only **segment file**, with a
-  per-section ``base_seq`` watermark. Each shard appends and compacts
-  independently: a compaction rewrites only the sections of *dirty*
-  shards (new generation files), re-points the manifest, and truncates
-  just those shards' segments — clean sections are reused at the file
-  level.
-
-* **v5 (order-delta)** — what
-  :class:`~repro.restore.wal.RepositoryLog` writes: v4's sections and
-  segments, but the manifest no longer embeds the full scan order (the
-  one remaining O(repository) write per compaction). Instead it points
-  at an append-only **order log** (``order_log``/``order_gen``): full
-  order records on (re)base, per-compaction **deltas** (keys removed,
-  keys spliced in at recorded positions) otherwise. The loader
-  reconstructs the order by replaying the log up to the manifest's
+* the file at ``path`` holds only the **manifest** line
+  (``{"restore-manifest": 5, "num_shards": N, "last_seq": S, ...}``):
+  one descriptor per partition pointing at that shard's immutable,
+  generation-suffixed snapshot **section file** and its append-only
+  **segment file**, with a per-section ``base_seq`` watermark;
+* a section line wraps an entry record with its stable log ``key`` and
+  global scan ``position``; a segment line is one mutation (insert /
+  remove / use-stamp) tagged with a monotonic sequence number;
+* the global scan order lives in an append-only **order log**
+  (``order_log``/``order_gen``): full order records on (re)base,
+  per-compaction **deltas** (keys removed, keys spliced in at recorded
+  positions) otherwise. The loader replays it up to the manifest's
   ``order_gen`` — later records are orphans from a crashed compaction
-  and are skipped, counted, and healed on the next attach. The full
-  spec lives in ``docs/PERSISTENCE.md``.
+  and are skipped, counted, and healed on the next attach.
 
-``load_repository`` sniffs the format: a v2-v5 manifest loads into
-a :class:`~repro.restore.sharding.ShardedRepository` of the manifest's
-shard count (a v3/v4 snapshot of an unsharded repository says
-``num_shards: 0`` and loads into a plain :class:`Repository`), a v1
-file into a plain :class:`Repository` — unless the caller passes an
-explicit ``repository`` target, which is how a pre-shard v1 file
-migrates into a sharded deployment (the shard layout is recomputed from
-the stable load-key hash, so no rewrite is needed). Whatever the
-format, the loader attaches a :class:`LoaderReport` to the returned
-repository (``repository.loader_report``) with its counters — replayed
-/ stale / dangling log records, torn-tail drops, and saved-fingerprint
-mismatches — and the replay state a
-:class:`~repro.restore.wal.RepositoryLog` needs to resume appending.
+``load_repository`` refuses anything but that manifest with one
+:class:`~repro.common.errors.RepositoryError`, and attaches a
+:class:`LoaderReport` to the repository it returns: its counters, and
+the replay state a :class:`~repro.restore.wal.RepositoryLog` needs to
+resume appending.
 """
 
 import gc
@@ -285,19 +246,9 @@ DEFAULT_REPOSITORY_PATH = "/restore/repository.jsonl"
 
 #: manifest marker key; its value is the format version
 MANIFEST_KEY = "restore-manifest"
-MANIFEST_VERSION = 2
-#: the single-file incremental snapshot+log format (legacy; still
-#: written by save_snapshot and fully loadable)
-LOG_MANIFEST_VERSION = 3
-#: the segmented format: per-shard section + segment files coordinated
-#: through the manifest; its manifest embeds the full global scan order
-#: (legacy — still fully loadable)
-SEGMENT_MANIFEST_VERSION = 4
-#: the order-delta format (what RepositoryLog writes): v4's sections and
-#: segments, but the global scan order lives in a sibling append-only
-#: **order log** — full records on (re)base, per-compaction deltas
-#: otherwise — so a dirty-shard compaction writes O(changes), never the
-#: O(repository) full order
+#: the one supported format version (the name is its distinguishing
+#: trait: the scan order lives in an order log of full records and
+#: deltas, so a dirty-shard compaction never writes the full order)
 DELTA_MANIFEST_VERSION = 5
 
 #: section/segment file name of the catch-all partition (and of a plain
@@ -316,7 +267,7 @@ def shard_label(shard_id):
 
 
 def section_file_path(path, label, generation):
-    """The immutable v4 section file for one partition: generation-
+    """The immutable section file for one partition: generation-
     suffixed so a dirty-shard compaction writes a *new* file and
     re-points the manifest instead of overwriting in place (a crash
     between the two leaves the old manifest's files intact)."""
@@ -324,19 +275,19 @@ def section_file_path(path, label, generation):
 
 
 def section_file_prefix(path):
-    """Every v4 section file of ``path`` starts with this prefix —
+    """Every section file of ``path`` starts with this prefix —
     compaction garbage-collects unreferenced generations under it."""
     return f"{path}.sec-"
 
 
 def segment_file_path(log_base, label):
-    """The append-only v4 segment file of one partition, derived from
+    """The append-only segment file of one partition, derived from
     the manifest's ``log`` base path (default ``<path>.log``)."""
     return f"{log_base}.{label}"
 
 
 def order_log_path(path, generation):
-    """The v5 order-log file: generation-suffixed like section files, so
+    """The order-log file: generation-suffixed like section files, so
     a rebase writes a *new* file and re-points the manifest instead of
     rewriting the referenced one in place (a crash in between leaves the
     old manifest's order log intact)."""
@@ -344,13 +295,13 @@ def order_log_path(path, generation):
 
 
 def order_log_prefix(path):
-    """Every v5 order-log file of ``path`` starts with this prefix —
+    """Every order-log file of ``path`` starts with this prefix —
     compaction garbage-collects unreferenced generations under it."""
     return f"{path}.order.g"
 
 
 def encode_order_delta(old_order, new_order):
-    """The v5 order-delta between two recorded scan orders, or None.
+    """The order-delta between two recorded scan orders, or None.
 
     Both orders are ``[[key, sequence], ...]``. The delta says which
     keys left and where new keys were spliced in
@@ -376,7 +327,7 @@ def encode_order_delta(old_order, new_order):
 
 
 def apply_order_delta(order, record):
-    """Apply one v5 order-delta record to a reconstructed order.
+    """Apply one order-delta record to a reconstructed order.
 
     Removals first, then splices at their recorded positions in
     ascending order — each position indexes the final order, and because
@@ -403,7 +354,7 @@ class LoaderReport:
     counters make restart anomalies observable instead of silent —
     ``fingerprint_mismatches`` flags signature-canonicalization drift
     between the saving and loading release, ``torn_tail_dropped`` /
-    ``stale_records`` / ``dangling_records`` account for every v3 log
+    ``stale_records`` / ``dangling_records`` account for every segment
     record that was not replayed — and ``last_seq`` / ``keys`` are the
     replay state a :class:`~repro.restore.wal.RepositoryLog` resumes
     from when it re-attaches after a restart.
@@ -415,9 +366,9 @@ class LoaderReport:
         #: by identity, so a report cannot vouch for a different DFS
         #: that merely shares the path string
         self.dfs = dfs
-        self.format_version = None     # 1..4 (None: no file found)
-        #: v3: the change-log file; v4: the segment *base* path (each
-        #: partition's segment is ``<base>.<label>``)
+        self.format_version = None     # 5 (None: no file found)
+        #: the segment *base* path (each partition's segment is
+        #: ``<base>.<label>``)
         self.log_path = None
         self.entries_loaded = 0        # entries in the final repository
         self.log_records = 0           # lines found in the change log(s)
@@ -425,11 +376,11 @@ class LoaderReport:
         self.stale_records = 0         # records at or below base_seq
         self.dangling_records = 0      # records whose target was gone
         self.torn_tail_dropped = 0     # partial final line from a crash
-        self.orphaned_log_records = 0  # sibling log a v1/v2 load ignores
+        self.orphaned_log_records = 0  # segment lines with no manifest
         self.fingerprint_mismatches = 0
         self.last_seq = 0              # highest sequence number seen
-        self.keys = {}                 # entry_id -> stable log key (v3/v4)
-        #: v4 resume state: manifest num_shards, plus one descriptor per
+        self.keys = {}                 # entry_id -> stable log key
+        #: resume state: manifest num_shards, plus one descriptor per
         #: partition label ({"shard", "file", "entries", "base_seq",
         #: "segment"}) and the count of complete records per segment —
         #: what a re-attaching RepositoryLog needs to keep appending and
@@ -437,7 +388,7 @@ class LoaderReport:
         self.num_shards = None
         self.section_state = {}        # label -> section descriptor
         self.segment_records = {}      # label -> complete records
-        #: v5 resume state: the order-log file the manifest points at,
+        #: order resume state: the order-log file the manifest points at,
         #: its authoritative generation, the reconstructed recorded
         #: order at that generation ([[key, seq], ...]), how many
         #: applicable records the log held (the writer's rebase
@@ -491,74 +442,10 @@ class LoaderReport:
         return f"LoaderReport({self.describe()})"
 
 
-def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH,
-                    ranker=None):
-    """Persist the repository through the DFS.
-
-    A plain :class:`Repository` is written in the v1 single-file format
-    (one entry record per line, scan order); a
-    :class:`~repro.restore.sharding.ShardedRepository` is written in the
-    v2 format: a manifest header followed by per-shard sections whose
-    lines carry each entry's global scan position.
-
-    ``ranker`` (a :class:`~repro.restore.ranking.CandidateRanker` or its
-    name) is recorded in the v2 manifest as deployment metadata — a
-    restarted service can see which candidate ranking the saved
-    repository was operated under. It does not affect the entries
-    themselves (ranking reorders probes, never state), and the v1 format
-    has no header to carry it.
-
-    A full save is the authoritative state: any change log the file
-    being overwritten pointed at — plus the conventional ``<path>.log``
-    sibling — is subsumed and deleted, because the v1/v2 manifest
-    carries no log pointer and leaving a log behind would strand records
-    the loader never replays. Records checkpointed *after* this save go
-    to a log the saved file cannot reference; the loader flags the
-    conventional sibling loudly, custom log paths only until this save
-    erases their pointer — prefer :class:`~repro.restore.wal.RepositoryLog`
-    compaction over mixing both APIs on one path.
-    """
-    stale_logs = _pointed_log_paths(dfs, path)
-    ranker_name = getattr(ranker, "name", ranker)
-    if isinstance(repository, ShardedRepository):
-        status = _save_sharded(repository, dfs, path, ranker_name)
-    else:
-        lines = [json.dumps(entry_to_json(entry), sort_keys=True)
-                 for entry in repository.scan()]
-        status = dfs.write_lines(path, lines, overwrite=True)
-    for stale in stale_logs:
-        dfs.delete_if_exists(stale)
-    return status
-
-
-def _pointed_log_paths(dfs, path):
-    """Durable files a full save at ``path`` supersedes: the
-    conventional sibling log, whatever log the v3 manifest being
-    overwritten points at (it may be custom), and — for a v4 manifest —
-    every section, segment and order-log file it references, plus
-    orphaned section/order-log generations under the conventional
-    prefixes (crash leftovers)."""
-    log_paths = {f"{path}.log"}
-    manifest = read_manifest_line(dfs, path)
-    if manifest is not None:
-        for field in ("log", "order_log"):
-            if isinstance(manifest.get(field), str):
-                log_paths.add(manifest[field])
-        for section in manifest.get("sections", ()):
-            if not isinstance(section, dict):
-                continue
-            for field in ("file", "segment"):
-                if isinstance(section.get(field), str):
-                    log_paths.add(section[field])
-    log_paths.update(dfs.list_files(prefix=section_file_prefix(path)))
-    log_paths.update(dfs.list_files(prefix=order_log_prefix(path)))
-    log_paths.discard(path)
-    return log_paths
-
-
 def read_manifest_line(dfs, path):
     """The manifest dict on ``path``'s first line, or None (missing or
-    empty file, unparseable first line, or a v1 file with no manifest).
+    empty file, unparseable first line, or a first line that is not a
+    manifest).
 
     Reads only the file's first block — line 0 always lives there — so
     sniffing the format of a large snapshot costs O(block), not O(file).
@@ -577,107 +464,17 @@ def read_manifest_line(dfs, path):
     return None
 
 
-def _sectioned_body(repository, keys=None):
-    """``(sections, body_lines)``: entries grouped by owning partition,
-    each line carrying the entry's global scan position (and, when
-    ``keys`` is given — the v3 snapshot — its stable change-log key)."""
-    positions = {entry.entry_id: position
-                 for position, entry in enumerate(repository.scan())}
-    if isinstance(repository, ShardedRepository):
-        groups = [(shard.shard_id,
-                   sorted(shard, key=lambda entry: positions[entry.entry_id]))
-                  for shard in repository.partitions()]
-    else:
-        # An unsharded repository is one partition (shard id null).
-        groups = [(None, list(repository.scan()))]
-    sections = []
-    body = []
-    for shard_id, members in groups:
-        if not members:
-            continue
-        sections.append({"shard": shard_id, "entries": len(members)})
-        for entry in members:
-            record = {"position": positions[entry.entry_id],
-                      "entry": entry_to_json(entry)}
-            if keys is not None:
-                record["key"] = keys.get(entry.entry_id,
-                                         f"s{positions[entry.entry_id]}")
-            body.append(json.dumps(record, sort_keys=True))
-    return sections, body
-
-
-def _save_sharded(repository, dfs, path, ranker_name=None):
-    sections, body = _sectioned_body(repository)
-    header = {MANIFEST_KEY: MANIFEST_VERSION,
-              "num_shards": repository.num_shards,
-              "entries": len(repository),
-              "sections": sections}
-    if ranker_name is not None:
-        header["ranker"] = ranker_name
-    manifest = json.dumps(header, sort_keys=True)
-    return dfs.write_lines(path, [manifest] + body, overwrite=True)
-
-
-def save_snapshot(repository, dfs, path=DEFAULT_REPOSITORY_PATH,
-                  log_path=None, base_seq=0, keys=None, ranker=None,
-                  truncate_log=True):
-    """Write a v3 snapshot: the sectioned v2 shape plus the change-log
-    pointer (``log``/``base_seq``) and per-entry stable log keys.
-
-    This is the compaction half of the incremental format — normally
-    called by :meth:`~repro.restore.wal.RepositoryLog.compact`, which
-    owns the key assignment and the sequence counter. Unlike
-    :func:`save_repository` it writes the same format for sharded and
-    unsharded repositories (an unsharded one records ``num_shards: 0``
-    and a single null-shard section).
-
-    The snapshot subsumes every change-log record up to ``base_seq``, so
-    by default the log is truncated *after* the snapshot lands (the
-    crash-safe order: a crash in between leaves only records the new
-    ``base_seq`` marks stale). Without the truncation, a direct call
-    with the default ``base_seq=0`` next to a non-empty log would make
-    the loader replay records the snapshot already contains —
-    duplicating entries. Pass ``truncate_log=False`` only when the
-    caller manages the log file itself.
-    """
-    ranker_name = getattr(ranker, "name", ranker)
-    if log_path is None:
-        log_path = f"{path}.log"
-    # A v3 snapshot is authoritative for everything the overwritten
-    # manifest referenced: segment/section files of a v4 deployment at
-    # this path are subsumed and must not linger (their records would be
-    # invisible to the v3 loader).
-    stale = _pointed_log_paths(dfs, path) - {log_path}
-    sections, body = _sectioned_body(repository, keys=keys or {})
-    header = {MANIFEST_KEY: LOG_MANIFEST_VERSION,
-              "num_shards": getattr(repository, "num_shards", 0),
-              "entries": len(repository),
-              "sections": sections,
-              "log": log_path,
-              "base_seq": base_seq}
-    if ranker_name is not None:
-        header["ranker"] = ranker_name
-    manifest = json.dumps(header, sort_keys=True)
-    status = dfs.write_lines(path, [manifest] + body, overwrite=True)
-    if truncate_log:
-        dfs.write_lines(log_path, [], overwrite=True)
-    for old in stale:
-        dfs.delete_if_exists(old)
-    return status
-
-
 def load_repository(dfs, path=DEFAULT_REPOSITORY_PATH, repository=None):
     """Rebuild a repository from a saved file; missing file -> empty.
 
-    ``repository`` is the target to load into. When omitted, the file
-    format decides: a v2 manifest builds a
-    :class:`~repro.restore.sharding.ShardedRepository` with the
-    manifest's shard count, a v1 file builds a plain
-    :class:`Repository`. Passing an explicit target migrates across
-    formats in either direction — in particular, a pre-shard v1 file
-    loads into a ``ShardedRepository`` with identical scan order and
+    ``repository`` is the target to load into. When omitted, the
+    manifest decides: ``num_shards >= 1`` builds a
+    :class:`~repro.restore.sharding.ShardedRepository` with that shard
+    count, ``0`` a plain :class:`Repository`. An explicit target loads
+    across layouts in either direction with identical scan order and
     match decisions (the shard layout is a pure function of the entries'
-    load keys).
+    load keys). A first line that is not a version-5 manifest raises
+    :class:`~repro.common.errors.RepositoryError`.
 
     The cyclic garbage collector is suspended for the duration of the
     load (and put back as it was): a reload allocates tens of thousands
@@ -704,10 +501,12 @@ def _load_repository(dfs, path, repository):
     if not lines:
         repository = repository if repository is not None else Repository()
         repository.loader_report = report
-        # The snapshot is gone (or empty) but change-log/segment files
-        # are not: records there cannot be replayed without the
-        # snapshot's manifest, and silence would hide the loss.
-        report.orphaned_log_records = _orphaned_log_lines(dfs, path)
+        # The manifest is gone (or empty) but segment files are not:
+        # records there cannot be replayed without it, and silence would
+        # hide the loss.
+        report.orphaned_log_records = sum(
+            dfs.status(file).num_lines
+            for file in dfs.list_files(prefix=f"{path}.log."))
         if report.orphaned_log_records:
             _warn_unbrickable(
                 f"no repository snapshot at {path!r}, but sibling "
@@ -715,48 +514,13 @@ def _load_repository(dfs, path, repository):
                 f"{report.orphaned_log_records} record(s) that cannot "
                 f"be replayed without it; loading empty")
         return repository
-    first = json.loads(lines[0])
-    if isinstance(first, dict) and MANIFEST_KEY in first:
-        version = first[MANIFEST_KEY]
-        if version == MANIFEST_VERSION:
-            repository = _load_sharded(first, lines[1:], repository, report)
-        elif version == LOG_MANIFEST_VERSION:
-            repository = _load_incremental(dfs, first, lines[1:], repository,
-                                           report)
-        elif version in (SEGMENT_MANIFEST_VERSION, DELTA_MANIFEST_VERSION):
-            repository = _load_segmented(dfs, first, lines[1:], repository,
-                                         report)
-        else:
-            raise RepositoryError(
-                f"unsupported repository format version {version!r}")
-        # Surface the manifest (format version, shard count, ranker
-        # metadata) to the caller; harmless no-op on a plain Repository
-        # target, which simply gains the attribute.
-        repository.manifest_metadata = dict(first)
-    else:
-        report.format_version = 1
-        if repository is None:
-            repository = Repository()
-        records = [json.loads(line) for line in lines]
-        loaded = [repository.insert(entry_from_json(record, report))
-                  for record in records]
-        _restore_saved_order(repository, loaded,
-                             [record.get("sequence") for record in records])
+    manifest = _supported_manifest(path, lines[0])
+    repository = _load_segmented(dfs, manifest, lines[1:], repository, report)
+    # Surface the manifest (shard count, ranker metadata) to the caller;
+    # harmless on a plain Repository target, which gains the attribute.
+    repository.manifest_metadata = dict(manifest)
     report.entries_loaded = len(repository)
     repository.loader_report = report
-    if report.format_version in (1, 2):
-        # A v1/v2 manifest carries no log pointer, so non-empty sibling
-        # change-log or segment files mean mutations were checkpointed
-        # after the last full save — they cannot be replayed, and
-        # silence here would hide the loss.
-        report.orphaned_log_records = _orphaned_log_lines(dfs, path)
-        if report.orphaned_log_records:
-            _warn_unbrickable(
-                f"found {report.orphaned_log_records} change-log "
-                f"record(s) next to the v{report.format_version} "
-                f"snapshot at {path!r}, which cannot reference them; "
-                f"they were NOT replayed (mutations checkpointed after "
-                f"the last full save are lost)")
     if report.fingerprint_mismatches:
         _warn_unbrickable(
             f"{report.fingerprint_mismatches} saved fingerprint(s) in "
@@ -764,6 +528,26 @@ def _load_repository(dfs, path, repository):
             f"canonicalization drift since the save?); recomputed "
             f"values won — see loader_report.fingerprint_mismatches")
     return repository
+
+
+def _supported_manifest(path, first_line):
+    """The manifest on a repository file's first line, or one
+    RepositoryError saying what was found there instead."""
+    try:
+        manifest = json.loads(first_line)
+    except ValueError:
+        found = "a first line that is not JSON"
+    else:
+        if not (isinstance(manifest, dict) and MANIFEST_KEY in manifest):
+            found = ("a first line that is not a manifest (the shape of a "
+                     "pre-manifest, version-1 file)")
+        elif manifest[MANIFEST_KEY] != DELTA_MANIFEST_VERSION:
+            found = f"format version {manifest[MANIFEST_KEY]!r}"
+        else:
+            return manifest
+    raise RepositoryError(
+        f"cannot load the repository at {path!r}: found {found}; the only "
+        f"supported format is version {DELTA_MANIFEST_VERSION}")
 
 
 def _warn_unbrickable(message):
@@ -774,114 +558,6 @@ def _warn_unbrickable(message):
         warnings.simplefilter("always")
         # 4: this helper, _load_repository, load_repository, its caller.
         warnings.warn(message, RuntimeWarning, stacklevel=4)
-
-
-def _load_sharded(manifest, body, repository, report):
-    report.format_version = MANIFEST_VERSION
-    if repository is None:
-        repository = ShardedRepository(num_shards=manifest["num_shards"])
-    _load_snapshot_body(manifest, body, repository, report)
-    return repository
-
-
-def _load_snapshot_body(manifest, body, repository, report):
-    """Insert a v2/v3 sectioned snapshot body into ``repository``.
-
-    Sections group lines by shard; the saved global scan order is the
-    recorded positions, so records are sorted by them before inserting,
-    then the exact order and tie-break sequences are restored. Returns
-    the stable-key map (``key`` -> entry; empty for v2 bodies, which
-    carry no keys) for the caller's log replay.
-    """
-    expected = manifest.get("entries", len(body))
-    if len(body) != expected:
-        raise RepositoryError(
-            f"repository snapshot truncated: manifest promises {expected} "
-            f"entr(ies), file holds {len(body)}")
-    records = [json.loads(line) for line in body]
-    records.sort(key=lambda record: record["position"])
-    by_key = {}
-    loaded = []
-    for record in records:
-        entry = repository.insert(entry_from_json(record["entry"], report))
-        loaded.append(entry)
-        key = record.get("key")
-        if key is not None:
-            by_key[key] = entry
-    # The snapshot order (and tie-break sequences) are the live history
-    # at save time — possibly non-greedy after removals; restore them
-    # exactly, so later mutations (incl. log replay) start from the same
-    # state the live repository was in.
-    _restore_saved_order(
-        repository, loaded,
-        [record["entry"].get("sequence") for record in records])
-    return by_key
-
-
-def _restore_saved_order(repository, loaded, sequences=None):
-    """Pin the reloaded scan order — and insertion sequences — to the
-    saved ones.
-
-    Sequential insertion re-derives the *greedy* order of the entry set,
-    but a repository saved after removals can legitimately be in a
-    non-greedy order ("previous order minus the removed entries") — the
-    recorded order is the live history and must win for the reload to be
-    bit-identical. Likewise re-insertion mints tie-break sequences in
-    scan-position order, while the live tie-break is *insertion* order;
-    the saved sequences are restored so later order recomputes resolve
-    metric ties exactly as the live repository would. No-op for targets
-    without the primitives (the frozen seed baseline) or partial loads
-    into a pre-populated repository.
-    """
-    if len(loaded) != len(repository):
-        return
-    force = getattr(repository, "force_scan_order", None)
-    if force is not None:
-        force(loaded)
-    if (sequences is not None
-            and all(sequence is not None for sequence in sequences)
-            and len(set(sequences)) == len(sequences)):
-        for entry, sequence in zip(loaded, sequences):
-            entry._sequence = sequence
-        repository._sequence = max(sequences, default=-1) + 1
-
-
-def _load_incremental(dfs, manifest, body, repository, report):
-    """Rebuild a v3 repository: snapshot first, then replay the change
-    log past the snapshot's ``base_seq``."""
-    report.format_version = LOG_MANIFEST_VERSION
-    report.log_path = manifest.get("log")
-    if repository is None:
-        num_shards = manifest.get("num_shards", 0)
-        repository = (ShardedRepository(num_shards=num_shards)
-                      if num_shards >= 1 else Repository())
-    # Log-replayed inserts mint fresh sequences above the snapshot's
-    # restored maximum, preserving relative order (the live counter was
-    # at least that high when they happened).
-    by_key = _load_snapshot_body(manifest, body, repository, report)
-    base_seq = manifest.get("base_seq", 0)
-    report.last_seq = base_seq
-    if report.log_path is not None and dfs.exists(report.log_path):
-        _replay_log(dfs.read_lines(report.log_path), base_seq, repository,
-                    by_key, report)
-    report.keys = {entry.entry_id: key for key, entry in by_key.items()}
-    report.use_stats = {
-        entry.entry_id: (entry.stats.use_count, entry.stats.last_used_tick)
-        for entry in by_key.values()}
-    return repository
-
-
-def _replay_log(lines, base_seq, repository, by_key, report):
-    report.log_records = len(lines)
-    for record in _parse_segment(lines, report.log_path, report):
-        if record["seq"] <= base_seq:
-            # Pre-compaction history: a crash between the snapshot
-            # rewrite and the log truncation leaves the old records
-            # behind; the snapshot already reflects them.
-            report.stale_records += 1
-            continue
-        _apply_log_record(record, repository, by_key, report)
-        report.last_seq = max(report.last_seq, record["seq"])
 
 
 def _apply_log_record(record, repository, by_key, report):
@@ -927,29 +603,16 @@ def _apply_log_record(record, repository, by_key, report):
         report.dangling_records += 1
 
 
-def _orphaned_log_lines(dfs, path):
-    """Lines in change-log files next to ``path`` that a v1/v2 snapshot
-    (or a missing one) cannot reference: the conventional v3 sibling
-    plus every v4 segment file under its prefix."""
-    sibling = f"{path}.log"
-    files = set(dfs.list_files(prefix=f"{sibling}."))
-    if dfs.exists(sibling):
-        files.add(sibling)
-    return sum(dfs.status(file).num_lines for file in sorted(files))
-
-
-# --- The segmented (v4/v5) loader ------------------------------------------------
+# --- The loader: sections, segments, order log -----------------------------------
 
 
 def _load_segmented(dfs, manifest, body, repository, report):
-    """Rebuild a v4/v5 repository from per-shard section + segment files.
+    """Rebuild a repository from per-shard section + segment files.
 
-    The two formats differ only in where the recorded global scan order
-    lives: embedded in the manifest (v4's ``order``) or reconstructed
-    from the sibling order log (v5's ``order_log``/``order_gen`` — see
-    :func:`_read_order_log` for the replay rule). Reconstruction runs in
-    two phases around that recorded order (valid at the manifest's
-    ``last_seq``):
+    The recorded global scan order is reconstructed from the sibling
+    order log (``order_log``/``order_gen`` — see :func:`_read_order_log`
+    for the replay rule). Reconstruction runs in two phases around that
+    recorded order (valid at the manifest's ``last_seq``):
 
     1. insert every section entry, then replay each segment's records
        with ``base_seq < seq <= last_seq`` merged across segments in
@@ -957,7 +620,7 @@ def _load_segmented(dfs, manifest, body, repository, report):
        was live when the manifest was written — and pin the scan order
        and tie-break sequences to the manifest's recorded ones;
     2. replay the remaining records (``seq > last_seq``) in sequence
-       order, exactly like the v3 log replay.
+       order.
 
     Records at or below a section's ``base_seq`` watermark are *stale*
     (a crash between that shard's section rewrite and its segment
@@ -965,19 +628,19 @@ def _load_segmented(dfs, manifest, body, repository, report):
     a torn final line. Segments can therefore be read in any order — the
     per-record sequence numbers, not file order, define the replay.
     """
-    report.format_version = manifest[MANIFEST_KEY]
+    report.format_version = DELTA_MANIFEST_VERSION
     report.log_path = manifest.get("log")
     report.num_shards = manifest.get("num_shards", 0)
     if body:
         raise RepositoryError(
-            f"a v{report.format_version} manifest file must hold only "
-            f"the manifest line, found {len(body)} extra line(s)")
+            f"a repository manifest file must hold only the manifest "
+            f"line, found {len(body)} extra line(s)")
     if repository is None:
         repository = (ShardedRepository(num_shards=report.num_shards)
                       if report.num_shards >= 1 else Repository())
     # A partial load into a pre-populated explicit target cannot adopt
-    # the manifest's global order (it is not a permutation of the union)
-    # — mirror the v1-v3 loaders, which skip order restoration there.
+    # the manifest's global order (it is not a permutation of the
+    # union), so order pinning is skipped there.
     preexisting = len(repository)
     order_seq = manifest.get("last_seq", 0)
     # Sections: the compacted state of each partition, immutable files.
@@ -1037,11 +700,8 @@ def _load_segmented(dfs, manifest, body, repository, report):
     phase1.sort(key=lambda record: record["seq"])
     for record in phase1:
         _apply_log_record(record, repository, by_key, report)
-    if report.format_version == DELTA_MANIFEST_VERSION:
-        order = _read_order_log(dfs, manifest.get("order_log"),
-                                manifest.get("order_gen", 0), report)
-    else:
-        order = manifest.get("order", ())
+    order = _read_order_log(dfs, manifest.get("order_log"),
+                            manifest.get("order_gen", 0), report)
     _force_recorded_order(repository, order, by_key,
                           partial=preexisting > 0)
     # Phase 2: everything appended since the manifest was written.
@@ -1080,7 +740,7 @@ def _parse_segment(lines, segment, report):
 
 
 def _read_order_log(dfs, order_log, order_gen, report):
-    """Reconstruct a v5 manifest's recorded scan order from its order
+    """Reconstruct a manifest's recorded scan order from its order
     log, applying the replay rule:
 
     * records are JSONL, each carrying its writing compaction's ``gen``:
@@ -1152,8 +812,7 @@ def _force_recorded_order(repository, order, by_key, partial=False):
     below ``last_seq`` before the manifest lands), so a mismatch means
     the durable files are corrupt, not merely stale. ``partial`` marks a
     load into a pre-populated explicit target: the recorded order is
-    not a permutation of the union, so — exactly like the v1-v3
-    loaders' ``_restore_saved_order`` no-op — pinning is skipped (key
+    not a permutation of the union, so pinning is skipped (key
     resolution is still checked: the keys come from this file alone).
     """
     entries = []

@@ -1,12 +1,13 @@
-"""Incremental repository persistence: per-shard segmented change logs.
+"""The repository's one durable writer: per-shard segmented change logs.
 
 The paper's repository is long-lived durable state ("Facebook stores the
-result of any query ... for seven days"), yet :func:`save_repository`
-rewrites the entire file on every checkpoint — O(repository) per save,
-which defeats the production-scale goal once the repository holds
-thousands of entries. :class:`RepositoryLog` makes the steady-state
-checkpoint cost O(delta) — and, since the log is **segmented along the
-shard layout**, the steady-state *compaction* cost O(dirty shards):
+result of any query ... for seven days"), and rewriting all of it on
+every checkpoint — what :func:`save_repository`, one full compaction,
+costs — is O(repository) per save, which defeats the production-scale
+goal once the repository holds thousands of entries.
+:class:`RepositoryLog` makes the steady-state checkpoint cost O(delta) —
+and, since the log is **segmented along the shard layout**, the
+steady-state *compaction* cost O(dirty shards):
 
 * it subscribes to the repository's **change-event channel**
   (``Repository.add_listener``) and turns every mutation — insert,
@@ -21,12 +22,11 @@ shard layout**, the steady-state *compaction* cost O(dirty shards):
   (``segment records / shard entries > compact_ratio``), :meth:`compact`
   amortizes it away **for that shard only**: the dirty shard's snapshot
   *section file* is rewritten (a fresh immutable generation), an
-  O(changes) **order-delta** record is appended to the v5 order log
-  (never the full global order — that was v4's last cross-shard write),
-  the manifest is re-pointed, and just that shard's segment is
-  truncated. Clean shards' sections are reused at the file level — a
-  mutation burst confined to one of N shards compacts in O(n/N), not
-  O(n).
+  O(changes) **order-delta** record is appended to the order log
+  (never the full global order), the manifest is re-pointed, and just
+  that shard's segment is truncated. Clean shards' sections are reused
+  at the file level — a mutation burst confined to one of N shards
+  compacts in O(n/N), not O(n).
 
 Crash safety is positional, not transactional, per shard: new section
 files land under *new* names, then the manifest swap makes them
@@ -47,13 +47,6 @@ insert — entry ids are process-local and re-minted on every load, so
 remove/use records cannot reference them. All records of one entry
 (insert, use-stamps, remove) land in one segment: the owning shard is a
 pure function of the entry's loads, fixed for its lifetime.
-
-Attaching to a repository loaded from a v1-v4 file migrates it: the
-initial full compaction splits a single-file snapshot into per-shard
-sections and segments (v1-v3), and moves a v4 manifest's embedded scan
-order into the order log — losslessly either way (scan order,
-statistics, and match decisions are bit-identical — the property suite
-proves it).
 
 **Worker-owned durable state.** When the attached repository is backed
 by shard worker processes, :meth:`RepositoryLog.attach` negotiates
@@ -175,7 +168,7 @@ class RepositoryLog:
         self._pending = {}           # label -> serialized records not on DFS
         self._segment_records = {}   # label -> complete records in its segment
         self._sections = {}          # label -> manifest section descriptor
-        # v5 order-log state: the file the current manifest points at,
+        # Order-log state: the file the current manifest points at,
         # the scan order as last made durable there (the delta base),
         # and how many records the file holds (the rebase trigger).
         self._order_log = None
@@ -217,13 +210,11 @@ class RepositoryLog:
         manifest resumes seamlessly: sequence numbers, stable keys,
         per-segment record counts, the clean sections' file pointers,
         and the order log's delta base continue from the loader's
-        replay state. Anything else — a live repository, one loaded
-        from a v1-v4 file, or a reload whose files had crash damage
-        (torn tails, stale records, orphan order records) — is
-        checkpointed immediately: attach writes a fresh full v5
-        snapshot (every section, a rebased order log) and truncates
-        every segment. That initial compaction is also the v1-v4 → v5
-        migration path.
+        replay state. Anything else — a live repository, or a reload
+        whose files had crash damage (torn tails, stale records, orphan
+        order records) — is checkpointed immediately: attach writes a
+        fresh full snapshot (every section, a rebased order log) and
+        truncates every segment.
         """
         if self.repository is not None:
             if self.repository is repository:
@@ -231,13 +222,9 @@ class RepositoryLog:
             raise RepositoryError(
                 "this RepositoryLog is already attached to a different "
                 "repository; detach() it first")
-        if not hasattr(repository, "add_listener"):
-            # Checked before any state mutates, so a failed attach
-            # leaves the log reusable.
-            raise RepositoryError(
-                f"{type(repository).__name__} has no change-event "
-                f"channel (add_listener); the frozen seed baseline "
-                f"cannot drive a RepositoryLog")
+        # Checked before any state mutates, so a failed attach leaves
+        # the log reusable.
+        _require_event_channel(repository)
         if self.worker_durable and not hasattr(
                 getattr(repository, "worker_pool", None),
                 "enable_worker_durability"):
@@ -331,7 +318,7 @@ class RepositoryLog:
             # silently skipped as stale on the next reload.
             and not report.replay_state_consumed
             and self.dfs.exists(self.path)
-            # The on-DFS partition layout must be the live one: a v4
+            # The on-DFS partition layout must be the live one: a
             # file loaded into a repository with a different shard count
             # would tag events with shard ids its sections do not cover.
             and self._layout_matches(report)
@@ -364,11 +351,7 @@ class RepositoryLog:
             self._assign_key_locked(entry)
         repository.add_listener(self._on_event)
         repository.persistence_log = self
-        self._generation = 1 + max(
-            (_section_generation(file)
-             for prefix in (section_file_prefix(self.path),
-                            order_log_prefix(self.path))
-             for file in self.dfs.list_files(prefix=prefix)), default=-1)
+        self._seed_generation_locked()
         clean = (resumable
                  and not unkeyed
                  and not untracked_mutations
@@ -407,6 +390,32 @@ class RepositoryLog:
             self._seq = max(self._seq, probe[1])
             self.compact()
 
+    def _seed_generation_locked(self):
+        """Start the generation counter above every section and
+        order-log generation on disk, referenced or orphaned."""
+        self._generation = 1 + max(
+            (_section_generation(file)
+             for prefix in (section_file_prefix(self.path),
+                            order_log_prefix(self.path))
+             for file in self.dfs.list_files(prefix=prefix)), default=-1)
+
+    def _save_unattached(self, repository):
+        """:func:`save_repository`'s standalone path: one full
+        compaction of ``repository`` through this fresh log without
+        subscribing to it. The sequence floor is taken over whatever is
+        durable at the path, exactly as a healing attach takes it."""
+        _require_event_channel(repository)
+        with self._mutex:
+            self.repository = repository
+            try:
+                for entry in repository:
+                    self._assign_key_locked(entry)
+                self._seed_generation_locked()
+                self._seq = self._probe_durable_state()[1]
+                self._compact_locked(None)
+            finally:
+                self.repository = None
+
     def _layout_matches(self, report):
         """Does the loaded manifest's partition layout (labels and
         segment paths) match what this log would write for the live
@@ -430,27 +439,21 @@ class RepositoryLog:
         non-resumable compaction needs the sequence floor."""
         records = 0
         top = 0
-        if self.dfs.exists(self.path):
-            manifest = read_manifest_line(self.dfs, self.path)
-            if manifest is not None:
-                num_lines = self.dfs.status(self.path).num_lines
-                records += manifest.get("entries", max(0, num_lines - 1))
-                for field in ("base_seq", "last_seq"):
-                    value = manifest.get(field, 0)
-                    if isinstance(value, int):
-                        top = max(top, value)
-                for section in manifest.get("sections", ()):
-                    if (isinstance(section, dict)
-                            and isinstance(section.get("base_seq"), int)):
-                        top = max(top, section["base_seq"])
-            else:
-                # v1 (or unreadable first line): one entry per line.
-                records += self.dfs.status(self.path).num_lines
-        # The legacy single v3 log plus every v4 segment under the base.
-        log_files = set(self.dfs.list_files(prefix=f"{self.log_path}."))
-        if self.dfs.exists(self.log_path):
-            log_files.add(self.log_path)
-        for log_file in sorted(log_files):
+        manifest = read_manifest_line(self.dfs, self.path)
+        if (manifest or {}).get(MANIFEST_KEY) == DELTA_MANIFEST_VERSION:
+            records += manifest.get(
+                "entries", self.dfs.status(self.path).num_lines)
+            if isinstance(manifest.get("last_seq"), int):
+                top = max(top, manifest["last_seq"])
+            for section in manifest.get("sections", ()):
+                if (isinstance(section, dict)
+                        and isinstance(section.get("base_seq"), int)):
+                    top = max(top, section["base_seq"])
+        elif self.dfs.exists(self.path):
+            # Not a manifest the loader reads: every line still counts,
+            # so the wipe guard protects a file the loader would refuse.
+            records += self.dfs.status(self.path).num_lines
+        for log_file in self.dfs.list_files(prefix=f"{self.log_path}."):
             log_lines = self.dfs.read_lines(log_file)
             records += len(log_lines)
             for line in log_lines:
@@ -822,12 +825,11 @@ class RepositoryLog:
         5. only then are the compacted shards' segments truncated — a
            crash between 4 and 5 leaves records at or below the new
            sections' ``base_seq``, skipped as stale on replay;
-        6. superseded section and order-log generations (and a legacy v3
-           single log) are deleted.
+        6. superseded section and order-log generations are deleted.
 
         The cost is O(entries of the compacted shards) serialization
         plus an O(changes since the last compaction) scan-order record
-        (a delta appended to the v5 order log; full compactions rebase
+        (a delta appended to the order log; full compactions rebase
         the order log to a single full record).
         """
         self._require_attached("compact")
@@ -972,9 +974,6 @@ class RepositoryLog:
         for old in self.dfs.list_files(prefix=order_log_prefix(self.path)):
             if old != order_log:
                 self.dfs.delete_if_exists(old)
-        # A legacy single-file v3 log at the base path is fully subsumed
-        # by the sections (this is the v3 -> v4 migration tail).
-        self.dfs.delete_if_exists(self.log_path)
         return sorted(targets)
 
     def describe(self):
@@ -995,6 +994,53 @@ class RepositoryLog:
         return f"<{self.describe()}>"
 
 
+def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH,
+                    ranker=None):
+    """Persist the repository through the DFS: the authoritative full
+    save, one full compaction (every section, a rebased order log,
+    every segment truncated) in :meth:`RepositoryLog.compact`'s crash
+    ordering. Returns the manifest's file status.
+
+    When the repository's attached :class:`RepositoryLog` owns ``path``
+    on ``dfs``, this *is* ``log.compact()`` (a given ``ranker`` becomes
+    the log's) — the log keeps appending to the files the new manifest
+    references. Anywhere else it writes a standalone snapshot through a
+    throwaway log that never subscribes (a log attached elsewhere is not
+    disturbed); reloaded, it is a clean resume point for ``attach()``.
+
+    ``ranker`` (a :class:`~repro.restore.ranking.CandidateRanker` or its
+    name) is recorded in the manifest as deployment metadata — which
+    candidate ranking the saved repository was operated under. It does
+    not affect the entries (ranking reorders probes, never state).
+    """
+    log = getattr(repository, "persistence_log", None)
+    if log is not None and log.dfs is dfs and log.path == path:
+        if ranker is not None:
+            log.ranker = ranker
+        log.compact()
+    else:
+        # Keep the segment base of whatever manifest is being
+        # overwritten, so its segments are the ones probed for the
+        # sequence floor and truncated — none is left stranded.
+        previous = (read_manifest_line(dfs, path) or {}).get("log")
+        RepositoryLog(
+            dfs, path, ranker=ranker, worker_durable=False,
+            log_path=previous if isinstance(previous, str) else None,
+        )._save_unattached(repository)
+    return dfs.status(path)
+
+
+def _require_event_channel(repository):
+    """Both durable paths drive the indexed repository's primitives
+    (change events, shard sizes and members, scan rank); the frozen
+    seed baseline has none of them."""
+    if not hasattr(repository, "add_listener"):
+        raise RepositoryError(
+            f"{type(repository).__name__} has no change-event channel "
+            f"(add_listener); the frozen seed baseline cannot be "
+            f"persisted through a RepositoryLog")
+
+
 def _section_generation(file):
     """The integer generation suffix of a section file name
     (``"....g17"`` → 17); unparseable names count as -1 so the
@@ -1006,11 +1052,9 @@ def _section_generation(file):
 
 
 def _key_index(key):
-    """The integer suffix of a stable log key (``"k17"`` → 17). Keys this
-    class did not mint (e.g. a snapshot written directly through
-    ``save_snapshot`` uses ``"s<position>"`` fallbacks) count as -1: they
-    live in a different prefix, so the allocator cannot collide with
-    them and need not skip past them."""
+    """The integer suffix of a stable log key (``"k17"`` → 17); a key
+    this class did not mint counts as -1 — it cannot collide with the
+    allocator's ``k<N>`` names, so the allocator need not skip it."""
     if isinstance(key, str) and key[:1] == "k" and key[1:].isdigit():
         return int(key[1:])
     return -1

@@ -23,8 +23,9 @@ This module is a test harness, not a test module (no ``test_``
 prefix). It also provides :func:`install_hang_guard`: IPC tests that
 lose a queue message hang forever, and a hung test hangs the whole CI
 job — the guard arms :mod:`faulthandler` to dump every thread's stack
-and hard-exit the interpreter past a per-test deadline, turning a hang
-into a diagnosable failure.
+into a file under ``tests/artifacts/`` (which CI uploads on failure) and
+hard-exit the interpreter past a per-test deadline, turning a hang into
+a diagnosable failure.
 """
 
 import faulthandler
@@ -39,6 +40,10 @@ from repro.restore import service as _service
 #: per-test wall-clock ceiling for worker/replica IPC tests (seconds)
 WORKER_TEST_TIMEOUT = 180.0
 
+#: where a tripped hang guard leaves ``hang-<pid>.txt``
+ARTIFACTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "artifacts")
+
 
 def install_hang_guard(timeout=WORKER_TEST_TIMEOUT):
     """Arm faulthandler to dump all stacks and exit if the current test
@@ -50,9 +55,26 @@ def install_hang_guard(timeout=WORKER_TEST_TIMEOUT):
             cancel = install_hang_guard()
             yield
             cancel()
+
+    The dump goes to ``ARTIFACTS/hang-<pid>.txt``, headed by the running
+    test's node id — not to fd 2, which pytest has captured, so a dump
+    there would die with the process. The cancel callable removes the
+    file: one that is left behind is a hang.
     """
-    faulthandler.dump_traceback_later(timeout, exit=True)
-    return faulthandler.cancel_dump_traceback_later
+    os.makedirs(ARTIFACTS, exist_ok=True)
+    path = os.path.join(ARTIFACTS, f"hang-{os.getpid()}.txt")
+    dump = open(path, "w", encoding="utf-8")
+    dump.write(f"{os.environ.get('PYTEST_CURRENT_TEST', 'unknown test')} "
+               f"ran past {timeout:g} s\n")
+    dump.flush()
+    faulthandler.dump_traceback_later(timeout, exit=True, file=dump)
+
+    def cancel():
+        faulthandler.cancel_dump_traceback_later()
+        dump.close()
+        os.remove(path)
+
+    return cancel
 
 
 def kill_worker(handle):

@@ -12,6 +12,7 @@ from repro.restore import (
     leaf_loads,
     load_repository,
     Repository,
+    RepositoryLog,
     save_repository,
     ShardedRepository,
 )
@@ -29,11 +30,23 @@ from repro.restore.persistence import (
 from tests.helpers import Q1_TEXT, Q2_TEXT, seed_page_views, seed_users
 
 
+SAVED = "/restore/repository.jsonl"
+
+
 def pigmix_system():
     system = PigSystem()
     seed_page_views(system.dfs)
     seed_users(system.dfs, include=range(6))
     return system
+
+
+def durable_files(dfs, path):
+    """Every file of the save at ``path`` — manifest, sections, order
+    log — with the path prefix taken out of names and contents: what two
+    saves of one repository must agree on byte for byte."""
+    return {file[len(path):]: [line.replace(path, "")
+                               for line in dfs.read_lines(file)]
+            for file in dfs.list_files(prefix=path)}
 
 
 class TestSchemaRoundtrip:
@@ -146,8 +159,8 @@ class TestRestartScenario:
         restore.submit(system.compile(Q1_TEXT))
         save_repository(restore.repository, system.dfs, "/restore/a")
         save_repository(restore.repository, system.dfs, "/restore/b")
-        assert (system.dfs.read_lines("/restore/a")
-                == system.dfs.read_lines("/restore/b"))
+        assert (durable_files(system.dfs, "/restore/a")
+                == durable_files(system.dfs, "/restore/b"))
 
 
 class TestIndexRoundtrip:
@@ -195,17 +208,19 @@ class TestIndexRoundtrip:
         restore = system.restore()
         restore.submit(system.compile(Q1_TEXT))
         save_repository(restore.repository, system.dfs)
-        lines = system.dfs.read_lines("/restore/repository.jsonl")
-        doctored = []
-        for line in lines:
-            record = json.loads(line)
-            record["fingerprint"] = "0" * 64
-            doctored.append(json.dumps(record, sort_keys=True))
-        system.dfs.write_lines("/restore/repository.jsonl", doctored,
-                               overwrite=True)
+        doctored = 0
+        for file in system.dfs.list_files(prefix=f"{SAVED}.sec-"):
+            lines = []
+            for line in system.dfs.read_lines(file):
+                record = json.loads(line)
+                record["entry"]["fingerprint"] = "0" * 64
+                lines.append(json.dumps(record, sort_keys=True))
+            system.dfs.write_lines(file, lines, overwrite=True)
+            doctored += len(lines)
+        assert doctored == len(restore.repository)
         with pytest.warns(RuntimeWarning, match="fingerprint"):
             reloaded = load_repository(system.dfs)
-        assert reloaded.loader_report.fingerprint_mismatches == len(lines)
+        assert reloaded.loader_report.fingerprint_mismatches == doctored
         # The recomputed value still wins: indexes stay correct.
         assert [e.fingerprint for e in reloaded.scan()] == \
             [e.fingerprint for e in restore.repository.scan()]
@@ -216,7 +231,7 @@ class TestIndexRoundtrip:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hardened = load_repository(system.dfs)
-        assert hardened.loader_report.fingerprint_mismatches == len(lines)
+        assert hardened.loader_report.fingerprint_mismatches == doctored
 
     def test_clean_load_reports_no_mismatches(self):
         system = pigmix_system()
@@ -226,7 +241,7 @@ class TestIndexRoundtrip:
         reloaded = load_repository(system.dfs)
         report = reloaded.loader_report
         assert report.fingerprint_mismatches == 0
-        assert report.format_version == 1
+        assert report.format_version == 5
         assert report.entries_loaded == len(reloaded)
         assert "fingerprint mismatch" in report.describe()
         assert report.as_dict()["entries_loaded"] == len(reloaded)
@@ -295,8 +310,8 @@ class TestIndexRoundtrip:
 
 
 class TestShardedPersistence:
-    """PR 2: the v2 manifest + per-shard-section format, and backward
-    compatibility of pre-shard v1 files with sharded deployments."""
+    """Full saves of sharded repositories: layout, manifest metadata,
+    and loading across layouts through an explicit target."""
 
     def _populated(self, repository):
         system = pigmix_system()
@@ -304,25 +319,6 @@ class TestShardedPersistence:
         restore.submit(system.compile(Q1_TEXT))
         restore.submit(system.compile(Q2_TEXT))
         return system, restore.repository
-
-    def test_sharded_save_writes_manifest_and_sections(self):
-        system, repository = self._populated(ShardedRepository(num_shards=4))
-        save_repository(repository, system.dfs)
-        lines = system.dfs.read_lines("/restore/repository.jsonl")
-        manifest = json.loads(lines[0])
-        assert manifest[MANIFEST_KEY] == 2
-        assert manifest["num_shards"] == 4
-        assert manifest["entries"] == len(repository) == len(lines) - 1
-        # Section counts add up, and the body is grouped by shard:
-        # positions within the file are contiguous runs per shard.
-        assert sum(s["entries"] for s in manifest["sections"]) == len(repository)
-        records = [json.loads(line) for line in lines[1:]]
-        cursor = 0
-        for section in manifest["sections"]:
-            run = records[cursor:cursor + section["entries"]]
-            cursor += section["entries"]
-            for record in run:
-                assert "position" in record and "entry" in record
 
     def test_sharded_roundtrip_preserves_order_and_layout(self):
         system, repository = self._populated(ShardedRepository(num_shards=4))
@@ -346,7 +342,7 @@ class TestShardedPersistence:
         for path in ("/restore/by-name", "/restore/by-instance"):
             manifest = json.loads(system.dfs.read_lines(path)[0])
             assert manifest["ranker"] == "savings"
-        # Omitting the ranker omits the key (backward-compatible files).
+        # Omitting the ranker omits the key.
         save_repository(repository, system.dfs, "/restore/bare")
         assert "ranker" not in json.loads(system.dfs.read_lines("/restore/bare")[0])
 
@@ -373,44 +369,11 @@ class TestShardedPersistence:
         system, repository = self._populated(ShardedRepository(num_shards=4))
         save_repository(repository, system.dfs, "/restore/a")
         save_repository(repository, system.dfs, "/restore/b")
-        assert (system.dfs.read_lines("/restore/a")
-                == system.dfs.read_lines("/restore/b"))
-
-    def test_legacy_single_file_loads_into_sharded_repository(self):
-        """Satellite: a pre-shard v1 JSONL file must load into a
-        ShardedRepository with identical scan order and match decisions."""
-        system, plain = self._populated(Repository())
-        save_repository(plain, system.dfs)  # v1 single-file format
-        migrated = load_repository(system.dfs,
-                                   repository=ShardedRepository(num_shards=8))
-        assert isinstance(migrated, ShardedRepository)
-        assert [e.output_path for e in migrated.scan()] == \
-            [e.output_path for e in plain.scan()]
-        job = system.compile(Q2_TEXT).topological_jobs()[0]
-        assert [e.output_path for e in migrated.match_candidates(job.plan)] \
-            == [e.output_path for e in plain.match_candidates(job.plan)]
-        for entry in plain.scan():
-            found = migrated.find_equivalent(entry.plan)
-            assert found is not None
-            assert found.output_path == entry.output_path
-
-    def test_legacy_reuse_through_migrated_manager(self):
-        """End to end: v1 file -> sharded repository -> Q2 still reuses."""
-        system, plain = self._populated(Repository())
-        save_repository(plain, system.dfs)
-        baseline = pigmix_system()
-        baseline.run(Q2_TEXT)
-        expected = baseline.dfs.read_lines("/out/L3_out")
-        migrated = load_repository(system.dfs,
-                                   repository=ShardedRepository(num_shards=4))
-        fresh = system.restore(repository=migrated,
-                               enable_registration=False, heuristic=None)
-        fresh.submit(system.compile(Q2_TEXT))
-        assert fresh.last_report.num_rewrites >= 1
-        assert system.dfs.read_lines("/out/L3_out") == expected
+        assert (durable_files(system.dfs, "/restore/a")
+                == durable_files(system.dfs, "/restore/b"))
 
     def test_sharded_file_loads_into_plain_repository(self):
-        """Migration works in the other direction too."""
+        """An explicit target overrides the manifest's shard count."""
         system, repository = self._populated(ShardedRepository(num_shards=4))
         save_repository(repository, system.dfs)
         downgraded = load_repository(system.dfs, repository=Repository())
@@ -421,18 +384,37 @@ class TestShardedPersistence:
     def test_truncated_sharded_file_rejected(self):
         system, repository = self._populated(ShardedRepository(num_shards=4))
         save_repository(repository, system.dfs)
-        lines = system.dfs.read_lines("/restore/repository.jsonl")
-        system.dfs.write_lines("/restore/truncated", lines[:-1], overwrite=True)
-        with pytest.raises(RepositoryError):
-            load_repository(system.dfs, "/restore/truncated")
+        section = system.dfs.list_files(prefix=f"{SAVED}.sec-")[0]
+        system.dfs.write_lines(section, system.dfs.read_lines(section)[:-1],
+                               overwrite=True)
+        with pytest.raises(RepositoryError, match="truncated"):
+            load_repository(system.dfs)
 
-    def test_future_format_version_rejected(self):
-        system = pigmix_system()
-        manifest = json.dumps({MANIFEST_KEY: 99, "num_shards": 2,
-                               "entries": 0, "sections": []})
-        system.dfs.write_lines("/restore/future", [manifest], overwrite=True)
-        with pytest.raises(RepositoryError):
-            load_repository(system.dfs, "/restore/future")
+    @pytest.mark.parametrize("first_line, found", [
+        (json.dumps({MANIFEST_KEY: 2, "num_shards": 2, "entries": 0,
+                     "sections": []}), "format version 2"),
+        (json.dumps({MANIFEST_KEY: 4, "num_shards": 0, "last_seq": 0,
+                     "order": [], "sections": []}), "format version 4"),
+        (json.dumps({MANIFEST_KEY: 99, "num_shards": 2, "entries": 0,
+                     "sections": []}), "format version 99"),
+        (json.dumps({"plan": [], "output_path": "/stored/s0"}),
+         "not a manifest"),
+        ("{not json", "not JSON"),
+    ], ids=["v2", "v4", "future", "manifest-less", "not-json"])
+    def test_unsupported_file_rejected(self, first_line, found):
+        """One error for everything that is not the one format: it names
+        the path, what the first line held, and the supported version."""
+        system = PigSystem()
+        system.dfs.write_lines("/restore/other", [first_line])
+        with pytest.raises(RepositoryError) as raised:
+            load_repository(system.dfs, "/restore/other")
+        message = str(raised.value)
+        assert "'/restore/other'" in message
+        assert found in message
+        assert "version 5" in message
+        # Unreadable is not empty: the wipe guard still protects the file.
+        with pytest.raises(RepositoryError, match="refusing to attach"):
+            RepositoryLog(system.dfs, "/restore/other").attach(Repository())
 
 
 class TestLoadSuspendsTheCollector:
@@ -474,8 +456,7 @@ class TestLoadSuspendsTheCollector:
         import gc
 
         system = self._saved()
-        system.dfs.write_lines("/restore/repository.jsonl", ["{not json"],
-                               overwrite=True)
-        with pytest.raises(ValueError):
+        system.dfs.write_lines(SAVED, ["{not json"], overwrite=True)
+        with pytest.raises(RepositoryError):
             load_repository(system.dfs)
         assert gc.isenabled()

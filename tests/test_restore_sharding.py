@@ -2,6 +2,10 @@
 the worker-process service, per-shard statistics, and the manager
 integration)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import PigSystem
@@ -26,7 +30,7 @@ from repro.restore.sharding import (
 )
 from repro.restore.stats import EntryStats
 
-from tests.faultinject import FaultSchedule, install_hang_guard
+from tests.faultinject import ARTIFACTS, FaultSchedule, install_hang_guard
 from tests.helpers import (
     make_dfs,
     Q1_TEXT,
@@ -43,6 +47,28 @@ def _hang_guard():
     cancel = install_hang_guard()
     yield
     cancel()
+
+
+def test_tripped_hang_guard_leaves_a_dump_naming_the_test():
+    """A hung test must not die silently: the guard's dump survives the
+    hard exit in a real file, headed by the test's node id."""
+    repo_root = os.path.dirname(os.path.dirname(ARTIFACTS))
+    hung = subprocess.Popen(
+        [sys.executable, "-c",
+         "import time\n"
+         "from tests.faultinject import install_hang_guard\n"
+         "install_hang_guard(0.2)\n"
+         "time.sleep(60)\n"],
+        cwd=repo_root,
+        env=dict(os.environ, PYTHONPATH=os.path.join(repo_root, "src"),
+                 PYTEST_CURRENT_TEST="tests/test_x.py::test_hung (call)"))
+    assert hung.wait(timeout=60) != 0
+    path = os.path.join(ARTIFACTS, f"hang-{hung.pid}.txt")
+    with open(path, encoding="utf-8") as handle:
+        dump = handle.read()
+    os.remove(path)
+    assert dump.startswith("tests/test_x.py::test_hung (call) ran past 0.2 s")
+    assert "most recent call first" in dump
 
 
 def _chain_plan(index, path, extra_op=None):

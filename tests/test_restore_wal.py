@@ -24,11 +24,8 @@ from repro.restore import (
 from repro.restore.persistence import (
     CATCHALL_LABEL,
     DELTA_MANIFEST_VERSION,
-    entry_to_json,
-    LOG_MANIFEST_VERSION,
     MANIFEST_KEY,
     order_log_prefix,
-    SEGMENT_MANIFEST_VERSION,
     segment_file_path,
     shard_label,
     SkeletonOp,
@@ -398,32 +395,48 @@ class TestRepositoryLogBasics:
         assert len(load_repository(dfs_b)) == 1  # durable state intact
 
     def test_full_save_subsumes_segments(self):
-        """Regression: save_repository writes a v1/v2 file with no log
-        pointer, so it must delete the section and segment files it
-        supersedes — the checkpointed records are in the full save, and
-        leaving them behind would strand them un-replayable. Segments
-        recreated by checkpoints *after* the full save are flagged
-        loudly on load."""
+        """save_repository on the path an attached log owns *is*
+        log.compact(): the checkpointed records move into the sections,
+        the segment is truncated, and the log keeps appending to files
+        the new manifest references — so a post-save insert + checkpoint
+        reloads (a second writer used to strand it)."""
         dfs = DistributedFileSystem()
         live = Repository()
         log = RepositoryLog(dfs, compact_ratio=100.0).attach(live)
         live.insert(fabricated_entry(0))
         log.checkpoint()
-        assert dfs.exists(SEG)
-        save_repository(live, dfs, SNAPSHOT)  # authoritative full save
-        assert not dfs.exists(SEG)
-        assert segment_files(dfs) == []
+        assert len(dfs.read_lines(SEG)) == 1
+        save_repository(live, dfs, SNAPSHOT, ranker="savings")
+        assert segment_lines(dfs) == []
+        assert live.persistence_log is log
+        assert manifest_of(dfs)["ranker"] == log.ranker == "savings"
         reloaded = load_repository(dfs)
         assert len(reloaded) == 1
-        assert reloaded.loader_report.orphaned_log_records == 0
-        # Mutations checkpointed after the full save land in fresh
-        # segments the v1 snapshot cannot reference: the loss is loud,
-        # not silent.
+        assert reloaded.loader_report.replayed_records == 0
         live.insert(fabricated_entry(1))
         log.checkpoint()
-        with pytest.warns(RuntimeWarning, match="NOT replayed"):
-            stale = load_repository(dfs)
-        assert stale.loader_report.orphaned_log_records > 0
+        after = load_repository(dfs)
+        assert after.loader_report.replayed_records == 1
+        assert entry_fingerprints(after) == entry_fingerprints(live)
+
+    def test_full_save_elsewhere_leaves_the_attached_log_alone(self):
+        dfs = DistributedFileSystem()
+        live = Repository()
+        log = RepositoryLog(dfs, compact_ratio=100.0).attach(live)
+        live.insert(fabricated_entry(0))
+        log.checkpoint()
+        owned = {file: dfs.read_lines(file)
+                 for file in dfs.list_files(prefix=SNAPSHOT)}
+        save_repository(live, dfs, "/backup/repository.jsonl")
+        assert live.persistence_log is log
+        assert {file: dfs.read_lines(file)
+                for file in dfs.list_files(prefix=SNAPSHOT)} == owned
+        backup = load_repository(dfs, "/backup/repository.jsonl")
+        assert entry_fingerprints(backup) == entry_fingerprints(live)
+        live.insert(fabricated_entry(1))
+        log.checkpoint()
+        assert entry_fingerprints(load_repository(dfs)) == \
+            entry_fingerprints(live)
 
     def test_deleted_snapshot_does_not_let_attach_wipe_the_segments(self):
         """Regression: deleting the manifest while the segments still
@@ -460,20 +473,30 @@ class TestRepositoryLogBasics:
         RepositoryLog(dfs).attach(repo)  # fine after detach
 
     def test_full_save_subsumes_custom_log_path(self):
-        """Regression: save_repository must also delete *custom-path*
-        segment files recorded in the v4 manifest it overwrites —
-        pre-save records there are subsumed and would otherwise be
-        stranded."""
+        """The full save truncates the *custom-path* segments the
+        manifest it overwrites points at, and keeps pointing at them —
+        attached (the log's own base) or not (the base is read from the
+        manifest), so no pre-save record is stranded."""
+        custom = f"/custom/wal.{CATCHALL_LABEL}"
         dfs = DistributedFileSystem()
         live = Repository()
         log = RepositoryLog(dfs, log_path="/custom/wal",
                             compact_ratio=100.0).attach(live)
         live.insert(fabricated_entry(0))
         log.checkpoint()
-        assert dfs.exists(f"/custom/wal.{CATCHALL_LABEL}")
+        assert len(dfs.read_lines(custom)) == 1
         save_repository(live, dfs, SNAPSHOT)
-        assert not dfs.exists(f"/custom/wal.{CATCHALL_LABEL}")
-        assert len(load_repository(dfs)) == 1
+        assert dfs.read_lines(custom) == []
+        live.insert(fabricated_entry(1))
+        log.checkpoint()
+        assert entry_fingerprints(load_repository(dfs)) == \
+            entry_fingerprints(live)
+        log.close()
+        save_repository(live, dfs, SNAPSHOT)  # no log attached any more
+        assert manifest_of(dfs)["log"] == "/custom/wal"
+        assert dfs.read_lines(custom) == []
+        assert entry_fingerprints(load_repository(dfs)) == \
+            entry_fingerprints(live)
 
     def test_reattach_same_repository_is_idempotent(self):
         dfs = DistributedFileSystem()
@@ -797,33 +820,6 @@ class TestOrderDeltaManifests:
         assert reloaded.loader_report.torn_tail_dropped >= 1
         assert entry_fingerprints(reloaded) == entry_fingerprints(live)
 
-    def test_v4_manifest_with_embedded_order_migrates_to_v5(self):
-        # Downgrade a live v5 state to the v4 shape by hand: embed the
-        # full order in the manifest, drop the order log. Loading must
-        # accept it; attaching must migrate it to v5 losslessly.
-        dfs, live, log = self._sharded_state(num_entries=8)
-        manifest = manifest_of(dfs)
-        order = recorded_order_of(dfs)
-        for old in dfs.list_files(prefix=order_log_prefix(SNAPSHOT)):
-            dfs.delete_if_exists(old)
-        manifest.pop("order_log")
-        manifest.pop("order_gen")
-        manifest["order"] = order
-        manifest[MANIFEST_KEY] = SEGMENT_MANIFEST_VERSION
-        dfs.write_lines(SNAPSHOT, [json.dumps(manifest, sort_keys=True)],
-                        overwrite=True)
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.format_version \
-            == SEGMENT_MANIFEST_VERSION
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-        # v4 is legacy, not resumable: attach heals it into v5.
-        migrated_log = RepositoryLog(dfs).attach(reloaded)
-        assert manifest_of(dfs)[MANIFEST_KEY] == DELTA_MANIFEST_VERSION
-        again = load_repository(dfs)
-        assert again.loader_report.format_version == DELTA_MANIFEST_VERSION
-        assert entry_fingerprints(again) == entry_fingerprints(live)
-        migrated_log.close()
-
 
 class TestReplay:
     def _mutate(self, repo, log):
@@ -1108,26 +1104,6 @@ class TestReplay:
         reloaded = load_repository(dfs)
         assert entry_fingerprints(reloaded) == entry_fingerprints(live)
 
-    def test_direct_save_snapshot_subsumes_segments(self):
-        """Regression: a bare save_snapshot() call (the legacy v3
-        writer) next to non-empty v4 segments must not leave them behind
-        — their records are already in the snapshot and the v3 loader
-        would never see them."""
-        from repro.restore import save_snapshot
-
-        dfs = DistributedFileSystem()
-        live = Repository()
-        log = RepositoryLog(dfs).attach(live)
-        live.insert(fabricated_entry(0))
-        log.checkpoint()  # the insert is now in the catch-all segment
-        save_snapshot(live, dfs)  # defaults: base_seq=0, fresh keys
-        assert segment_files(dfs) == []
-        assert dfs.list_files(prefix=f"{SNAPSHOT}.sec-") == []
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.format_version == LOG_MANIFEST_VERSION
-        assert len(reloaded) == 1
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-
     def test_truncated_section_rejected(self):
         dfs = DistributedFileSystem()
         live = Repository()
@@ -1274,129 +1250,39 @@ class TestResume:
         healed = load_repository(dfs)
         assert entry_fingerprints(healed) == entry_fingerprints(live)
 
+    @pytest.mark.parametrize("make_repo", [
+        Repository, lambda: ShardedRepository(num_shards=4)])
+    def test_saved_snapshot_is_a_clean_resume_point(self, make_repo):
+        """A save_repository snapshot needs no healing compaction: a log
+        attached to its reload keeps the section generation and appends
+        the next checkpoint to a segment the manifest references."""
+        dfs = DistributedFileSystem()
+        live = make_repo()
+        entries = [live.insert(fabricated_entry(i)) for i in range(6)]
+        live.remove(entries[2])  # a non-greedy order must round-trip too
+        save_repository(live, dfs)
+        assert getattr(live, "persistence_log", None) is None
+        assert live._listeners == []
+        saved = manifest_of(dfs)
+        reloaded = load_repository(dfs)
+        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
+        assert [e._sequence for e in reloaded.scan()] == \
+            [e._sequence for e in live.scan()]
+        log = RepositoryLog(dfs, compact_ratio=100.0).attach(reloaded)
+        assert manifest_of(dfs) == saved
+        reloaded.insert(fabricated_entry(20))
+        assert log.checkpoint()["compacted"] is False
+        assert manifest_of(dfs) == saved
+        again = load_repository(dfs)
+        assert again.loader_report.replayed_records == 1
+        assert entry_fingerprints(again) == entry_fingerprints(reloaded)
+
 
 class TestMigration:
     def _entries(self, repo, count=5):
         for index in range(count):
             repo.insert(fabricated_entry(index))
         return repo
-
-    def test_v1_to_v5_migration(self):
-        dfs = DistributedFileSystem()
-        plain = self._entries(Repository())
-        save_repository(plain, dfs, SNAPSHOT)  # v1: no manifest line
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.format_version == 1
-        RepositoryLog(dfs).attach(reloaded)
-        # Attach upgraded the file to a v5 manifest + sections.
-        manifest = manifest_of(dfs)
-        assert manifest[MANIFEST_KEY] == DELTA_MANIFEST_VERSION
-        assert manifest["num_shards"] == 0
-        migrated = load_repository(dfs)
-        assert type(migrated) is Repository
-        assert entry_fingerprints(migrated) == entry_fingerprints(plain)
-
-    def test_v2_to_v5_migration(self):
-        dfs = DistributedFileSystem()
-        sharded = self._entries(ShardedRepository(num_shards=4))
-        save_repository(sharded, dfs, SNAPSHOT)  # v2 manifest
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.format_version == 2
-        log = RepositoryLog(dfs).attach(reloaded)
-        manifest = manifest_of(dfs)
-        assert manifest[MANIFEST_KEY] == DELTA_MANIFEST_VERSION
-        assert manifest["num_shards"] == 4
-        # Mutations after the migration land in the segments and replay.
-        reloaded.insert(fabricated_entry(30))
-        log.flush()
-        migrated = load_repository(dfs)
-        assert isinstance(migrated, ShardedRepository)
-        assert migrated.num_shards == 4
-        assert entry_fingerprints(migrated) == entry_fingerprints(reloaded)
-
-    def _v3_state(self, dfs, torn_tail=False):
-        """Fabricate a realistic v3 deployment: a snapshot written by
-        the legacy writer plus a single change log holding records the
-        snapshot does not cover (and optionally a torn final line)."""
-        from repro.restore import save_snapshot
-
-        sharded = ShardedRepository(num_shards=4)
-        for index in range(6):
-            sharded.insert(fabricated_entry(index))
-        keys = {entry.entry_id: f"k{position}"
-                for position, entry in enumerate(sharded.scan())}
-        save_snapshot(sharded, dfs, SNAPSHOT, base_seq=6, keys=keys)
-        # Post-snapshot history in the v3 single log: an insert, a
-        # use-stamp, and a removal.
-        extra = fabricated_entry(40)
-        target = sharded.scan()[2]
-        victim = sharded.scan()[4]
-        log_lines = [
-            json.dumps({"seq": 7, "op": "insert", "shard": None, "key": "k9",
-                        "entry": entry_to_json(extra)}, sort_keys=True),
-            json.dumps({"seq": 8, "op": "use", "shard": None,
-                        "key": keys[target.entry_id], "use_count": 3,
-                        "last_used_tick": 11}, sort_keys=True),
-            json.dumps({"seq": 9, "op": "remove", "shard": None,
-                        "key": keys[victim.entry_id]}, sort_keys=True),
-        ]
-        if torn_tail:
-            log_lines.append('{"seq": 10, "op": "ins')
-        dfs.write_lines(LOG_BASE, log_lines, overwrite=True)
-        # Mirror the log on the in-memory twin for the equality checks.
-        sharded.insert(extra)
-        target.stats.use_count = 3
-        target.stats.last_used_tick = 11
-        sharded.remove(victim)
-        return sharded
-
-    def test_v3_single_log_splits_into_segments_losslessly(self):
-        """The PR 5 migration bar: a v3 snapshot+log attaches to a
-        segmented RepositoryLog and splits into per-shard sections and
-        segments with scan order, statistics, and match decisions
-        bit-identical — and the v3 single log is gone afterwards."""
-        dfs = DistributedFileSystem()
-        twin = self._v3_state(dfs)
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.format_version == LOG_MANIFEST_VERSION
-        assert entry_fingerprints(reloaded) == entry_fingerprints(twin)
-
-        log = RepositoryLog(dfs).attach(reloaded)  # migrates on attach
-        assert not dfs.exists(LOG_BASE)  # the single v3 log is subsumed
-        manifest = manifest_of(dfs)
-        assert manifest[MANIFEST_KEY] == DELTA_MANIFEST_VERSION
-        assert manifest["num_shards"] == 4
-        migrated = load_repository(dfs)
-        assert migrated.loader_report.format_version == \
-            DELTA_MANIFEST_VERSION
-        assert entry_fingerprints(migrated) == entry_fingerprints(twin)
-        assert [[e.output_path for e in shard]
-                for shard in migrated.partitions()] == \
-            [[e.output_path for e in shard] for shard in twin.partitions()]
-        # Match decisions are unchanged: every probe sees the same
-        # candidate sequence as the pre-migration twin.
-        for index in range(4):
-            probe = fabricated_entry(50 + index).plan
-            assert [e.output_path for e in migrated.match_candidates(probe)] \
-                == [e.output_path for e in twin.match_candidates(probe)]
-        # And post-migration mutations keep flowing into the segments
-        # (mutate the attached repository, then reload once more).
-        reloaded.record_use(reloaded.scan()[0], tick=20)
-        log.flush()
-        final = load_repository(dfs)
-        assert entry_fingerprints(final) == entry_fingerprints(reloaded)
-
-    def test_v3_migration_tolerates_torn_tail(self):
-        dfs = DistributedFileSystem()
-        twin = self._v3_state(dfs, torn_tail=True)
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.torn_tail_dropped == 1
-        assert entry_fingerprints(reloaded) == entry_fingerprints(twin)
-        RepositoryLog(dfs).attach(reloaded)  # heals + migrates
-        assert not dfs.exists(LOG_BASE)
-        migrated = load_repository(dfs)
-        assert migrated.loader_report.torn_tail_dropped == 0
-        assert entry_fingerprints(migrated) == entry_fingerprints(twin)
 
     def test_repeat_compaction_never_rewrites_sections_in_place(self):
         """Regression: a healing compaction can run at an *unchanged*
