@@ -27,12 +27,7 @@
   partition promoted to a worker process behind the routing front-end,
   probes shipped through the batched IPC-amortized path — candidate
   sequences bit-identical to the serial executor (asserted on any
-  hardware), throughput bar ≥1.2x enforced on ≥4 cores;
-* **worker-owned durability** (PR 10): checkpoint (flush + full
-  compaction) throughput at 8 worker-backed shards with the partition
-  files owned by the shard workers vs the front end — durable bytes
-  bit-identical on any hardware, throughput bar ≥1.5x enforced on
-  ≥4 cores.
+  hardware), throughput bar ≥1.2x enforced on ≥4 cores.
 """
 
 import json
@@ -520,328 +515,6 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
             f"on {cores} cores at {_SERVICE_SHARDS} shards, got "
             f"{speedup:.2f}x (serial {timings['serial']:.4f}s, "
             f"batched {timings['processes-batched']:.4f}s)"
-        )
-
-
-# --- In-memory replication: fan-out throughput + warm failover (PR 7) ---------
-#
-# The hot-shard scenario replication exists for: every entry and every
-# probe routes to ONE partition (all plans share the lexicographically
-# smallest load key "/data/hot"), so the single-worker pool serializes
-# the whole probe batch on one process while the replicated pool splits
-# it across the shard's replica set. The failover half measures the
-# latency of the first probe after a worker kill: the plain pool pays a
-# respawn plus a durable partition replay (snapshot_reads moves), the
-# replicated pool a warm promotion (snapshot_reads must NOT move).
-
-_REPL_SIZE = 800
-_REPL_SHARDS = 8
-_REPL_PROBES = 200
-_REPL_ROUNDS = 3
-
-
-def _hot_join_plan(index, extra_op=None):
-    """join(/data/hot, /data/u<index>) [-> foreach] -> store: min load
-    key "/data/hot" routes every plan to the same shard, and the entry's
-    load set matches exactly the probe of the same index."""
-    left = POLoad("/data/hot", None, 0)
-    right = POLoad(f"/data/u{index}", None, 0)
-    chain = SkeletonOp("join", f"JOIN[hot+u{index}]", None, [left, right])
-    if extra_op is not None:
-        chain = SkeletonOp("foreach", f"FOREACH[{extra_op}]", None, [chain])
-    return PhysicalPlan([POStore(chain, f"/stored/h{index}")])
-
-
-@pytest.mark.benchmark(group="ablation-replication")
-def test_replication_fanout_and_failover(benchmark, record_experiment):
-    """The replication arm of the ablation: batched match throughput on
-    one hot shard, single worker vs the k=2 replica set (bar: >=1.5x on
-    >=4 cores), plus warm-failover latency vs the cold durable replay —
-    with snapshot reads witnessing that only the cold path replays."""
-    from repro.restore.sharding import shard_index_for_key
-
-    def populate(repository):
-        for index in range(_REPL_SIZE):
-            stats = EntryStats(
-                input_bytes=1000 + (index % 7) * 500,
-                output_bytes=10 + (index % 5) * 30,
-                producing_job_time=1.0 + (index % 11),
-            )
-            repository.insert(RepositoryEntry(
-                _hot_join_plan(index), f"/stored/h{index}", stats))
-        return repository
-
-    serial = populate(ShardedRepository(num_shards=_REPL_SHARDS,
-                                        executor="serial"))
-    single = populate(ShardedRepository(num_shards=_REPL_SHARDS,
-                                        executor="processes"))
-    replicated = populate(ShardedRepository(num_shards=_REPL_SHARDS,
-                                            executor="processes",
-                                            replicas=2))
-    probes = [_hot_join_plan(index, extra_op=f"rprobe{index}")
-              for index in range(_REPL_PROBES)]
-
-    # Unconditional: one candidate per probe (its same-index entry), and
-    # both process-backed pools answer exactly like the serial fan-out.
-    reference = [[e.output_path for e in cs]
-                 for cs in serial.match_candidates_batch(probes)]
-    assert all(len(paths) == 1 for paths in reference)
-    assert [[e.output_path for e in cs]
-            for cs in single.match_candidates_batch(probes)] == reference
-    assert [[e.output_path for e in cs]
-            for cs in replicated.match_candidates_batch(probes)] == reference
-
-    def measure():
-        timings = {}
-        for label, repo in (("single-worker", single),
-                            ("replicated-2x", replicated)):
-            passes = []
-            for _ in range(3):
-                seconds, _ = _timed(
-                    lambda: [repo.match_candidates_batch(probes)
-                             for _ in range(_REPL_ROUNDS)])
-                passes.append(seconds)
-            timings[label] = min(passes)
-        return timings
-
-    hot_shard = shard_index_for_key(("/data/hot", 0), _REPL_SHARDS)
-    latency_probe = _hot_join_plan(0, extra_op="failover-latency")
-    expected_latency = [e.output_path
-                        for e in serial.match_candidates(latency_probe)]
-    try:
-        timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-        # Cold path: kill the single pool's only worker; the next probe
-        # pays respawn + durable partition replay (one snapshot read).
-        cold_log = RepositoryLog(DistributedFileSystem())
-        cold_log.attach(single)
-        cold_reads = cold_log.snapshot_reads
-        victim = single.worker_pool._workers[hot_shard]
-        victim.process.kill()
-        victim.process.join()
-        cold_s, cold_answer = _timed(
-            lambda: single.match_candidates(latency_probe))
-        assert [e.output_path for e in cold_answer] == expected_latency
-        assert cold_log.snapshot_reads == cold_reads + 1
-        assert single.worker_pool.recoveries == 1
-        cold_log.close()
-
-        # Warm path: kill the replica the round-robin cursor points at;
-        # the next probe is answered by the promoted peer — no durable
-        # read, no replay.
-        warm_log = RepositoryLog(DistributedFileSystem())
-        warm_log.attach(replicated)
-        warm_reads = warm_log.snapshot_reads
-        pool = replicated.worker_pool
-        replicas = pool._replica_sets[hot_shard]
-        victim = replicas[pool._cursors.get(hot_shard, 0) % len(replicas)]
-        victim.process.kill()
-        victim.process.join()
-        warm_s, warm_answer = _timed(
-            lambda: replicated.match_candidates(latency_probe))
-        assert [e.output_path for e in warm_answer] == expected_latency
-        assert warm_log.snapshot_reads == warm_reads
-        assert pool.failovers == 1
-        assert pool.recoveries == 0
-        warm_log.close()
-    finally:
-        replicated.close()
-        single.close()
-        serial.close()
-
-    num_probes = _REPL_PROBES * _REPL_ROUNDS
-    throughput = {label: num_probes / max(seconds, 1e-9)
-                  for label, seconds in timings.items()}
-    speedup = throughput["replicated-2x"] / max(throughput["single-worker"],
-                                                1e-9)
-    recovery_ratio = cold_s / max(warm_s, 1e-9)
-    cores = os.cpu_count() or 1
-    record_experiment(ExperimentResult(
-        "ablation_replication",
-        f"Replicated worker pool (k=2) vs single worker on one hot shard "
-        f"({_REPL_SIZE} entries, {_REPL_SHARDS} shards, {num_probes} "
-        f"batched probes, {cores} core(s))",
-        ["arm", "seconds", "probes_per_s", "speedup"],
-        [
-            {"arm": "single worker (batched probes)",
-             "seconds": round(timings["single-worker"], 6),
-             "probes_per_s": round(throughput["single-worker"], 1),
-             "speedup": 1.0},
-            {"arm": "replicated k=2 (batch split across replicas)",
-             "seconds": round(timings["replicated-2x"], 6),
-             "probes_per_s": round(throughput["replicated-2x"], 1),
-             "speedup": round(speedup, 2)},
-            {"arm": "cold failover (respawn + durable replay)",
-             "seconds": round(cold_s, 6),
-             "probes_per_s": "",
-             "speedup": 1.0},
-            {"arm": "warm failover (promote surviving replica)",
-             "seconds": round(warm_s, 6),
-             "probes_per_s": "",
-             "speedup": round(recovery_ratio, 2)},
-        ],
-        notes=[
-            "candidate sequences bit-identical to the serial fan-out "
-            "(asserted unconditionally, both pools)",
-            f"replica fan-out throughput: {speedup:.2f}x on {cores} "
-            f"core(s) (bar >=1.5x, enforced at >=4 cores)",
-            f"first probe after a kill: cold {cold_s * 1000:.2f}ms "
-            f"(snapshot_reads +1) vs warm {warm_s * 1000:.2f}ms "
-            f"(snapshot_reads unchanged) — {recovery_ratio:.1f}x",
-        ],
-    ))
-    if cores >= 4:
-        assert speedup >= 1.5, (
-            f"splitting the hot shard's probe batch across 2 replicas "
-            f"must beat the single worker on {cores} cores, got "
-            f"{speedup:.2f}x (single {timings['single-worker']:.4f}s, "
-            f"replicated {timings['replicated-2x']:.4f}s)"
-        )
-
-
-# --- Worker-owned durability: checkpoint throughput (PR 10) -------------------
-#
-# The steady-state checkpoint scenario worker-owned durability exists
-# for: a 1000-entry repository across 8 worker-backed shards, every
-# shard dirtied between checkpoints, each checkpoint a flush plus a
-# full compaction. The front-end arm (``worker_durable=False``)
-# serializes all 8 snapshot sections itself; the worker arm ships each
-# shard's segment appends and section rewrite to the worker that owns
-# the partition (a compact spec of stat patches, not entry payloads),
-# so the O(repository) serialization overlaps across cores. The two
-# arms must leave bit-identical durable files — the worker writes
-# exactly the bytes the front end would have written — and that is
-# asserted on any hardware; the throughput bar only applies where the
-# workers can actually overlap.
-
-_DURABLE_SIZE = 1000
-_DURABLE_SHARDS = 8
-_DURABLE_CHECKPOINTS = 5
-_DURABLE_STAMPS = 64
-
-
-@pytest.mark.benchmark(group="ablation-worker-durable")
-def test_worker_durable_checkpoint_throughput(benchmark, record_experiment):
-    """The durability arm of the ablation (PR 10): checkpoint (flush +
-    full compact) throughput with partition files owned by the shard
-    workers vs the front end, durable bytes bit-identical. On >=4
-    cores the overlapped section writes must win (bar: >=1.5x)."""
-    pool_size = max(4, _DURABLE_SIZE // 10)
-
-    def build(worker_durable):
-        dfs = DistributedFileSystem()
-        repository = ShardedRepository(num_shards=_DURABLE_SHARDS,
-                                       executor="processes")
-        for index in range(_DURABLE_SIZE):
-            plan = _fabricated_plan(index, pool_size)
-            stats = EntryStats(
-                input_bytes=1000 + (index % 7) * 500,
-                output_bytes=10 + (index % 5) * 30,
-                producing_job_time=1.0 + (index % 11),
-            )
-            repository.insert(
-                RepositoryEntry(plan, f"/stored/s{index}", stats))
-        log = RepositoryLog(dfs, worker_durable=worker_durable)
-        log.attach(repository)
-        # Workers spawn lazily on probes; durable ownership needs every
-        # partition's worker alive before the first checkpoint, so warm
-        # one probe per load key (covers every populated shard).
-        probes = [_fabricated_plan(_DURABLE_SIZE * 2 + index, pool_size,
-                                   extra_op=f"durprobe{index}")
-                  for index in range(pool_size)]
-        repository.match_candidates_batch(probes)
-        return dfs, repository, log
-
-    front_dfs, front_repo, front_log = build(False)
-    worker_dfs, worker_repo, worker_log = build(None)  # auto-negotiated: on
-    assert worker_repo.worker_pool.durable_enabled
-    # Every hash shard populated (shard -1 holds leafless plans: none).
-    assert all(size for shard_id, size in worker_repo.shard_sizes().items()
-               if shard_id >= 0)
-
-    def run_checkpoints(repository, log):
-        total = 0.0
-        for round_index in range(_DURABLE_CHECKPOINTS):
-            entries = repository.scan()
-            for stamp in range(_DURABLE_STAMPS):
-                # Evenly spread over the scan order so every shard takes
-                # appends (and section rewrites) each round.
-                position = (stamp * len(entries) // _DURABLE_STAMPS
-                            + round_index) % len(entries)
-                repository.record_use(entries[position],
-                                      round_index * 1000 + stamp + 1)
-            seconds, _ = _timed(lambda: (log.flush(), log.compact()))
-            total += seconds
-        return total
-
-    def measure():
-        return {"front-end": run_checkpoints(front_repo, front_log),
-                "worker-owned": run_checkpoints(worker_repo, worker_log)}
-
-    try:
-        timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-        # Unconditional: same checkpoints, same files, same bytes —
-        # manifest, every section generation, every segment, order log.
-        front_files = sorted(front_dfs.list_files(prefix="/restore/"))
-        worker_files = sorted(worker_dfs.list_files(prefix="/restore/"))
-        assert front_files == worker_files
-        for file in front_files:
-            assert front_dfs.read_lines(file) \
-                == worker_dfs.read_lines(file), file
-        # The worker arm really took the worker path (and only it did).
-        assert worker_log.worker_sections \
-            >= _DURABLE_CHECKPOINTS * _DURABLE_SHARDS
-        assert worker_log.worker_flushes >= _DURABLE_CHECKPOINTS
-        assert front_log.worker_sections == front_log.worker_flushes == 0
-        # Durability: replaying the worker-written files rebuilds the
-        # live state exactly.
-        reloaded = load_repository(worker_dfs)
-        assert [(e.output_path, e.stats.use_count, e.stats.last_used_tick)
-                for e in reloaded.scan()] == \
-            [(e.output_path, e.stats.use_count, e.stats.last_used_tick)
-             for e in worker_repo.scan()]
-    finally:
-        worker_log.close()
-        front_log.close()
-        worker_repo.close()
-        front_repo.close()
-
-    throughput = {label: _DURABLE_CHECKPOINTS / max(seconds, 1e-9)
-                  for label, seconds in timings.items()}
-    speedup = throughput["worker-owned"] / max(throughput["front-end"], 1e-9)
-    cores = os.cpu_count() or 1
-    record_experiment(ExperimentResult(
-        "ablation_worker_durable",
-        f"Worker-owned vs front-end checkpointing ({_DURABLE_SIZE} "
-        f"entries, {_DURABLE_SHARDS} shards, {_DURABLE_CHECKPOINTS} "
-        f"checkpoints of {_DURABLE_STAMPS} use-stamps + flush + full "
-        f"compaction, {cores} core(s))",
-        ["arm", "seconds", "checkpoints_per_s", "speedup"],
-        [
-            {"arm": "front-end durable writes (worker_durable=False)",
-             "seconds": round(timings["front-end"], 6),
-             "checkpoints_per_s": round(throughput["front-end"], 2),
-             "speedup": 1.0},
-            {"arm": "worker-owned partitions (segment + section in worker)",
-             "seconds": round(timings["worker-owned"], 6),
-             "checkpoints_per_s": round(throughput["worker-owned"], 2),
-             "speedup": round(speedup, 2)},
-        ],
-        notes=[
-            "durable files bit-identical across arms (asserted "
-            "unconditionally, every file every byte)",
-            f"worker-owned vs front-end checkpoint throughput: "
-            f"{speedup:.2f}x on {cores} core(s) (bar >=1.5x, enforced "
-            f"at >=4 cores)",
-        ],
-    ))
-    if cores >= 4:
-        assert speedup >= 1.5, (
-            f"worker-owned checkpointing must beat the front end on "
-            f"{cores} cores at {_DURABLE_SHARDS} shards, got "
-            f"{speedup:.2f}x (front-end {timings['front-end']:.4f}s, "
-            f"worker-owned {timings['worker-owned']:.4f}s)"
         )
 
 

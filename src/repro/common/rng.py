@@ -6,6 +6,7 @@ so they draw from :class:`DeterministicRng`, a thin wrapper over
 for ``users`` data does not perturb the stream for ``page_views``.
 """
 
+import functools
 import random
 import zlib
 
@@ -71,11 +72,47 @@ class DeterministicRng:
         size = len(alphabet)
         if not size:
             raise ValueError("cannot draw characters from an empty alphabet")
-        bits = size.bit_length()
         getrandbits = self._random.getrandbits
-        chars = []
-        while len(chars) < length:
-            index = getrandbits(bits)
-            if index < size:
-                chars.append(alphabet[index])
-        return "".join(chars)
+        tables = _byte_tables(alphabet)
+        if tables is None:
+            bits = size.bit_length()
+            chars = []
+            while len(chars) < length:
+                index = getrandbits(bits)
+                if index < size:
+                    chars.append(alphabet[index])
+            return "".join(chars)
+        # One generator word per candidate character, as above, but drawn
+        # in bulk: getrandbits(32 * n) is n consecutive words, least
+        # significant first, and getrandbits(bits <= 8) is the top bits
+        # of one word, i.e. of its top byte. Never more words than
+        # characters still missing, so the generator ends where the
+        # per-character loop would leave it.
+        keep, reject = tables
+        drawn = b""
+        missing = length
+        while missing > 0:
+            words = getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            drawn += words[3::4].translate(keep, reject)
+            missing = length - len(drawn)
+        return drawn.decode("latin-1")
+
+
+@functools.lru_cache(maxsize=16)
+def _byte_tables(alphabet):
+    """``bytes.translate`` arguments turning the top byte of each
+    generator word into its ``alphabet`` character (``keep``) or nothing
+    (``reject``: the index drawn lies past the alphabet's end) — or None
+    when a byte cannot hold the index or a character."""
+    size = len(alphabet)
+    shift = 8 - size.bit_length()
+    if shift < 0:
+        return None
+    try:
+        encoded = alphabet.encode("latin-1")
+    except UnicodeEncodeError:
+        return None
+    keep = bytes(encoded[byte >> shift] if byte >> shift < size else 0
+                 for byte in range(256))
+    reject = bytes(byte for byte in range(256) if byte >> shift >= size)
+    return keep, reject

@@ -51,10 +51,9 @@ Sharding (PR 2) extends the same contract to a *partitioned* store:
 :class:`repro.restore.sharding.ShardedRepository` hashes entries across
 N shards by leaf-load key, keeps the canonical-fingerprint dict as the
 global cross-shard dedup channel, fans ``match_candidates`` out only to
-the shards owning a job's load keys (through a pluggable serial or
-thread-pool executor), and merges per-shard candidates back into the
-paper's priority order — identical decisions, probe cost proportional to
-the owning shards instead of the whole repository.
+the shards owning a job's load keys, and merges per-shard candidates
+back into the paper's priority order — identical decisions, probe cost
+proportional to the owning shards instead of the whole repository.
 
 Ranking (PR 3) makes the *order* of that merged candidate walk pluggable
 (:mod:`repro.restore.ranking`): the default
@@ -86,36 +85,18 @@ reports what it saw via
 
 The worker-process service (PR 6) promotes each partition to a worker
 **process** behind a routing front-end:
-:class:`~repro.restore.service.ShardWorkerPool` plugs into
-:class:`~repro.restore.sharding.ShardedRepository` as
-``executor="processes"``, buffering inserts/removals per owning worker
-(batched hand-off over ``multiprocessing`` queues) and fanning probes
-out by load-key hash while ``find_equivalent``, ordering, ranking, and
-statistics stay with the coordinator — decisions bit-identical to the
-serial path. A crashed worker is respawned and re-seeded from its
+``ShardedRepository(executor="processes")`` builds a
+:class:`~repro.restore.service.ShardWorkerPool`, buffering
+inserts/removals per owning worker (batched hand-off over
+``multiprocessing`` queues) and fanning probes out by load-key hash
+while ``find_equivalent``, ordering, ranking, statistics, and every
+durable write stay with the coordinator — decisions bit-identical to
+the serial path. A crashed worker is respawned and re-seeded from its
 partition's own section + segment files when a
 :class:`~repro.restore.wal.RepositoryLog` is attached (which the
 order-delta manifests keep O(partition)), or from the front-end's
-in-memory members otherwise.
-:class:`~repro.restore.service.RepositoryService` wraps the
-process-backed repository plus optional durability in one
-context-managed standalone lifecycle.
-
-In-memory replication (PR 7) removes the durable replay from the common
-crash path and multiplies read throughput for hot shards:
-:class:`~repro.restore.replication.ReplicatedWorkerPool` keeps ``k ≥ 2``
-bit-identical worker replicas per partition, fed by the same per-shard
-mutation stream. A probe is answered by one replica, chosen round-robin
-(batches are split *across* the set, so a hot shard's probes filter
-concurrently); a crashed replica fails over warm — a surviving peer is
-promoted in place, no segment replay — with the replacement backfilled
-in the background from the durable partition snapshot; only a
-whole-set loss falls back to the PR 6 cold re-seed. Enabled by
-``ShardedRepository(executor="processes", replicas=k)`` and
-``RepositoryService(replicas=k)``; the per-shard
-:class:`~repro.restore.stats.ShardStats` grow ``failovers`` and
-``replica_fanout`` counters, and ``tests/faultinject.py`` gives the
-test suite deterministic, seed-reproducible mid-stream kills.
+in-memory members otherwise; ``tests/faultinject.py`` gives the test
+suite deterministic, seed-reproducible mid-stream kills.
 
 Async ingest (PR 8) takes registration off the submit path entirely:
 ``ReStore(ingest="async")`` only *captures* each registration (plan
@@ -160,13 +141,12 @@ from repro.restore.ranking import (
     SavingsRanker,
     StructuralRanker,
 )
-from repro.restore.replication import ReplicatedWorkerPool
 from repro.restore.repository import Repository, RepositoryEntry
 from repro.restore.selector import (
     HeuristicRetentionPolicy,
     KeepEverythingPolicy,
 )
-from repro.restore.service import RepositoryService, ShardWorkerPool
+from repro.restore.service import ShardWorkerPool
 from repro.restore.sharding import ShardedRepository
 from repro.restore.stats import IngestStats
 from repro.restore.wal import RepositoryLog, save_repository
@@ -190,12 +170,10 @@ __all__ = [
     "pairwise_plan_traversal",
     "plan_fingerprint",
     "Registrar",
-    "ReplicatedWorkerPool",
     "save_repository",
     "Repository",
     "RepositoryEntry",
     "RepositoryLog",
-    "RepositoryService",
     "ReStore",
     "ReStoreReport",
     "SavingsRanker",

@@ -38,50 +38,16 @@ the truth.
 
 :class:`ShardWorkerState` is the worker's in-process core, exercised
 directly by unit tests (child processes are invisible to coverage);
-``_worker_main`` is the thin queue loop around it.
-:class:`RepositoryService` is the standalone service mode: a
-process-backed repository plus optional durability behind one
-context-managed lifecycle.
-
-:mod:`repro.restore.replication` builds on this module: its
-:class:`~repro.restore.replication.ReplicatedWorkerPool` keeps ``k``
-bit-identical worker replicas per partition so a crashed primary fails
-over to a warm peer (no durable replay on that path) and read-only
-probes fan out round-robin across the replica set. Pass ``replicas=k``
-to :class:`RepositoryService` (or to
-:class:`~repro.restore.sharding.ShardedRepository` with
-``executor="processes"``) to enable it.
-
-**Worker-owned durable state.** When an attached
-:class:`~repro.restore.wal.RepositoryLog` negotiates worker ownership
-(``RepositoryLog.attach`` calls :meth:`ShardWorkerPool.
-enable_worker_durability`), each subsequently spawned worker inherits a
-:class:`~repro.restore.gateway.DfsClient` and takes over its own
-partition's durable writes: pending change records ride the mutation
-flush as one combined ``apply`` message and the worker appends them to
-its segment itself (:meth:`ShardWorkerState.append_durable`, acked);
-compaction sends each dirty worker a ``compact_section`` request and
-the worker serializes its replica into the fresh generation-named
-section file (:meth:`ShardWorkerState.write_section`) — the per-shard
-serialization runs in the worker processes concurrently. The front-end
-log shrinks to a manifest coordinator: it collects the completions and
-performs the single manifest swap, the order-log delta, and the segment
-truncations itself. Every worker-side durable op is *declinable*: a
-missing client, an out-of-sync replica, or a crash mid-write makes the
-coordinator write the file front-end-side (section files are
-generation-named and content-stable, so the fallback rewrite is
-idempotent). The manifest itself is never worker-writable — the
-gateway client has no such operation, and the statlint
-``crash-ordering`` rule R5 enforces it statically.
+``_worker_main`` is the thin queue loop around it. Workers never touch
+the DFS: every repository file is written by the front-end's
+:class:`~repro.restore.wal.RepositoryLog`.
 """
 
-import json
 import multiprocessing
 import queue
 import time
 
 from repro.common.errors import RepositoryError
-from repro.restore.gateway import DfsGateway
 from repro.restore.index import LoadIndex
 from repro.restore.persistence import entry_from_json, entry_to_json
 
@@ -103,15 +69,10 @@ class ShardWorkerState:
     the lock-step tests can drive it directly in-process.
     """
 
-    def __init__(self, durable_store=None):
+    def __init__(self):
         self._entries = {}      # wire key -> skeleton entry, insertion order
         self._key_of = {}       # local entry_id -> wire key
         self._load_index = LoadIndex()
-        #: worker-owned durability: a fork-safe DFS gateway client
-        #: (:class:`~repro.restore.gateway.DfsClient`), or None in
-        #: front-end-checkpointing mode — durable requests then decline
-        #: and the coordinator writes the files itself
-        self._durable = durable_store
 
     def __len__(self):
         return len(self._entries)
@@ -122,10 +83,9 @@ class ShardWorkerState:
         last_used_tick)`` tuples, in order.
 
         Use-stamps carry the stamped *values* (not an increment),
-        mirroring the durable log's use records — so a replica fed the
-        mutation stream holds exactly the stats a replica re-seeded
-        from the log (or from the front-end members) would, which is
-        what makes replica state images bit-comparable."""
+        mirroring the durable log's use records — so a worker fed the
+        mutation stream holds exactly the stats one re-seeded from the
+        log (or from the front-end members) would."""
         for mutation in mutations:
             if mutation[0] == "add":
                 _, key, entry_json = mutation
@@ -161,96 +121,24 @@ class ShardWorkerState:
         return [(probe_id, self.probe(job_loads))
                 for probe_id, job_loads in probes]
 
-    def dump(self):
-        """Canonical state image, ``(wire key, entry json)`` sorted by
-        key. Replica-equivalence checks compare these: a replica fed the
-        mutation stream and one backfilled from a snapshot legitimately
-        differ in dict insertion order (probes are re-sorted by the
-        front-end anyway), so the sorted image is what "bit-identical"
-        means across a replica set."""
-        return sorted((key, entry_to_json(entry))
-                      for key, entry in self._entries.items())
 
-    # Worker-owned durability ------------------------------------------------
-
-    def append_durable(self, payload):
-        """Append the coordinator's pending change records to this
-        partition's own segment file: ``payload`` is ``{"segment":
-        file, "lines": [serialized records]}``, shipped on the same
-        ``apply`` message as the mutation batch. The lines are appended
-        verbatim — the coordinator owns sequence numbers and stable
-        keys, the worker owns the write — and the return value is the
-        ack the coordinator waits on before clearing its pending
-        buffer. ``{"appended": None}`` declines (no gateway client):
-        the coordinator appends front-end-side instead."""
-        if self._durable is None:
-            return {"appended": None}
-        lines = payload["lines"]
-        if lines:
-            self._durable.append_lines(payload["segment"], lines)
-        return {"appended": len(lines)}
-
-    def write_section(self, section_file, members):
-        """Serialize this replica's entries into a fresh section file
-        (worker-owned compaction). ``members`` is the coordinator's
-        ``[(wire key, stable key, position, sequence, use_count,
-        last_used_tick)]`` in scan order: positions, stable keys, and
-        the insertion-sequence tie-break are coordinator state the
-        replica does not track, and the two mutable stats fields are
-        read from the *live* entry at compact time (the replica's
-        mirror is event-time state, which a stats object mutated after
-        its last recorded event would lag) — all of them ride the
-        request and are patched into the serialized records, so the
-        bytes are identical to the front-end writing the section
-        itself, by construction: every other field is fixed at insert.
-        Declines (``"entries": None``) without a gateway client or when
-        any member is missing locally: an out-of-sync replica must not
-        write a hole into the durable state."""
-        if self._durable is None:
-            return {"file": section_file, "entries": None}
-        lines = []
-        for (wire_key, stable_key, position, sequence,
-             use_count, last_used_tick) in members:
-            entry = self._entries.get(wire_key)
-            if entry is None:
-                return {"file": section_file, "entries": None}
-            entry_json = entry_to_json(entry)
-            entry_json["sequence"] = sequence
-            entry_json["stats"]["use_count"] = use_count
-            entry_json["stats"]["last_used_tick"] = last_used_tick
-            lines.append(json.dumps(
-                {"position": position, "key": stable_key,
-                 "entry": entry_json}, sort_keys=True))
-        self._durable.write_section(section_file, lines)
-        return {"file": section_file, "entries": len(lines)}
-
-
-def _worker_main(requests, responses, durable_store=None):  # statlint: process-entrypoint
+def _worker_main(requests, responses):  # statlint: process-entrypoint
     """The worker-process loop: drain the request queue into a
     :class:`ShardWorkerState`. ``apply`` is fire-and-forget (mutations
-    pipeline behind the next probe, which queue ordering sequences)
-    *unless* the message carries a durable payload — the combined
-    mutation+append hand-off is acked, because the coordinator must not
-    drop its pending records before the segment append landed;
+    pipeline behind the next probe, which queue ordering sequences);
     everything else answers on the response queue."""
-    state = ShardWorkerState(durable_store)
+    state = ShardWorkerState()
     while True:
         message = requests.get()
         op = message[0]
         if op == "apply":
             state.apply(message[1])
-            if len(message) > 2:
-                responses.put(state.append_durable(message[2]))
-        elif op == "compact_section":
-            responses.put(state.write_section(message[1], message[2]))
         elif op == "probe":
             responses.put(state.probe(message[1]))
         elif op == "probe_batch":
             responses.put(state.probe_batch(message[1]))
         elif op == "size":
             responses.put(len(state))
-        elif op == "dump":
-            responses.put(state.dump())
         elif op == "stop":
             responses.put("stopped")
             return
@@ -265,31 +153,16 @@ class _WorkerHandle:
     #: ``response_timeout`` constructor parameter.
     RESPONSE_TIMEOUT = 60.0
 
-    def __init__(self, shard_id, context, response_timeout=None,
-                 durable_store=None):
+    def __init__(self, shard_id, context, response_timeout=None):
         self.shard_id = shard_id
         self.response_timeout = (self.RESPONSE_TIMEOUT
                                  if response_timeout is None
                                  else response_timeout)
-        #: per-shard spawn ordinal — 0 for a pool's single worker; the
-        #: replicated pool numbers each replica (and each replacement)
-        #: so fault injection can address one replica deterministically
-        self.replica_seq = 0
-        #: the worker owns its partition's durable writes (a DFS
-        #: gateway client was inherited at fork time)
-        self.durable_capable = durable_store is not None
-        #: the parent-side reference to that inherited client. The pool
-        #: never calls through it — the worker does — but crash
-        #: harnesses need it: killing the process while its feeder
-        #: thread holds the gateway queue's shared write lock would
-        #: poison the queue for every surviving worker, so a safe kill
-        #: quiesces that lock first (tests/faultinject.py).
-        self.durable_store = durable_store
         self.requests = context.Queue()
         self.responses = context.Queue()
         self.process = context.Process(
             target=_worker_main,
-            args=(self.requests, self.responses, durable_store),
+            args=(self.requests, self.responses),
             daemon=True)
         self.process.start()
 
@@ -350,11 +223,11 @@ class _WorkerHandle:
 class ShardWorkerPool:
     """Worker processes behind a routing front-end.
 
-    Plugs into :class:`~repro.restore.sharding.ShardedRepository` as the
-    ``executor="processes"`` flavor. Unlike the map-style executors it
-    does not run closures over in-process shard objects — it *routes*:
-    the repository forwards every insert/removal to the owning worker's
-    buffer (:meth:`record_insert`/:meth:`record_remove`) and probes
+    What :class:`~repro.restore.sharding.ShardedRepository` builds for
+    ``executor="processes"``. It does not run closures over in-process
+    shard objects — it *routes*: the repository forwards every
+    insert/removal to the owning worker's buffer
+    (:meth:`record_insert`/:meth:`record_remove`) and probes
     through :meth:`match_probe`/:meth:`match_probe_batch`, which flush
     the consulted workers' buffers (batched hand-off), fan the probe
     out, and gather per-worker candidate ids.
@@ -365,34 +238,20 @@ class ShardWorkerPool:
     counts them.
     """
 
-    name = "processes"
-    #: marks this executor as a routing pool for the repository (the
-    #: map-style path cannot ship bound shard objects across processes)
-    routes_probes = True
-
-    def __init__(self, max_workers=None, response_timeout=None):
-        # max_workers is accepted for signature parity with the other
-        # executors; the pool always runs one worker per partition.
+    def __init__(self, response_timeout=None):
         self._context = multiprocessing.get_context("fork")
         self._repository = None
         self._workers = {}    # shard_id -> _WorkerHandle
         self._buffers = {}    # shard_id -> pending mutation tuples
         self._response_timeout = response_timeout
-        self._gateway = None  # DfsGateway once worker durability is on
         self.recoveries = 0
         self._closed = False
 
     def _spawn(self, shard_id):
         """Start one worker process for ``shard_id`` (the single spawn
-        point: the replicated pool overlays replica numbering here).
-        With worker durability negotiated, the worker inherits a fresh
-        gateway client at fork and owns its partition's durable
-        writes."""
-        durable_store = (self._gateway.client()
-                         if self._gateway is not None else None)
+        point)."""
         return _WorkerHandle(shard_id, self._context,
-                             self._response_timeout,
-                             durable_store=durable_store)
+                             self._response_timeout)
 
     # Wiring -----------------------------------------------------------------
 
@@ -405,11 +264,6 @@ class ShardWorkerPool:
                 "this ShardWorkerPool is already bound to a different "
                 "repository; each pool serves exactly one front-end")
         self._repository = repository
-
-    def map(self, fn, items):
-        raise RepositoryError(
-            "ShardWorkerPool routes probes by shard; it cannot run "
-            "arbitrary closures (use executor='serial' or 'threads')")
 
     # Mutation routing (buffered hand-off) -----------------------------------
 
@@ -424,8 +278,8 @@ class ShardWorkerPool:
     def record_use(self, shard_id, entry):
         # Value-based, like the durable log's use records: the stamp has
         # already been applied to the front-end entry, so shipping the
-        # resulting values keeps every replica — stream-fed, re-seeded
-        # from members, or replayed from the log — in agreement.
+        # resulting values keeps a worker — stream-fed, re-seeded from
+        # members, or replayed from the log — in agreement.
         self._buffers.setdefault(shard_id, []).append(
             ("use", entry.entry_id, entry.stats.use_count,
              entry.stats.last_used_tick))
@@ -467,118 +321,6 @@ class ShardWorkerPool:
             self._buffers[shard_id] = []
             shipped += len(mutations)
         return shipped
-
-    # Worker-owned durability ------------------------------------------------
-
-    @property
-    def durable_enabled(self):
-        """Workers own their partitions' durable writes: a DFS gateway
-        was negotiated (:meth:`enable_worker_durability`) and the pool
-        is live."""
-        return self._gateway is not None and not self._closed
-
-    def enable_worker_durability(self, dfs):
-        """Negotiate worker-owned durable state (called by
-        ``RepositoryLog.attach``): workers spawned from here on inherit
-        a :class:`~repro.restore.gateway.DfsClient` and take ownership
-        of their partition's segment appends and section rewrites.
-        Workers already running keep serving probes without one — the
-        log falls back to front-end writes for them until they
-        respawn."""
-        if self._closed:
-            raise RepositoryError("this ShardWorkerPool is closed")
-        if self._gateway is None:
-            self._gateway = DfsGateway(dfs, self._context)
-        elif self._gateway.dfs is not dfs:
-            raise RepositoryError(
-                "this pool's DFS gateway already serves a different "
-                "file system; one pool cannot write through two")
-        return self._gateway
-
-    def _durable_worker(self, shard_id):
-        """The live, durable-capable worker for ``shard_id`` with its
-        mutation buffer flushed — or None (the caller writes
-        front-end-side). Unlike :meth:`_ready_worker` this never spawns
-        and never raises: checkpointing must not fork mid-flush, and a
-        dead worker is the next probe's recovery problem."""
-        if self._closed:
-            return None
-        handle = self._workers.get(shard_id)
-        if (handle is None or not handle.alive()
-                or not handle.durable_capable):
-            return None
-        mutations = self._buffers.get(shard_id)
-        if mutations:
-            try:
-                handle.send(("apply", mutations))
-            except WorkerCrashed:  # statlint: disable=exception-hygiene -- not a swallow: the buffer stays un-cleared for the next probe's _recover() replay and the caller falls back to front-end durability
-                return None
-            self._buffers[shard_id] = []
-        return handle
-
-    def flush_durable(self, shard_id, segment, lines):
-        """Ship the shard's buffered mutations *and* its pending
-        durable records as one combined ``apply`` message: the worker
-        applies the mutations, appends the records to its own segment
-        through the DFS gateway, and acks. Returns True on the ack;
-        False when no live durable-capable worker serves the shard (the
-        caller appends front-end-side). Raises :class:`WorkerCrashed`
-        when the worker died with the append in flight — the records
-        may or may not have landed, so the caller must reconcile its
-        pending buffer against the segment before any retry (see
-        ``RepositoryLog._reconcile_pending_locked``)."""
-        if self._closed:
-            return False
-        handle = self._workers.get(shard_id)
-        if (handle is None or not handle.alive()
-                or not handle.durable_capable):
-            return False
-        mutations = self._buffers.get(shard_id, [])
-        handle.send(("apply", mutations,
-                     {"segment": segment, "lines": list(lines)}))
-        if mutations:
-            # The worker got the batch; a later crash is recovered by
-            # the full re-seed, never by replaying this buffer.
-            self._buffers[shard_id] = []
-        answer = handle.receive()
-        return bool(isinstance(answer, dict)
-                    and answer.get("appended") is not None)
-
-    def compact_sections(self, requests):
-        """Ask each listed shard's worker to rewrite its own section
-        file (worker-owned compaction). ``requests`` maps ``shard_id ->
-        (section_file, members)`` with ``members`` as
-        :meth:`ShardWorkerState.write_section` expects; the result maps
-        ``shard_id -> written entry count``, with None for every shard
-        the front-end must write itself (no live durable-capable
-        worker, an out-of-sync replica, or a crash mid-rewrite — dead
-        workers are left for the next probe's recovery, never respawned
-        here).
-
-        Dispatches to every worker before collecting any completion, so
-        the per-shard serialization genuinely overlaps across
-        partitions — the parallelism the worker-durable ablation arm
-        measures."""
-        results = {shard_id: None for shard_id in requests}
-        dispatched = []
-        for shard_id in sorted(requests):
-            handle = self._durable_worker(shard_id)
-            if handle is None:
-                continue
-            section_file, members = requests[shard_id]
-            try:
-                handle.send(("compact_section", section_file, members))
-            except WorkerCrashed:  # statlint: disable=exception-hygiene -- not a swallow: the shard stays None in the results, the coordinator rewrites its section itself, and the next probe recovers the worker
-                continue
-            dispatched.append((shard_id, handle))
-        for shard_id, handle in dispatched:
-            try:
-                answer = handle.receive()
-            except WorkerCrashed:  # statlint: disable=exception-hygiene -- same fallback: an unacked rewrite is redone by the coordinator (generation-named file, identical bytes — idempotent)
-                continue
-            if isinstance(answer, dict):
-                results[shard_id] = answer.get("entries")
-        return results
 
     # Probe fan-out ----------------------------------------------------------
 
@@ -709,7 +451,7 @@ class ShardWorkerPool:
                 for entry in members]
 
     def close(self):
-        """Stop every worker, then the DFS gateway (idempotent)."""
+        """Stop every worker (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -717,9 +459,6 @@ class ShardWorkerPool:
             handle.stop()
         self._workers = {}
         self._buffers = {}
-        if self._gateway is not None:
-            self._gateway.close()
-            self._gateway = None
 
     def describe(self):
         live = sum(1 for handle in self._workers.values() if handle.alive())
@@ -729,84 +468,3 @@ class ShardWorkerPool:
 
     def __repr__(self):
         return f"<{self.describe()}>"
-
-
-class RepositoryService:
-    """The standalone service mode: a process-backed repository behind
-    one context-managed lifecycle.
-
-    Builds a :class:`~repro.restore.sharding.ShardedRepository` with
-    ``executor="processes"`` (or wraps one you built), optionally
-    attaches a :class:`~repro.restore.wal.RepositoryLog` for
-    durability, and exposes the repository surface. ``replicas=k`` (k ≥
-    2) serves each partition from ``k`` warm worker replicas — crash
-    failover without durable replay, probes fanned out round-robin (see
-    :mod:`repro.restore.replication`); ``response_timeout`` bounds how
-    long one response wait may stay silent before the worker is
-    declared crashed. :meth:`close` flushes the log and stops the
-    workers — the multi-process analogue of ``ReStore.close()``::
-
-        with RepositoryService(num_shards=8, replicas=2,
-                               persistence=RepositoryLog(dfs)) as service:
-            service.insert(entry)
-            candidates = service.match_candidates(plan)
-    """
-
-    def __init__(self, num_shards=4, repository=None, persistence=None,
-                 replicas=1, response_timeout=None):
-        from repro.restore.sharding import ShardedRepository
-        if repository is None:
-            repository = ShardedRepository(num_shards=num_shards,
-                                           executor="processes",
-                                           replicas=replicas,
-                                           response_timeout=response_timeout)
-        if repository.worker_pool is None:
-            raise RepositoryError(
-                "RepositoryService needs a process-backed repository "
-                "(executor='processes')")
-        self.repository = repository
-        self.persistence = persistence
-        if persistence is not None:
-            persistence.attach(repository)
-        self._closed = False
-
-    @property
-    def pool(self):
-        return self.repository.worker_pool
-
-    def find_equivalent(self, plan):
-        return self.repository.find_equivalent(plan)
-
-    def match_candidates(self, plan, ranker=None):
-        return self.repository.match_candidates(plan, ranker=ranker)
-
-    def match_candidates_batch(self, plans, ranker=None):
-        return self.repository.match_candidates_batch(plans, ranker=ranker)
-
-    def insert(self, entry):
-        return self.repository.insert(entry)
-
-    def remove(self, entry, dfs=None):
-        return self.repository.remove(entry, dfs=dfs)
-
-    def record_use(self, entry, tick):
-        return self.repository.record_use(entry, tick)
-
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        if self.persistence is not None:
-            self.persistence.flush()
-        self.repository.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self.close()
-        return False
-
-    def describe(self):
-        return (f"RepositoryService[{len(self.repository)} entr(ies)]: "
-                f"{self.pool.describe()}")

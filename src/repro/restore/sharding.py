@@ -4,8 +4,9 @@ The indexed :class:`~repro.restore.repository.Repository` (PR 1) made
 each lookup cheap, but the repository is still one object serving every
 probe serially. This module partitions the entry set across N **shards**
 so that a match probe only does work proportional to the shards that
-could possibly answer it, and so independent shard probes can run on a
-pluggable executor (serially by default, or on a thread pool).
+could possibly answer it — probed inline by default, or by one worker
+process per partition (``executor="processes"``,
+:mod:`repro.restore.service`).
 
 Sharding layout
 ---------------
@@ -54,83 +55,6 @@ from repro.restore.stats import ShardStats
 
 #: shard id of the catch-all partition in reports and persistence manifests
 CATCHALL_SHARD = -1
-
-
-class SerialExecutor:
-    """Run shard probes inline, one after the other (the default).
-
-    Serial probing already benefits from sharding: each probe only
-    touches the shards owning the job's load keys, so the filtered
-    entry count drops from n to ~k·n/N.
-    """
-
-    name = "serial"
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-    def close(self):
-        pass
-
-
-class ThreadPoolProbeExecutor:
-    """Run shard probes on a shared ``concurrent.futures`` thread pool.
-
-    The pool is created lazily on first use and reused across probes;
-    :meth:`close` shuts it down. Useful when probes overlap DFS or other
-    I/O, and the stepping stone to a multi-process shard service (each
-    shard is already an isolated object with its own index).
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers=None):
-        self._max_workers = max_workers
-        self._pool = None
-
-    def map(self, fn, items):
-        if len(items) <= 1:  # nothing to overlap; skip pool dispatch
-            return [fn(item) for item in items]
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        return list(self._pool.map(fn, items))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def _resolve_executor(executor, max_workers, replicas=1,
-                      response_timeout=None):
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if replicas > 1 and executor != "processes":
-        raise ValueError(
-            f"replicas={replicas} needs executor='processes' (replicas "
-            f"are worker processes), got executor={executor!r}")
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "threads":
-        return ThreadPoolProbeExecutor(max_workers)
-    if executor == "processes":
-        # Imported lazily: the service module imports persistence (for
-        # the entry wire format), which imports this module's shard
-        # constants — resolving at call time breaks the cycle.
-        if replicas > 1:
-            from repro.restore.replication import ReplicatedWorkerPool
-            return ReplicatedWorkerPool(max_workers, replicas=replicas,
-                                        response_timeout=response_timeout)
-        from repro.restore.service import ShardWorkerPool
-        return ShardWorkerPool(max_workers,
-                               response_timeout=response_timeout)
-    if hasattr(executor, "map") or getattr(executor, "routes_probes", False):
-        return executor
-    raise ValueError(
-        f"executor must be 'serial', 'threads', 'processes', or an "
-        f"object with a .map(fn, items) method, got {executor!r}"
-    )
 
 
 def shard_index_for_key(load_key, num_shards):
@@ -208,19 +132,13 @@ class ShardedRepository(Repository):
     Parameters:
 
     * ``num_shards`` — number of hash partitions (≥ 1);
-    * ``executor`` — how shard probes run: ``"serial"`` (default),
-      ``"threads"`` (a shared ``concurrent.futures`` pool),
-      ``"processes"`` (worker processes behind the routing front-end),
-      or any object with a ``.map(fn, items)`` method;
-    * ``max_workers`` — thread-pool size when ``executor="threads"``;
-    * ``replicas`` — with ``executor="processes"``, serve each partition
-      from ``k ≥ 2`` warm worker replicas (crash failover without
-      durable replay, probes fanned out round-robin — see
-      :mod:`repro.restore.replication`); the default 1 keeps the
-      single-worker pool;
-    * ``response_timeout`` — seconds one worker response wait may stay
-      silent before the worker is declared crashed (defaults to the
-      service module's 60 s ceiling).
+    * ``executor`` — how shard probes run: ``"serial"`` (default; the
+      owning shards are probed inline, one after the other) or
+      ``"processes"`` (one worker process per partition behind the
+      routing front-end, :class:`~repro.restore.service.ShardWorkerPool`);
+    * ``response_timeout`` — with ``executor="processes"``, seconds one
+      worker response wait may stay silent before the worker is
+      declared crashed (defaults to the service module's 60 s ceiling).
 
     All repository semantics are **identical** to the unsharded
     :class:`Repository`: same scan order (the paper Section 3 priority
@@ -231,25 +149,28 @@ class ShardedRepository(Repository):
     touches only the shards owning the job's leaf-load keys.
     """
 
-    def __init__(self, num_shards=4, executor="serial", max_workers=None,
-                 replicas=1, response_timeout=None):
+    def __init__(self, num_shards=4, executor="serial",
+                 response_timeout=None):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        if executor not in ("serial", "processes"):
+            raise ValueError(
+                f"executor must be 'serial' or 'processes', got {executor!r}")
         super().__init__()
         self.num_shards = num_shards
-        self.replicas = replicas
         self._shards = [RepositoryShard(index) for index in range(num_shards)]
         self._catchall = RepositoryShard(CATCHALL_SHARD)
         self._shard_of = {}           # entry_id -> owning RepositoryShard
-        self._executor = _resolve_executor(executor, max_workers, replicas,
-                                           response_timeout)
-        # A routing executor (executor="processes") owns worker-process
-        # replicas of the partitions and answers probes by shard id; the
-        # map-style executors run closures over the in-process shards.
-        self._pool = (self._executor
-                      if getattr(self._executor, "routes_probes", False)
-                      else None)
-        if self._pool is not None:
+        # executor="processes": a pool of worker-process replicas of the
+        # partitions answers probes by shard id; otherwise the in-process
+        # shards are probed inline.
+        self._pool = None
+        if executor == "processes":
+            # Imported lazily: the service module imports persistence
+            # (for the entry wire format), which imports this module's
+            # shard constants — resolving at call time breaks the cycle.
+            from repro.restore.service import ShardWorkerPool
+            self._pool = ShardWorkerPool(response_timeout=response_timeout)
             self._pool.bind(self)
         self._logical_probes = 0      # match_candidates calls (fan-outs)
         #: manifest header of the persisted file this repository was
@@ -316,13 +237,6 @@ class ShardedRepository(Repository):
                               for shard in self.partitions()),
         }
 
-    def shard_stats(self, shard_id):
-        """The :class:`~repro.restore.stats.ShardStats` of partition
-        ``shard_id`` — the hook a replicated worker pool credits its
-        ``failovers``/``replica_fanout`` counters through, so promotion
-        and fan-out activity shows up in :meth:`shard_report`."""
-        return self._partition_by_id(shard_id).stats
-
     def record_match_hit(self, entry):
         """Credit a successful rewrite to the shard owning ``entry``
         (called by the manager after the matcher picks a candidate)."""
@@ -331,18 +245,15 @@ class ShardedRepository(Repository):
             shard.stats.match_hits += 1
 
     def close(self):
-        """Release the probe executor (no-op for the serial executor).
+        """Stop the worker processes, if any (idempotent).
 
         An attached :class:`~repro.restore.wal.RepositoryLog` is flushed
-        first: under worker-owned durability its pending records route
-        through the very workers this call is about to tear down, so
-        flushing after the pool closed would silently fall back to the
-        front-end path — correct but unrouted. Flushing here keeps
-        "close() loses nothing" true on the worker-owned path too."""
+        first, so closing the repository loses no pending record."""
         log = getattr(self, "persistence_log", None)
         if log is not None and getattr(log, "repository", None) is self:
             log.flush()
-        self._executor.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def shard_id_of(self, entry):
         """The id of the shard owning ``entry`` (catch-all is ``-1``),
@@ -435,14 +346,12 @@ class ShardedRepository(Repository):
         if self._pool is not None:
             return self._merge_pool_answer(
                 self._pool.match_probe(shard_ids, job_loads))
-        partitions = [self._partition_by_id(shard_id)
-                      for shard_id in shard_ids]
-        buckets = self._executor.map(lambda shard: shard.probe(job_loads),
-                                     partitions)
+        entries = [entry for shard_id in shard_ids
+                   for entry in self._partition_by_id(shard_id).probe(
+                       job_loads)]
         rank = self.scan_rank()
-        return tuple(sorted(
-            (entry for bucket in buckets for entry in bucket),
-            key=lambda entry: rank[entry.entry_id]))
+        return tuple(sorted(entries,
+                            key=lambda entry: rank[entry.entry_id]))
 
     def _consulted_shard_ids(self, job_loads):
         """The partition ids a probe for ``job_loads`` must consult: the
@@ -513,7 +422,7 @@ class ShardedRepository(Repository):
     @property
     def worker_pool(self):
         """The :class:`~repro.restore.service.ShardWorkerPool` routing
-        this repository's probes, or None for the map-style executors."""
+        this repository's probes, or None under ``executor="serial"``."""
         return self._pool
 
     def describe(self):
@@ -521,7 +430,7 @@ class ShardedRepository(Repository):
             f"ShardedRepository: {len(self)} entr(ies) across "
             f"{self.num_shards} shard(s) "
             f"(+{len(self._catchall)} catch-all), "
-            f"executor={getattr(self._executor, 'name', 'custom')}"
+            f"executor={'serial' if self._pool is None else 'processes'}"
         ]
         for shard in self.partitions():
             lines.append(f"- {shard.stats.describe()}")

@@ -317,17 +317,10 @@ class ShardStats:
     counts ``match_candidates`` fan-outs that consulted this shard,
     ``candidates_returned`` the entries it contributed to merged candidate
     lists, and ``match_hits`` the rewrites that used one of its entries.
-
-    Two replication counters ride along (zero except under a
-    :class:`~repro.restore.replication.ReplicatedWorkerPool`):
-    ``failovers`` counts warm promotions — a dead worker replica whose
-    surviving peer took over in place — and ``replica_fanout`` the
-    worker consultations served by a non-primary replica (the
-    round-robin read scaling).
     """
 
     __slots__ = ("shard_id", "occupancy", "probes", "candidates_returned",
-                 "match_hits", "failovers", "replica_fanout")
+                 "match_hits")
 
     def __init__(self, shard_id):
         self.shard_id = shard_id
@@ -335,8 +328,6 @@ class ShardStats:
         self.probes = 0
         self.candidates_returned = 0
         self.match_hits = 0
-        self.failovers = 0
-        self.replica_fanout = 0
 
     def as_dict(self):
         return {
@@ -345,20 +336,14 @@ class ShardStats:
             "probes": self.probes,
             "candidates_returned": self.candidates_returned,
             "match_hits": self.match_hits,
-            "failovers": self.failovers,
-            "replica_fanout": self.replica_fanout,
         }
 
     def describe(self):
-        text = (
+        return (
             f"shard {self.shard_id}: {self.occupancy} entr(ies), "
             f"{self.probes} probe(s), {self.candidates_returned} candidate(s), "
             f"{self.match_hits} hit(s)"
         )
-        if self.failovers or self.replica_fanout:
-            text += (f", {self.failovers} failover(s), "
-                     f"{self.replica_fanout} replica-fanned")
-        return text
 
     def __repr__(self):
         return f"ShardStats({self.describe()})"

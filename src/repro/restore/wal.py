@@ -47,25 +47,6 @@ insert — entry ids are process-local and re-minted on every load, so
 remove/use records cannot reference them. All records of one entry
 (insert, use-stamps, remove) land in one segment: the owning shard is a
 pure function of the entry's loads, fixed for its lifetime.
-
-**Worker-owned durable state.** When the attached repository is backed
-by shard worker processes, :meth:`RepositoryLog.attach` negotiates
-worker ownership of the per-partition files (``worker_durable=None``
-auto-enables it; ``False`` forces the classic front-end path; ``True``
-requires a process pool): each worker then appends its own segment —
-pending records ride the mutation flush as one combined worker message,
-acked before the pending buffer clears — and rewrites its own section
-on a ``compact_section`` request, serializing its replica concurrently
-with the other dirty shards. This class shrinks to the **manifest
-coordinator**: it still owns sequence numbers, stable keys, the scan-
-order record, the single manifest swap, the segment truncations, and
-the generation GC — the PERSISTENCE §6 crash ordering is unchanged on
-disk, every worker write is collected (acked) before the swap, and any
-declined or crashed worker write falls back to the identical front-end
-write. An owner that dies with an append in flight leaves *uncertain*
-durability; :meth:`~RepositoryLog.flush` reconciles the pending buffer
-against the segment's actual contents (watermark dedup) before
-retrying on a promoted replica, so failover never double-appends.
 """
 
 import json
@@ -86,7 +67,6 @@ from repro.restore.persistence import (
     segment_file_path,
     shard_label,
 )
-from repro.restore.service import WorkerCrashed
 
 #: rebase threshold: once this many order records accumulate in the
 #: current order log, the next compaction rewrites it as a single full
@@ -135,14 +115,10 @@ class RepositoryLog:
                   "_order_log": "_mutex",
                   "_last_recorded_order": "_mutex",
                   "_order_records": "_mutex", "_generation": "_mutex",
-                  "snapshot_reads": "_mutex",
-                  "_worker_durable": "_mutex",
-                  "worker_flushes": "_mutex",
-                  "worker_sections": "_mutex",
-                  "reconciled_records": "_mutex"}
+                  "snapshot_reads": "_mutex"}
 
     def __init__(self, dfs, path=DEFAULT_REPOSITORY_PATH, log_path=None,
-                 compact_ratio=1.0, ranker=None, worker_durable=None):
+                 compact_ratio=1.0, ranker=None):
         if compact_ratio <= 0:
             raise ValueError(
                 f"compact_ratio must be positive, got {compact_ratio}")
@@ -182,24 +158,8 @@ class RepositoryLog:
         # restart. attach() seeds it above every generation on disk.
         self._generation = 0
         #: how many partition_snapshot() replays this log has served —
-        #: the durable-read witness: warm replica failover must leave it
-        #: untouched, only cold worker recovery (and replica backfill)
-        #: may move it
+        #: the durable-read witness of a cold worker recovery
         self.snapshot_reads = 0
-        #: requested worker-ownership mode: None auto-enables when the
-        #: attached repository has a durable-capable worker pool, True
-        #: requires one (attach raises otherwise), False keeps every
-        #: durable write front-end-side
-        self.worker_durable = worker_durable
-        self._worker_durable = False   # negotiated at attach time
-        #: pending-record flushes appended by their owning worker
-        self.worker_flushes = 0
-        #: section rewrites performed by their owning worker
-        self.worker_sections = 0
-        #: pending records found already durable while reconciling a
-        #: segment after an uncertain worker append (the watermark-dedup
-        #: witness: each one is a double-append that did not happen)
-        self.reconciled_records = 0
 
     # Lifecycle --------------------------------------------------------------
 
@@ -225,16 +185,6 @@ class RepositoryLog:
         # Checked before any state mutates, so a failed attach leaves
         # the log reusable.
         _require_event_channel(repository)
-        if self.worker_durable and not hasattr(
-                getattr(repository, "worker_pool", None),
-                "enable_worker_durability"):
-            # Also before any state mutates: a log built with
-            # worker_durable=True must not silently degrade to
-            # front-end checkpointing.
-            raise RepositoryError(
-                "worker_durable=True needs a process-backed repository "
-                "(ShardedRepository with executor='processes'); this "
-                "one has no durable-capable worker pool")
         if getattr(repository, "persistence_log", None) is not None:
             # Two logs on one repository would buffer every mutation
             # twice (one of them usually forever) and, at shared paths,
@@ -275,7 +225,7 @@ class RepositoryLog:
         # the change-event channel live, and under async ingest events
         # can arrive from the registrar thread the moment it does.
         with self._mutex:
-            self._bind_locked(repository, probe)  # statlint: disable=lock-ordering -- name-aliasing false positive: the reported mutex->ingest-lock edge runs _compact_locked -> compact_sections -> receive -> _WorkerHandle.kill -> close, where close is the worker's multiprocessing-queue close, not ingest's Registrar.close; no code acquires the ingest lock under this mutex (the real order is ingest lock -> mutex, via the registrar's apply batch)
+            self._bind_locked(repository, probe)
         return self
 
     def _bind_locked(self, repository, probe):
@@ -291,18 +241,6 @@ class RepositoryLog:
         self._order_log = None
         self._last_recorded_order = None
         self._order_records = 0
-        # Negotiate worker ownership of the per-partition durable files
-        # before any checkpoint below (the healing compaction included):
-        # with a durable-capable worker pool and worker_durable not
-        # forced off, workers spawned from here on own their segment
-        # appends and section rewrites; this log coordinates (manifest
-        # swap, order log, truncations, GC). On-disk format unchanged.
-        pool = getattr(repository, "worker_pool", None)
-        self._worker_durable = (
-            self.worker_durable is not False
-            and hasattr(pool, "enable_worker_durability"))
-        if self._worker_durable:
-            pool.enable_worker_durability(self.dfs)
         report = getattr(repository, "loader_report", None)
         resumable = (
             report is not None
@@ -671,41 +609,17 @@ class RepositoryLog:
 
     def flush(self):
         """Append pending change records to their segments; O(delta),
-        one tail-block append per touched partition — performed by the
-        partition's owning worker when worker ownership was negotiated
-        (the records ride the mutation flush as one combined message,
-        acked), by the front-end otherwise. Same bytes either way."""
+        one tail-block append per touched partition."""
         with self._mutex:
             return self._flush_labels_locked(sorted(self._pending))
 
-    def _worker_pool_locked(self):
-        """The attached repository's durable-capable worker pool, or
-        None when worker ownership is off, unavailable, or the pool has
-        been closed (every caller then writes front-end-side)."""
-        if not self._worker_durable or self.repository is None:
-            return None
-        pool = getattr(self.repository, "worker_pool", None)
-        if pool is None or not getattr(pool, "durable_enabled", False):
-            return None
-        return pool
-
     def _flush_labels_locked(self, labels):
         appended = 0
-        pool = self._worker_pool_locked()
-        shard_ids = {}
-        if pool is not None:
-            shard_ids = {shard_label(shard_id): shard_id
-                         for shard_id in self.repository.shard_sizes()}
         for label in labels:
             lines = self._pending.get(label)
             if not lines:
                 continue
-            segment = self._segment_path(label)
-            if pool is not None and label in shard_ids:
-                appended += self._flush_via_worker_locked(
-                    pool, shard_ids[label], label, segment)
-                continue
-            self.dfs.append_lines(segment, lines)
+            self.dfs.append_lines(self._segment_path(label), lines)
             self._segment_records[label] = (
                 self._segment_records.get(label, 0) + len(lines))
             # Cleared per label as soon as its append lands, so a
@@ -715,71 +629,6 @@ class RepositoryLog:
         self._pending = {label: lines
                          for label, lines in self._pending.items() if lines}
         return appended
-
-    def _flush_via_worker_locked(self, pool, shard_id, label, segment):
-        """Route one label's pending records through its owning worker:
-        the worker appends them to its own segment (via the DFS
-        gateway) and acks; only the ack clears the pending buffer. A
-        crash with the append in flight is *uncertain* — the records
-        may or may not have reached the segment — so the buffer is
-        reconciled against the segment's actual contents (watermark
-        dedup, :meth:`_reconcile_pending_locked`) before the one retry,
-        which a replicated pool serves from the promoted owner. With no
-        durable-capable live worker (or after the retry also died) the
-        front-end appends the remainder itself — every pending record
-        is durable exactly once when this returns."""
-        total = len(self._pending.get(label) or ())
-        for _ in range(2):
-            lines = self._pending.get(label)
-            if not lines:
-                break
-            try:
-                acked = pool.flush_durable(shard_id, segment, lines)
-            except WorkerCrashed:
-                self._reconcile_pending_locked(label, segment)
-                continue
-            if not acked:
-                break
-            self._segment_records[label] = (
-                self._segment_records.get(label, 0) + len(lines))
-            self._pending[label] = []
-            self.worker_flushes += 1
-            break
-        lines = self._pending.get(label)
-        if lines:
-            self.dfs.append_lines(segment, lines)
-            self._segment_records[label] = (
-                self._segment_records.get(label, 0) + len(lines))
-            self._pending[label] = []
-        return total
-
-    def _reconcile_pending_locked(self, label, segment):
-        """Watermark dedup after an uncertain worker append: re-read
-        the segment, drop every pending record whose sequence number is
-        at or below the segment's top (the dead worker already flushed
-        it — re-sending it through a promoted replica or the front-end
-        fallback would make the loader duplicate the entry), and
-        re-sync the segment record count from the file."""
-        lines = (self.dfs.read_lines(segment)
-                 if self.dfs.exists(segment) else [])
-        top = 0
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and isinstance(record.get("seq"),
-                                                       int):
-                top = max(top, record["seq"])
-        kept = []
-        for line in self._pending.get(label, ()):
-            if json.loads(line)["seq"] <= top:
-                self.reconciled_records += 1
-            else:
-                kept.append(line)
-        self._pending[label] = kept
-        self._segment_records[label] = len(lines)
-        return top
 
     def checkpoint(self):
         """Bring the on-DFS state up to the live repository.
@@ -863,7 +712,6 @@ class RepositoryLog:
         self._generation += 1
         rank = repository.scan_rank()
         sections = {}
-        rewrites = {}
         for label in sorted(labels):
             if label not in targets:
                 sections[label] = self._sections[label]
@@ -873,44 +721,16 @@ class RepositoryLog:
             file = None
             if members:
                 file = section_file_path(self.path, label, generation)
-                rewrites[label] = members
+                self.dfs.write_lines(file, [
+                    json.dumps({"position": rank[entry.entry_id],
+                                "key": self._keys[entry.entry_id],
+                                "entry": entry_to_json(entry)},
+                               sort_keys=True)
+                    for entry in members], overwrite=True)
             sections[label] = {"shard": labels[label], "file": file,
                                "entries": len(members),
                                "base_seq": watermark,
                                "segment": self._segment_path(label)}
-        # Section rewrites go to the owning workers first: each dirty
-        # shard serializes its own replica through the DFS gateway,
-        # concurrently with its siblings. A worker that declined (no
-        # replica yet, missing entry) or crashed leaves its shard out of
-        # `done`; the front-end then performs the byte-identical write
-        # itself — generation-named files make the retry idempotent.
-        done = {}
-        pool = self._worker_pool_locked() if rewrites else None
-        if pool is not None:
-            answered = pool.compact_sections({
-                labels[label]: (sections[label]["file"],
-                                [(entry.entry_id,
-                                  self._keys[entry.entry_id],
-                                  rank[entry.entry_id], entry._sequence,
-                                  entry.stats.use_count,
-                                  entry.stats.last_used_tick)
-                                 for entry in members])
-                for label, members in rewrites.items()})
-            for label in rewrites:
-                if answered.get(labels[label]) == len(rewrites[label]):
-                    done[label] = True
-                    self.worker_sections += 1
-        for label in sorted(rewrites):
-            if done.get(label):
-                continue
-            members = rewrites[label]
-            file = section_file_path(self.path, label, generation)
-            lines = [json.dumps({"position": rank[entry.entry_id],
-                                 "key": self._keys[entry.entry_id],
-                                 "entry": entry_to_json(entry)},
-                                sort_keys=True)
-                     for entry in members]
-            self.dfs.write_lines(file, lines, overwrite=True)
         order = [[self._keys[entry.entry_id], entry._sequence]
                  for entry in repository.scan()]
         # The scan-order record: a delta against the last durable order
@@ -1024,7 +844,7 @@ def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH,
         # sequence floor and truncated — none is left stranded.
         previous = (read_manifest_line(dfs, path) or {}).get("log")
         RepositoryLog(
-            dfs, path, ranker=ranker, worker_durable=False,
+            dfs, path, ranker=ranker,
             log_path=previous if isinstance(previous, str) else None,
         )._save_unattached(repository)
     return dfs.status(path)

@@ -12,15 +12,13 @@ entrypoints and flags, in any reachable function:
   ``self._buffers``, ``self._repository``, ...) — state that lives in
   the parent process only.
 
-Worker-owned durability (PERSISTENCE §6) makes DFS *writes* legal in
-worker code — but only through the gateway's ``DfsClient`` (two queues
-and an id, fork-inheritable by construction). The real file-system
-handle stays front-end state: the simulated DFS is an in-process
-object, so a forked worker writing to its inherited copy would mutate
-private memory the front-end never sees. Hence ``dfs`` is a front-end-
-only attribute — ``self.dfs`` reachable from a worker entrypoint is a
-write into the void, even though the same spelling is fine in
-coordinator code.
+The file-system handle is front-end state too: the simulated DFS is
+an in-process object, so a forked worker writing to its inherited copy
+would mutate private memory the front-end never sees, and every
+repository file is written by the front-end ``RepositoryLog``. Hence
+``dfs`` is a front-end-only attribute — ``self.dfs`` reachable from a
+worker entrypoint is a write into the void, even though the same
+spelling is fine in coordinator code.
 
 Roots are functions marked ``# statlint: process-entrypoint`` on their
 ``def`` line plus any function passed as ``target=`` to a
@@ -52,10 +50,8 @@ class ForkSafety:
 
     #: attributes that only exist in the front-end process (the routing
     #: pool, its mutation buffers, the authoritative repository, the
-    #: ingest facade, and the real DFS handle — workers write through a
-    #: gateway DfsClient, never the in-process file system itself);
-    #: touching them from worker-reachable code reads another process's
-    #: state.
+    #: ingest facade, and the DFS handle); touching them from
+    #: worker-reachable code reads another process's state.
     FRONT_END_ATTRS = {"_workers", "_buffers", "_repository", "_context",
                        "_ingest", "worker_pool", "persistence",
                        "persistence_log", "dfs"}

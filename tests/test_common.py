@@ -1,5 +1,7 @@
 """Unit tests for repro.common: errors, rng, units, clock."""
 
+import random
+
 import pytest
 
 from repro.common import DeterministicRng, LogicalClock, format_bytes, GB, KB, MB
@@ -53,6 +55,23 @@ class TestDeterministicRng:
         assert rng.rand_string(7, "0123456789abcdef") == "95d9b90"
         assert rng.rand_string(0) == ""
         assert rng.random() == 0.8571403712384045
+
+    @pytest.mark.parametrize("alphabet", [
+        "abcdefghijklmnopqrstuvwxyz", "xyz", "a", "0123456789abcdef",
+        "".join(map(chr, range(255))),           # widest one-byte index
+        "".join(map(chr, range(256))),           # 9-bit index: loop path
+        "αβγδ",                                  # not latin-1: loop path
+    ], ids=["lower", "xyz", "one", "hex", "255", "256", "greek"])
+    def test_rand_string_is_one_choice_per_character(self, alphabet):
+        # The bulk draw must leave the strings and the generator exactly
+        # where `random.choice` per character leaves them, on both sides
+        # of the byte-table cut.
+        for seed in range(8):
+            for length in (0, 1, 5, 20, 179, 419):
+                rng, reference = DeterministicRng(seed), random.Random(seed)
+                assert rng.rand_string(length, alphabet) == "".join(
+                    reference.choice(alphabet) for _ in range(length))
+                assert rng.random() == reference.random()
 
     def test_rand_string_rejects_empty_alphabet(self):
         with pytest.raises(ValueError):

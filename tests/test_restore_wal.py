@@ -3,6 +3,7 @@ repository log (per-shard segments + dirty-only compaction), and
 crash-safe replay (PR 4, segmented in PR 5)."""
 
 import json
+import random
 import threading
 
 import pytest
@@ -638,6 +639,67 @@ class TestDirtyOnlyCompaction:
                       if section["file"] is not None}
         on_disk = set(dfs.list_files(prefix=f"{SNAPSHOT}.sec-"))
         assert on_disk == referenced  # no orphan generations left behind
+
+
+class TestExecutorsWriteTheSameBytes:
+    def test_every_durable_file_matches(self):
+        """One seeded insert / remove / use-stamp stream with periodic
+        checkpoints, through ``executor="serial"`` and
+        ``executor="processes"``: the front-end log is the only writer
+        either way, so every file under the repository path must match
+        byte for byte — manifest, section generations, segments, order
+        log — dirty-only compactions included."""
+        rng = random.Random(2407)
+        serial_dfs, procs_dfs = DistributedFileSystem(), DistributedFileSystem()
+        serial = ShardedRepository(num_shards=4, executor="serial")
+        procs = ShardedRepository(num_shards=4, executor="processes")
+        repositories = (serial, procs)
+        logs = (RepositoryLog(serial_dfs).attach(serial),
+                RepositoryLog(procs_dfs).attach(procs))
+        compacted_counts = set()
+        try:
+            for step in range(150):
+                action = rng.random()
+                if action < 0.35 or not len(serial):
+                    for live in repositories:
+                        live.insert(fabricated_entry(step, pool=6))
+                elif action < 0.45:
+                    position = rng.randrange(len(serial))
+                    for live in repositories:
+                        live.remove(live.scan()[position])
+                else:
+                    position = rng.randrange(len(serial))
+                    for live in repositories:
+                        live.record_use(live.scan()[position], step)
+                if step % 5 == 4:
+                    # A probe first, so the process arm's workers are
+                    # live (and fed) when the checkpoint runs.
+                    probe = fabricated_entry(1000 + step, pool=6).plan
+                    assert [e.output_path
+                            for e in procs.match_candidates(probe)] \
+                        == [e.output_path
+                            for e in serial.match_candidates(probe)], step
+                    outcome = logs[0].checkpoint()
+                    assert logs[1].checkpoint() == outcome, step
+                    compacted_counts.add(len(outcome["compacted_shards"]))
+            assert procs.worker_pool._workers  # really process-backed
+            # The stream crossed both checkpoint kinds: plain appends and
+            # compactions of a strict subset of the partitions.
+            assert 0 in compacted_counts
+            assert any(0 < count < len(serial.shard_sizes())
+                       for count in compacted_counts)
+            files = sorted(serial_dfs.list_files(prefix="/restore/"))
+            assert files == sorted(procs_dfs.list_files(prefix="/restore/"))
+            assert any(".sec-" in file for file in files)
+            assert any(serial_dfs.read_lines(file)
+                       for file in segment_files(serial_dfs))
+            for file in files:
+                assert serial_dfs.read_lines(file) \
+                    == procs_dfs.read_lines(file), file
+        finally:
+            for live, log in zip(repositories, logs):
+                log.close()
+                live.close()
 
 
 class TestSnapshotCompactionBarrier:
@@ -1409,12 +1471,14 @@ class TestManagerIntegration:
 
     def test_manager_close_releases_repository_executor(self):
         system = pigmix_system()
-        repository = ShardedRepository(num_shards=4, executor="threads")
+        repository = ShardedRepository(num_shards=4, executor="processes")
         restore = system.restore(repository=repository)
         restore.submit(system.compile(Q1_TEXT))
         restore.submit(system.compile(Q2_TEXT))
+        workers = list(repository.worker_pool._workers.values())
+        assert workers and all(handle.alive() for handle in workers)
         restore.close()
-        assert repository._executor._pool is None  # thread pool shut down
+        assert not any(handle.alive() for handle in workers)
 
     def test_checkpoint_every_knob(self):
         system = pigmix_system()

@@ -396,11 +396,10 @@ class TestForkSafety:
         '''))
         assert findings == []
 
-    # Worker-owned durability semantics: a worker may *write* durable
-    # files, but only through a gateway client — the real DFS handle
-    # (`self.dfs`) is an in-process object whose forked copy is private
-    # memory, so touching it from worker-reachable code is a write into
-    # the void.
+    # The DFS handle (`self.dfs`) is an in-process object whose forked
+    # copy is private memory, so touching it from worker-reachable code
+    # is a write into the void: every repository file is written by the
+    # front end.
 
     def test_real_dfs_handle_reachable_from_worker_flagged(self):
         findings = _run(ForkSafety, _mod('''
@@ -431,35 +430,9 @@ class TestForkSafety:
         assert len(findings) == 1
         assert "self.dfs" in findings[0].message
 
-    def test_gateway_client_write_path_in_worker_clean(self):
-        # The sanctioned shape: the worker writes through a queue-backed
-        # client; no DFS handle, no threads, nothing fork-hostile.
-        findings = _run(ForkSafety, _mod('''
-            class DfsClient:
-                def __init__(self, requests, replies):
-                    self._requests = requests
-                    self._replies = replies
-
-                def append_lines(self, target, lines):
-                    self._requests.put(("append_lines", target, lines))
-                    return self._replies.get()
-
-            class WorkerState:
-                def __init__(self, durable):
-                    self._durable = durable
-
-                def flush(self, segment, lines):
-                    self._durable.append_lines(segment, lines)
-
-            def _worker_main(requests, replies):  # statlint: process-entrypoint
-                state = WorkerState(DfsClient(requests, replies))
-                state.flush("seg", ["r"])
-        '''))
-        assert findings == []
-
     def test_front_end_pump_owning_real_dfs_clean(self):
-        # The gateway's front-end half holds the real DFS and a pump
-        # thread — legal, because no worker entrypoint reaches it.
+        # A front-end object holding the DFS and a pump thread is
+        # legal, because no worker entrypoint reaches it.
         findings = _run(ForkSafety, _mod('''
             import threading
 
@@ -550,58 +523,6 @@ class TestCrashOrdering:
                     self.dfs.delete_if_exists(self.path)
                     self.dfs.write_lines(self.path, ["m"])
         ''', relpath="filesystem.py"))
-        assert findings == []
-
-    # R5 — worker modules may write segments and sections but never the
-    # manifest: the swap is the front-end coordination point.
-
-    def test_manifest_write_in_worker_module_flagged(self):
-        findings = _run(CrashOrdering, _mod('''
-            class WorkerState:
-                def publish(self, path):
-                    self.client.write_lines(path, ["m"], overwrite=True)
-        ''', relpath="service.py"))
-        assert len(findings) == 1
-        assert "worker-side module" in findings[0].message
-        assert "front-end" in findings[0].message
-
-    def test_manifest_delete_in_gateway_flagged(self):
-        # Deletes count too — a worker un-publishing the manifest is as
-        # illegal as publishing it.
-        findings = _run(CrashOrdering, _mod('''
-            class Gateway:
-                def reset(self):
-                    self.dfs.delete_if_exists(self.path)
-        ''', relpath="gateway.py"))
-        assert len(findings) == 1
-        assert "worker-side module" in findings[0].message
-
-    def test_worker_segment_and_section_writes_clean(self):
-        # The sanctioned worker writes: its own segment tail append and
-        # its own generation-named section rewrite.
-        findings = _run(CrashOrdering, _mod('''
-            class WorkerState:
-                def flush(self, segment_lines):
-                    segment = segment_file_path(self.root, 0)
-                    self.client.append_lines(segment, segment_lines)
-
-                def compact(self, section_lines):
-                    section = section_file_path(self.root, 0, 7)
-                    self.client.write_lines(section, section_lines,
-                                            overwrite=True)
-        ''', relpath="service.py"))
-        assert findings == []
-
-    def test_unclassified_targets_in_worker_module_clean(self):
-        # Variables the classifier cannot tie to the manifest (message
-        # payload fields, plain locals) are not R5's business — only the
-        # manifest category is front-end-only.
-        findings = _run(CrashOrdering, _mod('''
-            class WorkerState:
-                def flush(self, payload):
-                    target = payload["segment"]
-                    self.client.append_lines(target, payload["lines"])
-        ''', relpath="replication.py"))
         assert findings == []
 
 
