@@ -1,5 +1,6 @@
 """The logical plan container: a DAG of LogicalOps with STORE sinks."""
 
+from repro.common.dag import inputs_first
 from repro.common.errors import PlanError
 
 
@@ -13,20 +14,7 @@ class LogicalPlan:
 
     def operators(self):
         """All reachable operators in topological (inputs-first) order."""
-        ordered = []
-        seen = set()
-
-        def visit(op):
-            if id(op) in seen:
-                return
-            seen.add(id(op))
-            for parent in op.inputs:
-                visit(parent)
-            ordered.append(op)
-
-        for sink in self.sinks:
-            visit(sink)
-        return ordered
+        return inputs_first(self.sinks)
 
     def sources(self):
         return [op for op in self.operators() if not op.inputs]

@@ -26,30 +26,27 @@ class Workflow:
         is not part of this workflow.
         """
         members = {id(job) for job in self.jobs}
-        ordered = []
-        seen = set()
-        visiting = set()
-
-        def visit(job):
-            if id(job) not in members:
-                raise ExecutionError(
-                    f"workflow {self.name!r}: job {job.job_id} is a dependency "
-                    "but not a member"
-                )
-            if id(job) in seen:
-                return
-            if id(job) in visiting:
-                raise ExecutionError(f"cycle in workflow {self.name!r}")
-            visiting.add(id(job))
-            for dep in job.dependencies:
-                visit(dep)
-            visiting.discard(id(job))
-            seen.add(id(job))
-            ordered.append(job)
-
+        seen, visiting, ordered = set(), set(), []
         for job in self.jobs:
-            visit(job)
+            self._visit(job, members, seen, visiting, ordered)
         return ordered
+
+    def _visit(self, job, members, seen, visiting, ordered):
+        if id(job) not in members:
+            raise ExecutionError(
+                f"workflow {self.name!r}: job {job.job_id} is a dependency "
+                "but not a member"
+            )
+        if id(job) in seen:
+            return
+        if id(job) in visiting:
+            raise ExecutionError(f"cycle in workflow {self.name!r}")
+        visiting.add(id(job))
+        for dep in job.dependencies:
+            self._visit(dep, members, seen, visiting, ordered)
+        visiting.discard(id(job))
+        seen.add(id(job))
+        ordered.append(job)
 
     def final_output_paths(self):
         paths = []

@@ -1,5 +1,6 @@
 """The physical plan DAG: traversal, cloning, edge surgery, printing."""
 
+from repro.common.dag import inputs_first
 from repro.common.errors import PlanError
 from repro.physical.operators import POLoad, POStore
 
@@ -20,20 +21,7 @@ class PhysicalPlan:
 
     def operators(self):
         """All reachable operators, inputs before consumers (topological)."""
-        ordered = []
-        seen = set()
-
-        def visit(op):
-            if id(op) in seen:
-                return
-            seen.add(id(op))
-            for parent in op.inputs:
-                visit(parent)
-            ordered.append(op)
-
-        for sink in self.sinks:
-            visit(sink)
-        return ordered
+        return inputs_first(self.sinks)
 
     def loads(self):
         return [op for op in self.operators() if isinstance(op, POLoad)]
@@ -104,20 +92,7 @@ class PhysicalPlan:
         jobs indistinguishable from other jobs" (paper Section 4).
         """
         mapping = {}
-
-        def visit(op):
-            if id(op) in mapping:
-                return mapping[id(op)]
-            parents = [visit(parent) for parent in op.inputs]
-            if op.kind == "split":
-                # Transparent: a split has exactly one input.
-                mapping[id(op)] = parents[0]
-                return parents[0]
-            clone = op.copy_with_inputs(parents)
-            mapping[id(op)] = clone
-            return clone
-
-        return visit(frontier_op), mapping
+        return _clone_without_splits(frontier_op, mapping), mapping
 
     # Introspection ---------------------------------------------------------------
 
@@ -144,3 +119,15 @@ class PhysicalPlan:
     def __repr__(self):
         kinds = ", ".join(op.kind for op in self.operators())
         return f"<PhysicalPlan {kinds}>"
+
+
+def _clone_without_splits(op, mapping):
+    """Clone of ``op``'s subgraph with every Split replaced by its input;
+    ``mapping`` (id of original -> clone) is filled in as it goes."""
+    clone = mapping.get(id(op))
+    if clone is None:
+        parents = [_clone_without_splits(parent, mapping) for parent in op.inputs]
+        # Transparent: a split has exactly one input.
+        clone = parents[0] if op.kind == "split" else op.copy_with_inputs(parents)
+        mapping[id(op)] = clone
+    return clone

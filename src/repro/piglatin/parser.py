@@ -15,6 +15,7 @@ from repro.piglatin.tokens import TokenKind
 
 _TYPE_NAMES = {"int", "long", "double", "float", "chararray"}
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
+_PRODUCTS = {"*", "/", "%"}
 
 
 def parse_query(text):
@@ -23,14 +24,26 @@ def parse_query(text):
 
 
 class _Parser:
+    """Reads ``tokens`` (ending with EOF) by position, never past the EOF.
+    ``_keys[i]`` is what keyword and symbol tests compare token ``i``
+    against: its lower-cased text for a NAME, its text for a SYMBOL, None
+    for anything else — the EOF included, and the two keys after it, as
+    far as a cast test looks ahead."""
+
     def __init__(self, tokens):
         self._tokens = tokens
+        self._keys = [
+            token.text.lower() if token.kind is TokenKind.NAME
+            else token.text if token.kind is TokenKind.SYMBOL
+            else None
+            for token in tokens
+        ] + [None, None]
         self._pos = 0
 
     # Token helpers -------------------------------------------------------
 
-    def _peek(self, offset=0):
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    def _peek(self):
+        return self._tokens[self._pos]
 
     def _advance(self):
         token = self._tokens[self._pos]
@@ -43,16 +56,14 @@ class _Parser:
         raise ParseError(message, token.line, token.column)
 
     def _expect_symbol(self, symbol):
-        token = self._advance()
-        if token.kind is not TokenKind.SYMBOL or token.text != symbol:
-            self._error(f"expected {symbol!r}, found {token.text!r}", token)
-        return token
+        if self._keys[self._pos] != symbol:
+            self._error(f"expected {symbol!r}, found {self._peek().text!r}")
+        self._pos += 1
 
     def _expect_keyword(self, word):
-        token = self._advance()
-        if not token.matches_keyword(word):
-            self._error(f"expected {word.upper()}, found {token.text!r}", token)
-        return token
+        if self._keys[self._pos] != word:
+            self._error(f"expected {word.upper()}, found {self._peek().text!r}")
+        self._pos += 1
 
     def _expect_name(self):
         token = self._advance()
@@ -72,24 +83,21 @@ class _Parser:
             self._error(f"expected an integer, found {token.text!r}", token)
         return int(token.text)
 
-    def _at_keyword(self, word):
-        return self._peek().matches_keyword(word)
+    # A NAME's key never equals a symbol nor a symbol's key a keyword, so
+    # one comparison serves both tests; a match is never the EOF.
 
-    def _at_symbol(self, symbol):
-        token = self._peek()
-        return token.kind is TokenKind.SYMBOL and token.text == symbol
+    def _at_keyword(self, word):
+        return self._keys[self._pos] == word
+
+    _at_symbol = _at_keyword
 
     def _eat_keyword(self, word):
-        if self._at_keyword(word):
-            self._advance()
+        if self._keys[self._pos] == word:
+            self._pos += 1
             return True
         return False
 
-    def _eat_symbol(self, symbol):
-        if self._at_symbol(symbol):
-            self._advance()
-            return True
-        return False
+    _eat_symbol = _eat_keyword
 
     # Statements ---------------------------------------------------------------
 
@@ -102,8 +110,7 @@ class _Parser:
         return ast.Query(statements)
 
     def _statement(self):
-        if self._at_keyword("store"):
-            self._advance()
+        if self._eat_keyword("store"):
             alias = self._expect_name()
             self._expect_keyword("into")
             path = self._expect_string()
@@ -121,24 +128,11 @@ class _Parser:
         token = self._peek()
         if token.kind is not TokenKind.NAME:
             self._error(f"expected a relational operator, found {token.text!r}")
-        keyword = token.text.lower()
-        handlers = {
-            "load": self._load,
-            "foreach": self._foreach,
-            "filter": self._filter,
-            "join": self._join,
-            "group": self._group,
-            "cogroup": self._cogroup,
-            "distinct": self._distinct,
-            "union": self._union,
-            "order": self._order,
-            "limit": self._limit,
-        }
-        handler = handlers.get(keyword)
+        handler = self._RELATIONS.get(self._keys[self._pos])
         if handler is None:
             self._error(f"unknown relational operator {token.text!r}")
-        self._advance()
-        return handler(alias)
+        self._pos += 1
+        return handler(self, alias)
 
     def _load(self, alias):
         path = self._expect_string()
@@ -148,7 +142,8 @@ class _Parser:
             self._expect_name()
             if self._eat_symbol("("):
                 while not self._eat_symbol(")"):
-                    self._advance()
+                    if self._advance().kind is TokenKind.EOF:
+                        self._error("unterminated loader arguments")
         fields = []
         if self._eat_keyword("as"):
             self._expect_symbol("(")
@@ -190,14 +185,12 @@ class _Parser:
     def _inner_statement(self):
         inner_alias = self._expect_name()
         self._expect_symbol("=")
-        if self._at_keyword("filter"):
-            self._advance()
+        if self._eat_keyword("filter"):
             source = self._expect_name()
             self._expect_keyword("by")
             condition = self._expression()
             statement = ast.InnerFilter(inner_alias, source, condition)
-        elif self._at_keyword("distinct"):
-            self._advance()
+        elif self._eat_keyword("distinct"):
             statement = ast.InnerDistinct(inner_alias, self._expect_name())
         else:
             name = self._expect_name()
@@ -211,8 +204,7 @@ class _Parser:
 
     def _gen_item(self):
         flatten = False
-        if self._at_keyword("flatten"):
-            self._advance()
+        if self._eat_keyword("flatten"):
             self._expect_symbol("(")
             expr = self._expression()
             self._expect_symbol(")")
@@ -316,6 +308,19 @@ class _Parser:
         count = self._expect_int()
         return ast.LimitStmt(alias, input_alias, count)
 
+    _RELATIONS = {
+        "load": _load,
+        "foreach": _foreach,
+        "filter": _filter,
+        "join": _join,
+        "group": _group,
+        "cogroup": _cogroup,
+        "distinct": _distinct,
+        "union": _union,
+        "order": _order,
+        "limit": _limit,
+    }
+
     def _split(self):
         self._expect_keyword("split")
         input_alias = self._expect_name()
@@ -345,32 +350,28 @@ class _Parser:
 
     def _or_expr(self):
         left = self._and_expr()
-        while self._at_keyword("or"):
-            self._advance()
+        while self._eat_keyword("or"):
             left = ast.BinaryOp("or", left, self._and_expr())
         return left
 
     def _and_expr(self):
         left = self._not_expr()
-        while self._at_keyword("and"):
-            self._advance()
+        while self._eat_keyword("and"):
             left = ast.BinaryOp("and", left, self._not_expr())
         return left
 
     def _not_expr(self):
-        if self._at_keyword("not"):
-            self._advance()
+        if self._eat_keyword("not"):
             return ast.UnaryOp("not", self._not_expr())
         return self._comparison()
 
     def _comparison(self):
         left = self._additive()
-        token = self._peek()
-        if token.kind is TokenKind.SYMBOL and token.text in _COMPARISONS:
-            self._advance()
-            return ast.BinaryOp(token.text, left, self._additive())
-        if self._at_keyword("is"):
-            self._advance()
+        key = self._keys[self._pos]
+        if key in _COMPARISONS:
+            self._pos += 1
+            return ast.BinaryOp(key, left, self._additive())
+        if self._eat_keyword("is"):
             negated = self._eat_keyword("not")
             self._expect_keyword("null")
             return ast.IsNull(left, negated)
@@ -379,40 +380,31 @@ class _Parser:
     def _additive(self):
         left = self._multiplicative()
         while True:
-            if self._at_symbol("+"):
-                self._advance()
-                left = ast.BinaryOp("+", left, self._multiplicative())
-            elif self._at_symbol("-"):
-                self._advance()
-                left = ast.BinaryOp("-", left, self._multiplicative())
+            key = self._keys[self._pos]
+            if key == "+" or key == "-":
+                self._pos += 1
+                left = ast.BinaryOp(key, left, self._multiplicative())
             else:
                 return left
 
     def _multiplicative(self):
         left = self._unary()
         while True:
-            token = self._peek()
-            if token.kind is TokenKind.SYMBOL and token.text in ("*", "/", "%"):
-                self._advance()
-                left = ast.BinaryOp(token.text, left, self._unary())
+            key = self._keys[self._pos]
+            if key in _PRODUCTS:
+                self._pos += 1
+                left = ast.BinaryOp(key, left, self._unary())
             else:
                 return left
 
     def _unary(self):
-        if self._at_symbol("-"):
-            self._advance()
+        if self._eat_symbol("-"):
             return ast.UnaryOp("neg", self._unary())
         # A parenthesized type name is a cast: (int) x
-        if self._at_symbol("(") and self._peek(1).kind is TokenKind.NAME:
-            next_text = self._peek(1).text.lower()
-            closes = (
-                self._peek(2).kind is TokenKind.SYMBOL and self._peek(2).text == ")"
-            )
-            if next_text in _TYPE_NAMES and closes:
-                self._advance()
-                self._advance()
-                self._advance()
-                return ast.Cast(next_text, self._unary())
+        keys, pos = self._keys, self._pos
+        if keys[pos] == "(" and keys[pos + 1] in _TYPE_NAMES and keys[pos + 2] == ")":
+            self._pos += 3
+            return ast.Cast(keys[pos + 1], self._unary())
         return self._primary()
 
     def _primary(self):
@@ -429,8 +421,7 @@ class _Parser:
         if token.kind is TokenKind.DOLLAR:
             self._advance()
             return ast.PositionalRef(int(token.text))
-        if self._at_symbol("("):
-            self._advance()
+        if self._eat_symbol("("):
             expr = self._expression()
             self._expect_symbol(")")
             return expr
@@ -441,16 +432,14 @@ class _Parser:
     def _qualified_name(self):
         """NAME ('::' NAME)* — alias-qualified field names."""
         name = self._expect_name()
-        while self._at_symbol("::"):
-            self._advance()
+        while self._eat_symbol("::"):
             name = f"{name}::{self._expect_name()}"
         return name
 
     def _name_expression(self):
         name = self._qualified_name()
         # Function call?
-        if self._at_symbol("("):
-            self._advance()
+        if self._eat_symbol("("):
             args = []
             if not self._at_symbol(")"):
                 args.append(self._expression())
@@ -459,8 +448,7 @@ class _Parser:
             self._expect_symbol(")")
             return ast.FuncCall(name, args)
         # Bag dereference: C.est_revenue
-        if self._at_symbol("."):
-            self._advance()
+        if self._eat_symbol("."):
             field = self._expect_name()
             return ast.Deref(name, field)
         return ast.FieldRef(name)

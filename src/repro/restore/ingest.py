@@ -49,6 +49,7 @@ queued is absorbed into the queued survivor and follows its outcome).
 
 import threading
 import time
+import weakref
 from collections import deque
 
 from repro.restore.matcher import operator_fingerprint
@@ -466,7 +467,10 @@ class InlineIngest:
     stats = None
 
     def __init__(self, sink):
-        self.sink = sink
+        # The manager owns this object: a strong reference back would be a
+        # cycle, and a dropped manager, with its whole repository, would
+        # wait for the cyclic collector instead of being freed at once.
+        self.sink = weakref.proxy(sink)
         self.lock = threading.RLock()
 
     def submit(self, record):

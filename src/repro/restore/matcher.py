@@ -165,18 +165,13 @@ def _equivalent(repo_op, input_op, memo):
     return result
 
 
-def _build_mapping(repo_frontier, input_frontier):
-    mapping = {}
-
-    def walk(repo_op, input_op):
-        input_op = skip_splits(input_op)
-        if id(repo_op) in mapping:
-            return
-        mapping[id(repo_op)] = input_op
-        for repo_parent, input_parent in zip(repo_op.inputs, input_op.inputs):
-            walk(repo_parent, input_parent)
-
-    walk(repo_frontier, input_frontier)
+def _build_mapping(repo_op, input_op, mapping):
+    input_op = skip_splits(input_op)
+    if id(repo_op) in mapping:
+        return mapping
+    mapping[id(repo_op)] = input_op
+    for repo_parent, input_parent in zip(repo_op.inputs, input_op.inputs):
+        _build_mapping(repo_parent, input_parent, mapping)
     return mapping
 
 
@@ -199,7 +194,7 @@ def find_containment(entry_plan, input_plan):
     memo = {}
     for site in target.sites.get(entry.fingerprint, ()):
         if _equivalent(frontier, site, memo):
-            return Match(_build_mapping(frontier, site), site)
+            return Match(_build_mapping(frontier, site, {}), site)
     return None
 
 

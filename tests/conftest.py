@@ -1,0 +1,7 @@
+"""Hypothesis profiles, registered before pytest loads one by name."""
+
+from hypothesis import settings
+
+#: CI's fuzz step: the front end's differential at a budget too large for
+#: tier-1 (``--hypothesis-profile=piglatin-fuzz``)
+settings.register_profile("piglatin-fuzz", max_examples=20_000, deadline=None)

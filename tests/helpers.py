@@ -4,8 +4,11 @@ Builds a tiny in-memory "cluster" (DFS + cost model) and provides the
 compile pipeline as one call, so tests read like user code.
 """
 
+import importlib.util
+import os
+
 from repro.common import DeterministicRng
-from repro.common.errors import DataError
+from repro.common.errors import DataError, ParseError
 from repro.data import (
     DataType,
     encode_row,
@@ -22,6 +25,7 @@ from repro.mapreduce.shuffle import partition_index
 from repro.mrcompiler import compile_to_workflow
 from repro.physical import logical_to_physical
 from repro.piglatin import parse_query
+from repro.piglatin.tokens import SYMBOLS, Token, TokenKind
 
 PAGE_VIEWS_SCHEMA = Schema(
     [
@@ -94,6 +98,17 @@ def compile_query(text, name, dfs=None):
     return compile_to_workflow(physical, name)
 
 
+def load_querygen():
+    """The e2e benchmark's seeded query generator
+    (``benchmarks/e2e/querygen.py``), imported by path."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "benchmarks", "e2e", "querygen.py")
+    spec = importlib.util.spec_from_file_location("e2e_querygen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 Q1_TEXT = """
 A = load '/data/page_views' as (user:chararray, timestamp:int,
     est_revenue:double, page_info:chararray, page_links:chararray);
@@ -133,7 +148,120 @@ def outcome(function, *args):
 #
 # The row codec and the shuffle as they were before they worked a batch at
 # a time: one field, one row at a time, dispatching on the type per field.
-# Tests compare the engine's versions against these.
+# The lexer as it was before it became one regular expression: a loop per
+# character with a startswith probe per symbol. Tests compare the current
+# versions against these.
+
+_REFERENCE_NAME_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REFERENCE_NAME_BODY = _REFERENCE_NAME_START | frozenset("0123456789")
+_REFERENCE_DIGITS = frozenset("0123456789")
+
+
+def reference_tokenize(text):
+    """Tokenize ``text`` into a list of :class:`Token` ending with EOF."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    length = len(text)
+
+    def column():
+        return pos - line_start + 1
+
+    while pos < length:
+        char = text[pos]
+        # Whitespace ---------------------------------------------------------
+        if char in " \t\r":
+            pos += 1
+            continue
+        if char == "\n":
+            pos += 1
+            line += 1
+            line_start = pos
+            continue
+        # Comments: -- to end of line, /* ... */ ------------------------------
+        if text.startswith("--", pos):
+            newline = text.find("\n", pos)
+            pos = length if newline < 0 else newline
+            continue
+        if text.startswith("/*", pos):
+            end = text.find("*/", pos + 2)
+            if end < 0:
+                raise ParseError("unterminated /* comment", line, column())
+            segment = text[pos : end + 2]
+            line += segment.count("\n")
+            if "\n" in segment:
+                line_start = pos + segment.rfind("\n") + 1
+            pos = end + 2
+            continue
+        # Strings -------------------------------------------------------------
+        if char == "'":
+            end = pos + 1
+            chunks = []
+            while True:
+                if end >= length:
+                    raise ParseError("unterminated string literal", line, column())
+                if text[end] == "\\" and end + 1 < length:
+                    chunks.append(text[end + 1])
+                    end += 2
+                    continue
+                if text[end] == "'":
+                    break
+                if text[end] == "\n":
+                    raise ParseError("newline in string literal", line, column())
+                chunks.append(text[end])
+                end += 1
+            tokens.append(Token(TokenKind.STRING, "".join(chunks), line, column()))
+            pos = end + 1
+            continue
+        # Positional references -----------------------------------------------
+        if char == "$":
+            end = pos + 1
+            while end < length and text[end] in _REFERENCE_DIGITS:
+                end += 1
+            if end == pos + 1:
+                raise ParseError("expected digits after $", line, column())
+            tokens.append(Token(TokenKind.DOLLAR, text[pos + 1 : end], line, column()))
+            pos = end
+            continue
+        # Numbers ---------------------------------------------------------------
+        if char in _REFERENCE_DIGITS:
+            end = pos
+            seen_dot = False
+            while end < length and (text[end] in _REFERENCE_DIGITS
+                                    or (text[end] == "." and not seen_dot)):
+                if text[end] == ".":
+                    # A dot not followed by a digit is a dereference, not a decimal.
+                    if end + 1 >= length or text[end + 1] not in _REFERENCE_DIGITS:
+                        break
+                    seen_dot = True
+                end += 1
+            literal = text[pos:end]
+            kind = TokenKind.DOUBLE if seen_dot else TokenKind.INT
+            tokens.append(Token(kind, literal, line, column()))
+            pos = end
+            continue
+        # Names / keywords ------------------------------------------------------
+        if char in _REFERENCE_NAME_START:
+            end = pos
+            while end < length and text[end] in _REFERENCE_NAME_BODY:
+                end += 1
+            tokens.append(Token(TokenKind.NAME, text[pos:end], line, column()))
+            pos = end
+            continue
+        # Symbols ------------------------------------------------------------------
+        for symbol in SYMBOLS:
+            if text.startswith(symbol, pos):
+                tokens.append(Token(TokenKind.SYMBOL, symbol, line, column()))
+                pos += len(symbol)
+                break
+        else:
+            raise ParseError(f"unexpected character {char!r}", line, column())
+
+    tokens.append(Token(TokenKind.EOF, "", line, column()))
+    return tokens
+
 
 _REFERENCE_ESCAPES = {
     "\\": "\\\\", "\t": "\\t", "\n": "\\n", "|": "\\p", ",": "\\c",

@@ -14,6 +14,8 @@ from repro.pigmix import (
     query_text,
     VARIANT_FAMILIES,
 )
+from repro.restore import plan_fingerprint
+from tests.helpers import load_querygen
 
 
 def tiny_config():
@@ -310,3 +312,55 @@ class TestGoldenEngine:
         assert hashlib.sha1(repr(files).encode()).hexdigest() == self.RESTORE_FILES
         assert (hashlib.sha1(repr(records).encode()).hexdigest()
                 == self.RESTORE_STATS)
+
+
+def _job_fingerprints(workflow):
+    return ",".join(plan_fingerprint(job.plan) for job in workflow.jobs)
+
+
+class TestGoldenFingerprints:
+    """``plan_fingerprint`` of every compiled job, taken before the
+    tokenizer, the parser and the plan walks were rewritten. Fingerprints
+    are written into the durable repository files, so the same text must
+    compile to the same plans on the same data."""
+
+    #: query -> SHA-1 of its jobs' fingerprints, in workflow order
+    PIGMIX = {
+        "L11": "d1a4bfc2ed51d291dfffed1054efbc1a7eaaa941",
+        "L11a": "38bf6dee289a30029c34964262394ea12baf5593",
+        "L11b": "dceb0fb1af66d07e7f67776779e8b5b578b71f4b",
+        "L11c": "6a227418ffce1b9465acd640033dec72c6ba9006",
+        "L11d": "95dac18f5352284b6cbbc018c6556a08b731a5a3",
+        "L2": "e0ed44cacd0f769007a405ebd44df56d6790803f",
+        "L3": "94852c7882bc335e1956dd2b41135b5a4b2cbaf0",
+        "L3a": "de48476637ea9c127872b6e4be167ff5cf223997",
+        "L3b": "6f834c36b5e0f942f5487ac6e5a84089fa590379",
+        "L3c": "6878b5ec75b2962390c5f9b4511025d0a248a2ef",
+        "L4": "a93f5818d430acc8251f5033a33f4ee0577147b6",
+        "L5": "232177624732984f33528a70179ed946712012e0",
+        "L6": "2b599f3d0d020d727a49eceb9e46df12fe59270d",
+        "L7": "7fc79006c68a2d282c68a0669062c316607c63f9",
+        "L8": "76e700c3bb02cabfc3aa9106b8d2f21e67c13e15",
+    }
+    #: SHA-1 of the fingerprints of every job of ``querygen(7, 50)``
+    #: (90 jobs), in pool and workflow order
+    QUERYGEN_50 = "0581706951092f63cc5ad89c98db08ebdcfa90d1"
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        system = PigSystem()
+        PigMixData(tiny_config()).install(system.dfs)
+        return system
+
+    def test_pigmix_jobs(self, system):
+        got = {name: hashlib.sha1(_job_fingerprints(
+                   system.compile(query_text(name), name)).encode()).hexdigest()
+               for name in GOLDEN_QUERIES}
+        assert got == self.PIGMIX
+
+    def test_querygen_jobs(self, system):
+        pool = load_querygen().querygen(7, 50)
+        joined = ",".join(_job_fingerprints(system.compile(query.text, "q"))
+                          for query in pool)
+        assert joined.count(",") + 1 == 90
+        assert hashlib.sha1(joined.encode()).hexdigest() == self.QUERYGEN_50

@@ -1,21 +1,29 @@
 """End-to-end ReStore tests: reuse across workflows, per the paper."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro import PigSystem
 from repro.logical import build_logical_plan
 from repro.physical import logical_to_physical, PhysicalPlan
 from repro.piglatin import parse_query
+from repro.pigmix import PAGE_VIEWS_SCHEMA
 from repro.restore import (
     AggressiveHeuristic,
     ConservativeHeuristic,
+    HeuristicRetentionPolicy,
     NoHeuristic,
     RepositoryEntry,
     ReStore,
+    ShardedRepository,
 )
 from repro.restore.stats import EntryStats
 
 from tests.helpers import (
     compile_query,
+    load_querygen,
     make_cost_model,
     make_dfs,
     Q1_TEXT,
@@ -446,3 +454,69 @@ class TestResourceAccounting:
                         if path.startswith(ReStore.MATERIALIZED_PREFIX)]
         assert materialized  # the injected stores did execute
         assert len(materialized) == len(set(materialized))
+
+
+class TestNoCyclicGarbage:
+    """Compile and submit allocate no reference cycles: what an operation
+    leaves behind is freed by reference counting, never by the cyclic
+    collector, whose passes cost time in proportion to everything live."""
+
+    @staticmethod
+    def _system():
+        querygen = load_querygen()
+        system = PigSystem()
+        querygen.install_tables(system, 7, 100)
+        return querygen, system
+
+    @pytest.mark.parametrize("arm", ["indexed", "sharded-evicting"])
+    def test_compile_and_submit_leave_nothing_to_collect(self, arm):
+        querygen, system = self._system()
+        kwargs = {}
+        if arm == "sharded-evicting":
+            kwargs = dict(
+                repository=ShardedRepository(num_shards=4),
+                retention=HeuristicRetentionPolicy(
+                    window_ticks=12, require_reduction=False,
+                    require_benefit=False))
+        restore = system.restore(**kwargs)
+        pool = querygen.querygen(7, 10)
+        stream = pool * 3
+        reports = []
+        gc.collect()
+        gc.disable()
+        try:
+            for position, query in enumerate(stream):
+                if position == len(pool) + 3:
+                    # Rule 4: stale entries stop matching (and are evicted
+                    # under the heuristic policy); their jobs run again.
+                    system.write_table(querygen.PAGE_VIEWS[0],
+                                       querygen.page_views_rows(99, 100),
+                                       PAGE_VIEWS_SCHEMA)
+                result = restore.submit(system.compile(query.text, "q"))
+                executed = [run for run in result.job_results.values()
+                            if not run.skipped]
+                reports.append((restore.last_report, executed))
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+        assert any(report.rewrites for report, _ in reports)
+        assert any(report.eliminated_jobs for report, _ in reports)
+        assert any(report.injected_stores for report, _ in reports)
+        assert any(report.registered_entries for report, _ in reports)
+        assert any(executed for _, executed in reports)
+        if arm == "sharded-evicting":
+            assert any(report.evicted_entries for report, _ in reports)
+
+    def test_closed_inline_manager_is_freed_at_once(self):
+        querygen, system = self._system()
+        restore = system.restore()
+        restore.submit(system.compile(querygen.querygen(7, 1)[0].text, "q"))
+        restore.close()
+        gc.disable()
+        try:
+            manager = weakref.ref(restore)
+            del restore
+            assert manager() is None
+        finally:
+            gc.enable()
