@@ -26,10 +26,9 @@ operation              seed (linear scan)     indexed (PR 1)
 =====================  =====================  ==========================
 ``find_equivalent``    O(n·C) full scan       O(C) fingerprint bucket
 ``insert``             O(n²) cached subsume   O(k·C + n) — k candidates
-                       checks + Kahn rerun    from the load index, splice
-                                              (Kahn rerun only when the
-                                              entry has subsumption edges
-                                              or after a removal)
+                       checks + Kahn rerun    from the load index; Kahn
+                                              over the touched components
+                                              only, merged into the rest
 matcher pass           O(n·C)                 O(k·C): only entries whose
                                               loads ⊆ the job's loads
 ``remove``             O(n), leaks the        O(n): prunes the edges

@@ -477,7 +477,7 @@ def load_repository(dfs, path=DEFAULT_REPOSITORY_PATH, repository=None):
     walks a growing heap and frees nothing — and whether a full pass
     happened to land inside the load moved its time by a quarter from
     one run to the next. The switch is the interpreter's, not this
-    thread's: other threads (ingest, gateway) also run uncollected until
+    thread's: other threads (such as ingest) also run uncollected until
     the load returns, and cyclic garbage already on the heap stays there
     under the loaded repository until the next collection after it.
     """

@@ -21,14 +21,33 @@ it incrementally on top of :mod:`repro.restore.index`:
 * ``find_equivalent`` is a fingerprint-bucket lookup (O(1) plus an exact
   confirmation of the bucket) instead of a full scan;
 * on ``insert``, subsumption edges are computed only against entries the
-  leaf-load index deems reachable (containment forces the contained
-  plan's loads to be a subset of the container's), and an isolated entry
-  is spliced into the existing order without rerunning Kahn's algorithm;
+  load index deems reachable (containment forces the contained plan's
+  loads to be a subset of the container's), and only the subsumption
+  components the insert touches are re-sorted (below);
 * ``match_candidates`` gives the matcher only the entries whose loads are
   a subset of the job's, in scan order — provably the same first match as
   the seed's full scan;
 * ``remove`` prunes the edge sets and all index buckets, so
   eviction-heavy retention policies no longer leak.
+
+Why a component-local re-sort is exact: the ready set of one weakly
+connected component of the DAG changes only when that component emits,
+so the greedy order of the whole DAG is the *compare-heads merge* of the
+greedy orders of its components — repeatedly emit the lower key among
+the components' current heads (keys are total: the sequence is unique).
+The same holds for any union of components, so an insert re-sorts the
+components of the new entry (and of any dirty entries) with Kahn's
+algorithm and merges that sequence into the rest of the list, whose
+relative order is already greedy. An isolated entry is the
+one-element case of the merge.
+
+Removal keeps the seed's rule of never reordering: the scan order
+becomes "previous order minus the removed entry". That is still greedy
+when the entry blocked nobody (no out-edges); otherwise its dependents
+may now be ready earlier, so they are marked *dirty* and their
+components are re-sorted by the next insert — which then yields exactly
+the seed's full re-sort. After :meth:`Repository.force_scan_order` the
+whole repository is dirty: the next insert runs one full pass.
 
 Containment tests run on each entry's cached
 :class:`~repro.restore.matcher.PlanDigest`: two dict lookups per
@@ -110,10 +129,29 @@ _NO_EDGES = frozenset()
 
 
 def _priority(entry):
-    # higher ratio first, then longer producing time, then age
+    # higher ratio first, then longer producing time, then age; cached on
+    # the entry as _scan_key (the stats it reads never change)
     return (-entry.stats.reduction_ratio,
             -entry.stats.producing_job_time,
             entry._sequence)
+
+
+def _merge(rest, component):
+    """Compare-heads merge of two greedy orders: repeatedly emit
+    whichever current head has the lower priority key."""
+    merged = []
+    start = 0
+    end = len(rest)
+    for entry in component:
+        key = entry._scan_key
+        stop = start
+        while stop < end and rest[stop]._scan_key < key:
+            stop += 1
+        merged += rest[start:stop]
+        merged.append(entry)
+        start = stop
+    merged += rest[start:]
+    return merged
 
 
 class Repository:
@@ -136,12 +174,10 @@ class Repository:
         self._buckets = {}            # fingerprint -> [entries, insert order]
         self._edges_out = {}          # a subsumes b: edges_out[a] ∋ b (ids)
         self._edges_in = {}
-        # After a removal the scan order is "previous order minus the
-        # removed entry" (matching the seed, which never reorders on
-        # remove) — which is NOT necessarily the greedy order of the
-        # remaining set, so the next insert cannot use the splice fast
-        # path and must rerun Kahn over the cached edges.
-        self._order_is_greedy = True
+        # Ids of the entries whose components may be out of greedy
+        # order: dependents of removed entries (see remove). None means
+        # every entry, the state force_scan_order leaves.
+        self._dirty = set()
         # Change-event channel: callables invoked as listener(op, entry)
         # with op in {"insert", "remove", "use"} after each mutation.
         # This is what incremental persistence (repro.restore.wal)
@@ -313,17 +349,15 @@ class Repository:
         constraint relates.
 
         Subsumption edges are discovered only against entries the load
-        index deems reachable. When the new entry turns out isolated (no
-        edges either way) and the current order is still greedy, it is
-        spliced in directly: an always-ready node is emitted by the greedy
-        scheduler at the first step where its priority beats the entry the
-        scheduler would otherwise pick, leaving all other relative
-        positions untouched.
+        index deems reachable; then :meth:`_reorder` re-sorts the new
+        entry's component (plus any dirty ones) and merges it into the
+        rest of the order.
         """
         entry._sequence = self._sequence
         self._sequence += 1
+        entry._scan_key = _priority(entry)
         entry_loads = leaf_loads(entry.plan)
-        touched = self._discover_edges(entry, entry_loads)
+        self._discover_edges(entry, entry_loads)
 
         self._by_id[entry.entry_id] = entry
         self._load_index.add(entry, entry_loads)
@@ -331,12 +365,7 @@ class Repository:
         self._edges_out.setdefault(entry.entry_id, set())
         self._edges_in.setdefault(entry.entry_id, set())
 
-        if touched or not self._order_is_greedy:
-            self._entries.append(entry)
-            self._recompute_order()
-            self._order_is_greedy = True
-        else:
-            self._splice(entry)
+        self._reorder(entry)
         self._order = None
         self._post_insert(entry)
         self._notify("insert", entry)
@@ -379,8 +408,7 @@ class Repository:
 
     def _discover_edges(self, entry, entry_loads):
         """Record subsumption edges between ``entry`` and the index-reachable
-        candidates; returns True when any edge was found."""
-        touched = False
+        candidates."""
         # Entries the new plan could strictly contain: their loads must be
         # a subset of the new plan's loads.
         below_ids = self._load_index.candidate_ids(entry_loads)
@@ -397,13 +425,10 @@ class Repository:
             if self._subsumes(entry, self._by_id[other_id]):
                 self._edges_out.setdefault(entry.entry_id, set()).add(other_id)
                 self._edges_in[other_id].add(entry.entry_id)
-                touched = True
         for other_id in above_ids:
             if self._subsumes(self._by_id[other_id], entry):
                 self._edges_out[other_id].add(entry.entry_id)
                 self._edges_in.setdefault(entry.entry_id, set()).add(other_id)
-                touched = True
-        return touched
 
     def _subsumes(self, a, b):
         """Does entry ``a``'s plan strictly contain entry ``b``'s? Asked
@@ -412,43 +437,71 @@ class Repository:
         return (contains(b.digest, a.digest)
                 and not contains(a.digest, b.digest))
 
-    def _splice(self, entry):
-        """Insert an edge-free entry into a greedy order, keeping it greedy."""
-        rank = _priority(entry)
-        for position, existing in enumerate(self._entries):
-            if rank < _priority(existing):
-                self._entries.insert(position, entry)
-                return
-        self._entries.append(entry)
+    def _reorder(self, entry):
+        """Place the just-indexed ``entry`` so the scan order is the
+        greedy order of the whole repository again.
 
-    def _recompute_order(self):
-        """Priority-greedy topological order over the cached edge sets.
-
-        Equivalent to the seed's Kahn's-algorithm-with-resort, but with a
-        heap and zero containment tests: the priority key is total (the
-        insertion sequence is unique), so "sort the ready list, pop the
-        head" and "pop the heap minimum" emit identical orders.
+        Re-sorts the components of ``entry`` and of the dirty entries
+        (every entry when the dirty set is None) and compare-heads-merges
+        the result into the rest of the list, which keeps its relative
+        order (the module docstring says why that is exact).
         """
-        entries = self._entries
+        dirty = self._dirty
+        if dirty is None:
+            ids = set(self._by_id)
+        else:
+            dirty.add(entry.entry_id)
+            ids = self._closure(dirty)
+        self._dirty = set()
+        rest = self._entries
+        if len(ids) > 1:
+            rest = [kept for kept in rest if kept.entry_id not in ids]
+        self._entries = _merge(rest, self._greedy_order(ids))
+
+    def _closure(self, seed_ids):
+        """``seed_ids`` plus every entry weakly connected to one of them:
+        the union of their subsumption components."""
+        closure = set(seed_ids)
+        frontier = list(closure)
+        while frontier:
+            entry_id = frontier.pop()
+            for neighbours in (self._edges_out[entry_id],
+                               self._edges_in[entry_id]):
+                for other_id in neighbours:
+                    if other_id not in closure:
+                        closure.add(other_id)
+                        frontier.append(other_id)
+        return closure
+
+    def _greedy_order(self, ids):
+        """Priority-greedy topological order of the entries ``ids``, a
+        union of whole components (no edge leaves it).
+
+        Kahn's algorithm with a heap: the priority key is total (the
+        insertion sequence is unique), so "sort the ready list, pop the
+        head" — the seed's rule — and "pop the heap minimum" emit
+        identical orders.
+        """
+        by_id = self._by_id
+        edges_in = self._edges_in
         # remove() prunes both edge directions, so every id in the edge
         # sets is a live entry — no aliveness filtering needed here.
-        blockers = {entry.entry_id: len(self._edges_in[entry.entry_id])
-                    for entry in entries}
-        ready = [(_priority(entry), entry) for entry in entries
-                 if blockers[entry.entry_id] == 0]
+        blockers = {entry_id: len(edges_in[entry_id]) for entry_id in ids}
+        ready = [(by_id[entry_id]._scan_key, entry_id)
+                 for entry_id, count in blockers.items() if count == 0]
         heapq.heapify(ready)
         ordered = []
         while ready:
-            _, entry = heapq.heappop(ready)
-            ordered.append(entry)
-            for dependent_id in self._edges_out[entry.entry_id]:
+            _, entry_id = heapq.heappop(ready)
+            ordered.append(by_id[entry_id])
+            for dependent_id in self._edges_out[entry_id]:
                 blockers[dependent_id] -= 1
                 if blockers[dependent_id] == 0:
-                    dependent = self._by_id[dependent_id]
-                    heapq.heappush(ready, (_priority(dependent), dependent))
-        if len(ordered) != len(entries):
+                    heapq.heappush(ready, (by_id[dependent_id]._scan_key,
+                                           dependent_id))
+        if len(ordered) != len(ids):
             raise RepositoryError("subsumption relation is cyclic (bug)")
-        self._entries = ordered
+        return ordered
 
     def force_scan_order(self, entries):
         """Adopt ``entries`` — a permutation of the current contents — as
@@ -460,9 +513,15 @@ class Repository:
         necessarily the greedy order of the remaining set — so reloading
         by sequential insert, which re-normalizes greedily, can diverge
         from the order the file recorded. The saved positions are
-        authoritative; the order is marked non-greedy so the next insert
-        reruns Kahn exactly as the live repository would.
+        authoritative; the whole repository is marked dirty so the next
+        insert re-sorts everything, exactly as the live repository's
+        order would come out. The loader re-pins each entry's tie-break
+        sequence before calling this, so every cached priority key is
+        re-derived here, on both paths.
         """
+        for entry in self._entries:
+            entry._scan_key = _priority(entry)
+        self._dirty = None
         entries = list(entries)
         if [e.entry_id for e in entries] == [e.entry_id for e in self._entries]:
             return
@@ -478,7 +537,6 @@ class Repository:
                 "repository's current entries")
         self._entries = entries
         self._order = None
-        self._order_is_greedy = False
 
     def find_equivalent(self, plan):
         """An entry computing exactly ``plan`` (mutual containment), if any.
@@ -519,7 +577,11 @@ class Repository:
             raise RepositoryError(f"{entry!r} is not in the repository") from exc
         entry_id = entry.entry_id
         self._order = None
-        self._order_is_greedy = False
+        # The order stays greedy unless the entry blocked somebody: its
+        # dependents may now be ready earlier.
+        if self._dirty is not None:
+            self._dirty.discard(entry_id)
+            self._dirty.update(self._edges_out.get(entry_id, ()))
         del self._by_id[entry_id]
         self._load_index.discard(entry)
         bucket = self._buckets.get(entry.fingerprint)

@@ -66,7 +66,7 @@ class HeuristicRetentionPolicy(RetentionPolicy):
     # Eviction -------------------------------------------------------------
 
     def sweep(self, repository, dfs, clock):
-        """Batched eviction to a fixpoint.
+        """Batched eviction to a fixpoint, in one pass over the scan order.
 
         The seed restarted a full scan after every single removal
         (evicting an entry deletes its owned file, which can invalidate
@@ -80,34 +80,69 @@ class HeuristicRetentionPolicy(RetentionPolicy):
         everyone). The evicted *set* is identical to the seed's
         one-at-a-time sweep; rounds are bounded by the depth of the
         stored-output dependency chains, not the entry count.
+
+        Round 1 is the only pass over the repository. Rule 3 is one
+        comparison against a horizon; Rule 4 reads each input path's
+        version once per sweep (a memo whose entry is dropped when the
+        sweep deletes that path); later rounds find their candidates in
+        a path -> readers index over round 1's scan order, so they visit
+        only the readers of the deleted paths, still in scan order.
         """
+        horizon = clock.now() - self.window_ticks
+        versions = {}
+        order = repository.scan()
+        doomed = [entry for entry in order
+                  if max(entry.stats.last_used_tick,
+                         entry.stats.created_tick) < horizon  # Rule 3
+                  or _inputs_gone(entry, dfs, versions)]
         evicted = []
-        candidates = list(repository.scan())
-        while candidates:
-            doomed = [entry for entry in candidates
-                      if self._expired(entry, clock)
-                      or self._inputs_gone(entry, dfs)]
-            if not doomed:
-                break
-            deleted_paths = set()
+        evicted_ids = set()
+        readers = None
+        while doomed:
+            deleted_paths = []
             for entry in doomed:
                 repository.remove(entry, dfs)
                 evicted.append(entry)
+                evicted_ids.add(entry.entry_id)
                 if entry.owns_file:
-                    deleted_paths.add(entry.output_path)
+                    deleted_paths.append(entry.output_path)
+                    versions.pop(entry.output_path, None)
             if not deleted_paths:
                 break  # nothing cascaded: no other entry can newly expire
-            candidates = [entry for entry in repository.scan()
-                          if any(path in entry.input_versions
-                                 for path in deleted_paths)]
+            if readers is None:
+                readers = _readers_by_path(order)
+            positions = set()
+            for path in deleted_paths:
+                positions.update(readers.get(path, ()))
+            doomed = [order[position] for position in sorted(positions)
+                      if order[position].entry_id not in evicted_ids
+                      and _inputs_gone(order[position], dfs, versions)]
         return evicted
 
-    def _expired(self, entry, clock):
-        last_activity = max(entry.stats.last_used_tick, entry.stats.created_tick)
-        return clock.now() - last_activity > self.window_ticks  # Rule 3
 
-    def _inputs_gone(self, entry, dfs):
-        for path, version in entry.input_versions.items():
-            if not dfs.exists(path) or dfs.status(path).version != version:
-                return True  # Rule 4
-        return False
+#: memo value of an input path that does not exist: unequal to every
+#: recorded version, None included
+_GONE = object()
+
+
+def _inputs_gone(entry, dfs, versions):
+    """Rule 4: was an input of ``entry`` deleted or modified? ``versions``
+    memoizes each path's current version (or :data:`_GONE`) for one
+    sweep."""
+    for path, version in entry.input_versions.items():
+        if path not in versions:
+            versions[path] = (dfs.status(path).version
+                              if dfs.exists(path) else _GONE)
+        if versions[path] != version:
+            return True
+    return False
+
+
+def _readers_by_path(order):
+    """path -> positions in ``order`` of the entries that read it,
+    ascending."""
+    readers = {}
+    for position, entry in enumerate(order):
+        for path in entry.input_versions:
+            readers.setdefault(path, []).append(position)
+    return readers

@@ -54,7 +54,11 @@ from repro.restore import (
     ShardedRepository,
 )
 from repro.restore.matcher import contains, find_containment, pairwise_plan_traversal
-from repro.restore.persistence import CATCHALL_LABEL, segment_file_path
+from repro.restore.persistence import (
+    CATCHALL_LABEL,
+    segment_file_path,
+    shard_label,
+)
 from repro.restore.stats import EntryStats
 
 from tests.faultinject import FaultSchedule, install_hang_guard
@@ -368,6 +372,101 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
             for name, repo in fleet:
                 assert [e.output_path for e in repo.scan()] == \
                     [e.output_path for e in seed.scan()], (context, name)
+
+
+# --- Removal-heavy scan-order arm ------------------------------------------------
+#
+# An insert re-sorts only the subsumption components it touches plus the
+# ones removals left dirty, and merges them into the rest of the order.
+# These streams aim at what that depends on: metric ties (only the
+# insertion sequence breaks them), bursts of removals between inserts,
+# containers removed before the entries they subsume (which frees
+# dependents), and reloads through a RepositoryLog mid-stream (the order
+# is pinned and every cached key re-derived). The scan order must equal
+# the seed's after every single operation. CI's fuzz job runs the arm at
+# ten times tier-1's examples (``--hypothesis-profile=repository-fuzz``).
+
+if settings.get_current_profile_name() == "repository-fuzz":
+    ORDER_BUDGET = settings()
+else:
+    ORDER_BUDGET = settings(max_examples=12, derandomize=True, deadline=None)
+
+#: (input_bytes, output_bytes, producing_job_time): mostly tied
+_TIED_STATS = [(1000, 10, 5.0), (1000, 10, 5.0), (1000, 10, 5.0),
+               (2000, 10, 5.0), (1000, 100, 60.0)]
+
+
+def _scan_paths(repository):
+    return [entry.output_path for entry in repository.scan()]
+
+
+def _reload_through_log(dfs, log, live, data):
+    """Make the log durable one of three ways, reload, re-attach."""
+    how = data.draw(st.sampled_from(["flush", "dirty", "full"]), label="how")
+    if how == "flush":
+        log.flush()
+    elif how == "dirty":
+        labels = sorted({shard_label(live.shard_id_of(entry))
+                         for entry in live})
+        if labels:
+            log.compact(shards=[data.draw(st.sampled_from(labels),
+                                          label="compacted shard")])
+    else:
+        log.compact()
+    reloaded = load_repository(dfs)
+    return reloaded, RepositoryLog(dfs).attach(reloaded)
+
+
+@ORDER_BUDGET
+@given(data=st.data())
+def test_property_removal_heavy_order_matches_seed(plan_pool, data):
+    num_shards = data.draw(st.sampled_from([0, 3]), label="num_shards")
+    live = ShardedRepository(num_shards=num_shards) if num_shards \
+        else Repository()
+    dfs = DistributedFileSystem()
+    log = RepositoryLog(dfs).attach(live)
+    seed = LinearScanRepository()
+    seed_entries = {}  # output_path -> the seed's twin entry
+    steps = data.draw(st.integers(60, 120), label="steps")
+    for step in range(steps):
+        action = data.draw(st.sampled_from(
+            ["insert"] * 5 + ["remove"] * 4 + ["reload"]), label="action")
+        if action == "insert" or not len(live):
+            plan_index = data.draw(st.integers(0, len(plan_pool) - 1),
+                                   label="plan")
+            version = data.draw(st.sampled_from([0, 0, 1]), label="version")
+            input_bytes, output_bytes, seconds = data.draw(
+                st.sampled_from(_TIED_STATS), label="stats")
+            path = f"/stored/o{step}"
+            for repository in (live, seed):
+                entry = RepositoryEntry(
+                    _pool_plan(plan_pool, plan_index, version), path,
+                    EntryStats(input_bytes, output_bytes, seconds))
+                repository.insert(entry)
+            seed_entries[path] = entry
+        elif action == "remove":
+            for _ in range(data.draw(st.integers(1, 3), label="burst")):
+                if not len(live):
+                    break
+                edges = live.subsumption_edges_among(
+                    [entry.entry_id for entry in live])
+                containers = sorted(live.entry(entry_id).output_path
+                                    for entry_id, below in edges.items()
+                                    if below)
+                pick_container = containers and data.draw(
+                    st.booleans(), label="container first")
+                path = data.draw(st.sampled_from(
+                    containers if pick_container else
+                    sorted(entry.output_path for entry in live)),
+                    label="victim")
+                live.remove(next(entry for entry in live
+                                 if entry.output_path == path))
+                seed.remove(seed_entries.pop(path))
+                assert _scan_paths(live) == _scan_paths(seed), step
+        else:
+            live, log = _reload_through_log(dfs, log, live, data)
+        assert _scan_paths(live) == _scan_paths(seed), step
+    log.detach()
 
 
 # --- The worker-process service never changes decisions (PR 6) ----------------

@@ -154,8 +154,8 @@ class TestLoadIndex:
 class TestRepositoryIndexIntegration:
     def test_insert_after_remove_matches_full_reorder(self):
         # After a removal the stored order is no longer the greedy order
-        # of the remaining set, so the next insert must take the full
-        # recompute path (the splice fast path would be wrong).
+        # of the remaining set, so the next insert must re-sort the
+        # components of the removed entry's dependents too.
         repo = Repository()
         blocked = entry(BASE, output="/stored/low")
         blocked.stats.producing_job_time = 1.0

@@ -1051,6 +1051,47 @@ class TestReplay:
         assert [e.output_path for e in repo.scan()] == \
             [b.output_path, a.output_path]
 
+    def test_insert_after_reload_orders_tied_entries_like_live(self):
+        """The loader stages section entries before the segment records
+        of uncompacted shards, then re-pins each entry's recorded
+        tie-break sequence: a priority key cached at the staging insert
+        is stale by then. With every metric tied, only the sequence
+        orders the entries, so the full re-sort the next insert runs
+        must see the recorded sequences."""
+        def tied_entry(index):
+            load = POLoad(f"/data/d{index % 4}", None, 0)
+            chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
+            plan = PhysicalPlan([POStore(chain, f"/stored/t{index}")])
+            return RepositoryEntry(plan, f"/stored/t{index}",
+                                   EntryStats(1000, 10, 5.0))
+
+        dfs = DistributedFileSystem()
+        live = ShardedRepository(num_shards=4)
+        log = RepositoryLog(dfs).attach(live)
+        entries = [live.insert(tied_entry(index)) for index in range(8)]
+        live.remove(entries[1])
+        # Only the youngest entry's shard gets a section; the older
+        # entries of the other shards stay segment records.
+        log.compact(shards=[shard_label(live.shard_id_of(entries[-1]))])
+        reloaded = load_repository(dfs)
+        assert [e.output_path for e in reloaded.scan()] == \
+            [e.output_path for e in live.scan()]
+        live.insert(tied_entry(99))
+        reloaded.insert(tied_entry(99))
+        assert [e.output_path for e in reloaded.scan()] == \
+            [e.output_path for e in live.scan()]
+
+    def test_force_scan_order_rederives_keys_when_order_matches(self):
+        # The early return (recorded order == current order) must still
+        # pick up re-pinned sequences and mark the order for a full pass.
+        repo = Repository()
+        entries = [repo.insert(fabricated_entry(i)) for i in range(3)]
+        for entry, sequence in zip(entries, (7, 4, 9)):
+            entry._sequence = sequence
+        repo.force_scan_order(repo.scan())
+        assert [entry._scan_key[-1] for entry in entries] == [7, 4, 9]
+        assert repo._dirty is None
+
     def test_compaction_mid_stream(self):
         """Mutations → compaction → more mutations → reload: replay
         starts from the compacted sections, not the full history."""
