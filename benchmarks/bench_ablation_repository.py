@@ -1,4 +1,5 @@
-"""Ablations beyond the paper's figures (design choices in DESIGN.md):
+"""Ablations beyond the paper's figures (design choices in
+docs/ARCHITECTURE.md):
 
 * matcher cost as the repository grows (ReStore scans sequentially, so
   matching is linear in repository size — Section 5 motivates eviction

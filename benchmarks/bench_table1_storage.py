@@ -4,7 +4,7 @@ Paper: HA stores far less than NH and usually close to HC, except for
 wide-group queries (L6) where HA stores much more than HC. Note that in
 this reproduction NH is close to HA on most queries because our compiled
 plans are minimal (the paper's Pig plans contain implicit operators that
-NH also materializes) — see EXPERIMENTS.md.
+NH also materializes) — see README.md's benchmark–figure index.
 """
 
 import pytest

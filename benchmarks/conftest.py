@@ -1,4 +1,5 @@
-"""Shared benchmark fixtures: result recording for EXPERIMENTS.md."""
+"""Shared benchmark fixtures: result recording for the figures README.md
+indexes."""
 
 import json
 import os

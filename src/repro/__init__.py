@@ -17,8 +17,8 @@ Quick start::
     restore.submit(system.compile(query_one))   # executes + stores outputs
     restore.submit(system.compile(query_two))   # rewritten to reuse them
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured results.
+See README.md for the package map and the benchmark–figure index, and
+docs/ARCHITECTURE.md for the restore subsystem end to end.
 """
 
 from repro.api import PigSystem

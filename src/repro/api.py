@@ -17,7 +17,6 @@ from repro.common import LogicalClock
 from repro.data import encode_rows
 from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
-from repro.logical.optimizer import optimize as optimize_logical
 from repro.mapreduce import ClusterConfig, CostModel, CostModelConfig, WorkflowExecutor
 from repro.mrcompiler import compile_to_workflow
 from repro.physical import logical_to_physical
@@ -39,16 +38,11 @@ def _plan_digest(physical_plan):
 class PigSystem:
     """A simulated cluster: DFS + MapReduce engine + the Pig compiler."""
 
-    def __init__(self, dfs=None, cost_config=None, cluster=None, clock=None,
-                 optimize=False):
+    def __init__(self, dfs=None, cost_config=None, cluster=None, clock=None):
         self.clock = clock or LogicalClock()
         self.dfs = dfs or DistributedFileSystem(clock=self.clock)
         self.cluster = cluster or ClusterConfig()
         self.cost_model = CostModel(cost_config or CostModelConfig(), self.cluster)
-        #: apply the logical optimizer before physical translation. Keep
-        #: one setting per system: optimized and unoptimized plans have
-        #: different signatures, so mixing them halves reuse.
-        self.optimize = optimize
         self._names = itertools.count(1)
 
     # Data ------------------------------------------------------------------
@@ -68,12 +62,11 @@ class PigSystem:
         digest of the physical plan (including input dataset versions). A
         re-submitted query therefore writes its intermediates to the same
         locations, which is what lets ReStore's repository chain sub-job
-        entries of downstream jobs across runs (see DESIGN.md).
+        entries of downstream jobs across runs (see docs/ARCHITECTURE.md
+        §0, "The compile front end").
         """
         name = f"{name or 'wf'}-{next(self._names)}"
         logical = build_logical_plan(parse_query(query_text))
-        if self.optimize:
-            logical = optimize_logical(logical)
         versions = {}
         for load in logical.sources():
             if self.dfs.exists(load.path):
@@ -103,6 +96,5 @@ class PigSystem:
         clone.cluster = self.cluster
         clone.cost_model = CostModel(self.cost_model.config.with_scale(scale),
                                      self.cluster)
-        clone.optimize = self.optimize
         clone._names = self._names
         return clone

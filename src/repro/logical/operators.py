@@ -1,4 +1,10 @@
-"""Logical operators: schema-aware nodes that still carry AST expressions."""
+"""Logical operators: schema-aware nodes holding their compiled expressions.
+
+Each node compiles its expressions once, against its inputs' schemas, to
+type-check them and infer its own schema, and keeps what it compiled:
+physical translation passes those pieces straight to the physical
+operators.
+"""
 
 import itertools
 
@@ -6,11 +12,29 @@ from repro.common.errors import PlanError
 from repro.data.schema import Field, Schema
 from repro.data.types import DataType
 from repro.piglatin import ast
-from repro.piglatin.expressions import BOOLEAN, compile_expression, compile_predicate
+from repro.piglatin.expressions import (
+    BOOLEAN,
+    compile_expression,
+    compile_predicate,
+    ForEachItem,
+)
+from repro.piglatin.nested import compile_inner_pipeline
 
 _ids = itertools.count(1)
 
 GROUP_FIELD = "group"
+
+_NUMERIC = (DataType.INT, DataType.DOUBLE)
+
+
+def _check_key_types(statement, keys, other_keys):
+    """Paired shuffle keys must compare: equal types, or both numeric."""
+    for a, b in zip(keys, other_keys):
+        if not (a.dtype == b.dtype or (a.dtype in _NUMERIC and b.dtype in _NUMERIC)):
+            raise PlanError(
+                f"{statement} key type mismatch: {a.canonical}:{a.dtype} vs "
+                f"{b.canonical}:{b.dtype}"
+            )
 
 
 class LogicalOp:
@@ -22,11 +46,7 @@ class LogicalOp:
         self.op_id = next(_ids)
         self.inputs = list(inputs)
         self.alias = alias
-        self.schema = None  # set by _infer_schema in subclasses
-
-    @property
-    def input_schemas(self):
-        return [op.schema for op in self.inputs]
+        self.schema = None  # set by subclasses
 
     def describe(self):
         return f"{self.kind}({self.alias or ''})"
@@ -45,30 +65,33 @@ class LOLoad(LogicalOp):
 
 
 class LOForEach(LogicalOp):
-    """FOREACH ... GENERATE, optionally with a nested inner block."""
+    """FOREACH ... GENERATE, optionally with a nested inner block.
+
+    ``inner_ops`` are the compiled inner statements and ``items`` the
+    compiled GENERATE items (:class:`ForEachItem`).
+    """
 
     kind = "foreach"
 
     def __init__(self, input_op, items, alias=None, inner=()):
         super().__init__([input_op], alias)
-        self.items = tuple(items)
-        self.inner = tuple(inner)
-        self.schema = self._infer_schema()
-
-    def _infer_schema(self):
-        from repro.piglatin.nested import compile_inner_pipeline
-
-        input_schema = self.inputs[0].schema
-        if self.inner:
-            input_schema, _ = compile_inner_pipeline(input_schema, self.inner)
+        item_schema = input_op.schema
+        self.inner_ops = ()
+        if inner:
+            item_schema, self.inner_ops = compile_inner_pipeline(item_schema, inner)
+        self.items = []
         fields = []
         used_names = set()
-        for index, item in enumerate(self.items):
+        for index, item in enumerate(items):
             if item.flatten:
-                fields.extend(self._flatten_fields(item, input_schema))
+                positions = self._flatten_positions(item, item_schema)
+                self.items.append(ForEachItem(flatten_positions=positions))
+                for position in positions:
+                    field = item_schema.field_at(position)
+                    fields.append(field.renamed(field.short_name))
                 used_names.update(field.name for field in fields)
                 continue
-            compiled = compile_expression(item.expr, input_schema)
+            compiled = compile_expression(item.expr, item_schema)
             if compiled.dtype is DataType.BAG or compiled.is_bag_projection:
                 raise PlanError(
                     f"GENERATE item {index} produces a bag; wrap it in an "
@@ -76,24 +99,26 @@ class LOForEach(LogicalOp):
                 )
             if compiled.dtype is BOOLEAN:
                 raise PlanError(f"GENERATE item {index} is a bare boolean predicate")
+            self.items.append(ForEachItem(compiled=compiled, name=item.alias))
             name = item.alias or compiled.name_hint or f"f{index}"
             if name in used_names:
                 name = f"{name}_{index}"
             used_names.add(name)
             fields.append(Field(name, compiled.dtype))
-        return Schema(fields)
+        self.schema = Schema(fields)
 
-    def _flatten_fields(self, item, input_schema):
+    @staticmethod
+    def _flatten_positions(item, schema):
         if not isinstance(item.expr, ast.FieldRef) or item.expr.name != GROUP_FIELD:
             raise PlanError("only FLATTEN(group) is supported in this dialect")
-        group_fields = [
-            field
-            for field in input_schema.fields
+        positions = tuple(
+            position
+            for position, field in enumerate(schema.fields)
             if field.name == GROUP_FIELD or field.name.startswith(GROUP_FIELD + "::")
-        ]
-        if not group_fields:
+        )
+        if not positions:
             raise PlanError("FLATTEN(group) requires a grouped input")
-        return [field.renamed(field.short_name) for field in group_fields]
+        return positions
 
 
 class LOFilter(LogicalOp):
@@ -101,8 +126,7 @@ class LOFilter(LogicalOp):
 
     def __init__(self, input_op, condition, alias=None):
         super().__init__([input_op], alias)
-        self.condition = condition
-        compile_predicate(condition, input_op.schema)  # validate + type-check
+        self.predicate = compile_predicate(condition, input_op.schema)
         self.schema = input_op.schema
 
 
@@ -111,24 +135,25 @@ class LOJoin(LogicalOp):
 
     def __init__(self, left, right, left_keys, right_keys, alias=None, parallel=None):
         super().__init__([left, right], alias)
-        self.left_keys = tuple(left_keys)
-        self.right_keys = tuple(right_keys)
-        self.parallel = parallel
-        if len(self.left_keys) != len(self.right_keys):
+        if len(left_keys) != len(right_keys):
             raise PlanError("JOIN key lists must have equal length")
-        left_compiled = [compile_expression(key, left.schema) for key in self.left_keys]
-        right_compiled = [compile_expression(key, right.schema) for key in self.right_keys]
-        for a, b in zip(left_compiled, right_compiled):
-            numeric = (DataType.INT, DataType.DOUBLE)
-            compatible = a.dtype == b.dtype or (a.dtype in numeric and b.dtype in numeric)
-            if not compatible:
-                raise PlanError(
-                    f"join key type mismatch: {a.canonical}:{a.dtype} vs "
-                    f"{b.canonical}:{b.dtype}"
-                )
+        self.left_keys = [compile_expression(key, left.schema) for key in left_keys]
+        self.right_keys = [compile_expression(key, right.schema) for key in right_keys]
+        self.parallel = parallel
+        _check_key_types("join", self.left_keys, self.right_keys)
         self.schema = Schema.join(
             left.schema, right.schema, left.alias or "L", right.alias or "R"
         )
+
+
+def _key_fields(compiled_keys):
+    """The group-key fields of a GROUP or COGROUP output schema."""
+    if len(compiled_keys) == 1:
+        return [Field(GROUP_FIELD, compiled_keys[0].dtype)]
+    return [
+        Field(f"{GROUP_FIELD}::{key.name_hint or f'k{index}'}", key.dtype)
+        for index, key in enumerate(compiled_keys)
+    ]
 
 
 class LOGroup(LogicalOp):
@@ -138,27 +163,14 @@ class LOGroup(LogicalOp):
 
     def __init__(self, input_op, keys, alias=None, parallel=None):
         super().__init__([input_op], alias)
-        self.keys = None if keys is None else tuple(keys)
         self.parallel = parallel
-        self.schema = self._infer_schema()
-
-    @property
-    def is_group_all(self):
-        return self.keys is None
-
-    def _infer_schema(self):
-        input_op = self.inputs[0]
         bag_field = Field(input_op.alias or "bag", DataType.BAG, input_op.schema)
-        if self.is_group_all:
-            return Schema([Field(GROUP_FIELD, DataType.CHARARRAY), bag_field])
-        compiled = [compile_expression(key, input_op.schema) for key in self.keys]
-        if len(compiled) == 1:
-            return Schema([Field(GROUP_FIELD, compiled[0].dtype), bag_field])
-        key_fields = []
-        for index, key in enumerate(compiled):
-            name = key.name_hint or f"k{index}"
-            key_fields.append(Field(f"{GROUP_FIELD}::{name}", key.dtype))
-        return Schema(key_fields + [bag_field])
+        if keys is None:
+            self.keys = None
+            self.schema = Schema([Field(GROUP_FIELD, DataType.CHARARRAY), bag_field])
+        else:
+            self.keys = [compile_expression(key, input_op.schema) for key in keys]
+            self.schema = Schema(_key_fields(self.keys) + [bag_field])
 
 
 class LOCoGroup(LogicalOp):
@@ -168,24 +180,15 @@ class LOCoGroup(LogicalOp):
 
     def __init__(self, input_ops, key_lists, alias=None, parallel=None):
         super().__init__(list(input_ops), alias)
-        self.key_lists = tuple(tuple(keys) for keys in key_lists)
-        self.parallel = parallel
-        arity = {len(keys) for keys in self.key_lists}
-        if len(arity) != 1:
+        if len({len(keys) for keys in key_lists}) != 1:
             raise PlanError("COGROUP key lists must all have the same length")
-        self.schema = self._infer_schema()
-
-    def _infer_schema(self):
-        first_compiled = [
-            compile_expression(key, self.inputs[0].schema) for key in self.key_lists[0]
+        self.key_lists = [
+            [compile_expression(key, input_op.schema) for key in keys]
+            for input_op, keys in zip(self.inputs, key_lists)
         ]
-        if len(first_compiled) == 1:
-            key_fields = [Field(GROUP_FIELD, first_compiled[0].dtype)]
-        else:
-            key_fields = [
-                Field(f"{GROUP_FIELD}::{key.name_hint or f'k{index}'}", key.dtype)
-                for index, key in enumerate(first_compiled)
-            ]
+        self.parallel = parallel
+        for keys in self.key_lists[1:]:
+            _check_key_types("cogroup", self.key_lists[0], keys)
         bag_fields = []
         seen = set()
         for position, input_op in enumerate(self.inputs):
@@ -194,7 +197,7 @@ class LOCoGroup(LogicalOp):
                 name = f"{name}_{position}"
             seen.add(name)
             bag_fields.append(Field(name, DataType.BAG, input_op.schema))
-        return Schema(key_fields + bag_fields)
+        self.schema = Schema(_key_fields(self.key_lists[0]) + bag_fields)
 
 
 class LODistinct(LogicalOp):
@@ -227,18 +230,18 @@ class LOUnion(LogicalOp):
 
 
 class LOSort(LogicalOp):
-    """ORDER BY; ``keys`` are (expr_ast, direction) pairs."""
+    """ORDER BY; ``keys`` are (compiled expression, direction) pairs."""
 
     kind = "sort"
 
     def __init__(self, input_op, keys, alias=None, parallel=None):
         super().__init__([input_op], alias)
-        self.keys = tuple(keys)
-        self.parallel = parallel
-        for expr, direction in self.keys:
+        self.keys = []
+        for expr, direction in keys:
             if direction not in ("asc", "desc"):
                 raise PlanError(f"bad sort direction {direction!r}")
-            compile_expression(expr, input_op.schema)
+            self.keys.append((compile_expression(expr, input_op.schema), direction))
+        self.parallel = parallel
         self.schema = input_op.schema
 
 

@@ -19,10 +19,6 @@ class LogicalPlan:
     def sources(self):
         return [op for op in self.operators() if not op.inputs]
 
-    def consumers_of(self, target):
-        """Operators that read ``target``'s output."""
-        return [op for op in self.operators() if target in op.inputs]
-
     def describe(self):
         lines = []
         for op in self.operators():

@@ -11,8 +11,9 @@ the harness realizes the paper's 15 GB and 150 GB instances.
 
 The constants are Hadoop-0.20-era rates (sequential disk reads ~tens of
 MB/s per slot; replicated writes ~3x dearer than reads; multi-second task
-startup). They are deliberately NOT fitted per-query to the paper —
-EXPERIMENTS.md compares *shapes*, not absolute minutes.
+startup). They are deliberately NOT fitted per-query to the paper — the
+benchmarks in README.md's benchmark–figure index compare *shapes*, not
+absolute minutes.
 """
 
 import math

@@ -103,30 +103,13 @@ class POStore(PhysOp):
         return self._carry(POStore(input_op, self.path, self.alias, self.temporary))
 
 
-class ForEachItem:
-    """One GENERATE output: either a scalar expression or FLATTEN(group)."""
-
-    __slots__ = ("compiled", "flatten_positions", "name")
-
-    def __init__(self, compiled=None, flatten_positions=None, name=None):
-        if (compiled is None) == (flatten_positions is None):
-            raise PlanError("a ForEachItem is an expression XOR a flatten")
-        self.compiled = compiled
-        self.flatten_positions = flatten_positions
-        self.name = name
-
-    def canonical(self):
-        if self.compiled is not None:
-            return self.compiled.canonical
-        positions = ",".join(f"${pos}" for pos in self.flatten_positions)
-        return f"flatten({positions})"
-
-
 class POForEach(PhysOp):
     """Per-row projection/transformation (Pig's FOREACH ... GENERATE).
 
-    ``inner_ops`` (from a nested FOREACH block) extend each row with
-    virtual bag fields before the GENERATE items are evaluated.
+    ``items`` are the compiled GENERATE items
+    (:class:`~repro.piglatin.expressions.ForEachItem`); ``inner_ops``
+    (from a nested FOREACH block) extend each row with virtual bag fields
+    before the GENERATE items are evaluated.
     """
 
     kind = "foreach"

@@ -1,19 +1,16 @@
 """Translate a logical plan into a physical plan (1:1 operator mapping).
 
-Pig's MapReduce compiler first produces a physical plan from the optimized
-logical plan, then embeds the physical operators into MapReduce jobs (paper
-Section 6.1). Expression ASTs are compiled against input schemas here; the
-MR compiler only has to group operators into map/reduce stages.
+Pig's MapReduce compiler first produces a physical plan from the logical
+plan, then embeds the physical operators into MapReduce jobs (paper
+Section 6.1). The logical operators already hold their compiled
+expressions, so translation is one constructor call per operator; the MR
+compiler only has to group operators into map/reduce stages.
 """
 
 from repro.common.errors import PlanError
 from repro.logical import operators as lo
-from repro.logical.operators import GROUP_FIELD
 from repro.physical import operators as po
 from repro.physical.plan import PhysicalPlan
-from repro.piglatin import ast
-from repro.piglatin.expressions import compile_expression, compile_predicate
-from repro.piglatin.nested import compile_inner_pipeline
 
 
 def logical_to_physical(logical_plan, dataset_versions=None):
@@ -24,13 +21,9 @@ def logical_to_physical(logical_plan, dataset_versions=None):
     """
     versions = dataset_versions or {}
     mapping = {}
-
-    def translated(logical_op):
-        return mapping[id(logical_op)]
-
     sinks = []
     for op in logical_plan.operators():
-        inputs = [translated(parent) for parent in op.inputs]
+        inputs = [mapping[id(parent)] for parent in op.inputs]
         physical = _translate_one(op, inputs, versions)
         mapping[id(op)] = physical
         if isinstance(physical, po.POStore):
@@ -42,83 +35,30 @@ def logical_to_physical(logical_plan, dataset_versions=None):
 
 def _translate_one(op, inputs, versions):
     if isinstance(op, lo.LOLoad):
-        version = versions.get(op.path, 0)
-        return po.POLoad(op.path, op.schema, version, alias=op.alias)
+        return po.POLoad(op.path, op.schema, versions.get(op.path, 0), alias=op.alias)
     if isinstance(op, lo.LOForEach):
-        (input_op,) = inputs
-        item_schema = input_op.schema
-        inner_ops = ()
-        if op.inner:
-            item_schema, inner_ops = compile_inner_pipeline(input_op.schema,
-                                                            op.inner)
-        items = _compile_items(op, item_schema)
-        return po.POForEach(input_op, items, op.schema, alias=op.alias,
-                            inner_ops=inner_ops)
+        return po.POForEach(inputs[0], op.items, op.schema, alias=op.alias,
+                            inner_ops=op.inner_ops)
     if isinstance(op, lo.LOFilter):
-        (input_op,) = inputs
-        predicate = compile_predicate(op.condition, input_op.schema)
-        return po.POFilter(input_op, predicate, alias=op.alias)
+        return po.POFilter(inputs[0], op.predicate, alias=op.alias)
     if isinstance(op, lo.LOJoin):
-        left, right = inputs
-        left_keys = [compile_expression(key, left.schema) for key in op.left_keys]
-        right_keys = [compile_expression(key, right.schema) for key in op.right_keys]
-        return po.POJoin(left, right, left_keys, right_keys, op.schema,
+        return po.POJoin(inputs[0], inputs[1], op.left_keys, op.right_keys, op.schema,
                          alias=op.alias, parallel=op.parallel)
     if isinstance(op, lo.LOGroup):
-        (input_op,) = inputs
-        keys = None
-        if not op.is_group_all:
-            keys = [compile_expression(key, input_op.schema) for key in op.keys]
-        return po.POGroup(input_op, keys, op.schema, alias=op.alias,
+        return po.POGroup(inputs[0], op.keys, op.schema, alias=op.alias,
                           parallel=op.parallel)
     if isinstance(op, lo.LOCoGroup):
-        key_lists = [
-            [compile_expression(key, input_op.schema) for key in keys]
-            for input_op, keys in zip(inputs, op.key_lists)
-        ]
-        return po.POCoGroup(inputs, key_lists, op.schema, alias=op.alias,
+        return po.POCoGroup(inputs, op.key_lists, op.schema, alias=op.alias,
                             parallel=op.parallel)
     if isinstance(op, lo.LODistinct):
-        (input_op,) = inputs
-        return po.PODistinct(input_op, alias=op.alias, parallel=op.parallel)
+        return po.PODistinct(inputs[0], alias=op.alias, parallel=op.parallel)
     if isinstance(op, lo.LOUnion):
         return po.POUnion(inputs, op.schema, alias=op.alias)
     if isinstance(op, lo.LOSort):
-        (input_op,) = inputs
-        keys = [
-            (compile_expression(expr, input_op.schema), direction)
-            for expr, direction in op.keys
-        ]
-        return po.POSort(input_op, keys, op.schema, alias=op.alias,
+        return po.POSort(inputs[0], op.keys, op.schema, alias=op.alias,
                          parallel=op.parallel)
     if isinstance(op, lo.LOLimit):
-        (input_op,) = inputs
-        return po.POLimit(input_op, op.count, alias=op.alias)
+        return po.POLimit(inputs[0], op.count, alias=op.alias)
     if isinstance(op, lo.LOStore):
-        (input_op,) = inputs
-        return po.POStore(input_op, op.path, alias=op.alias)
+        return po.POStore(inputs[0], op.path, alias=op.alias)
     raise PlanError(f"cannot translate logical operator {op!r}")
-
-
-def _compile_items(foreach_op, input_schema):
-    items = []
-    for gen_item in foreach_op.items:
-        if gen_item.flatten:
-            if (
-                not isinstance(gen_item.expr, ast.FieldRef)
-                or gen_item.expr.name != GROUP_FIELD
-            ):
-                raise PlanError("only FLATTEN(group) is supported")
-            positions = [
-                position
-                for position, field in enumerate(input_schema.fields)
-                if field.name == GROUP_FIELD
-                or field.name.startswith(GROUP_FIELD + "::")
-            ]
-            if not positions:
-                raise PlanError("FLATTEN(group) requires a grouped input")
-            items.append(po.ForEachItem(flatten_positions=tuple(positions)))
-        else:
-            compiled = compile_expression(gen_item.expr, input_schema)
-            items.append(po.ForEachItem(compiled=compiled, name=gen_item.alias))
-    return items

@@ -3,7 +3,8 @@
 Aggregate semantics follow Pig: nulls are skipped; SUM/MIN/MAX of an empty
 or all-null input is null; COUNT counts rows. COUNT_DISTINCT is this
 dialect's flat replacement for PigMix's nested ``distinct`` inside FOREACH
-(see DESIGN.md, per-query notes).
+(the nested form is supported too: see README.md's package map and
+:mod:`repro.piglatin.nested`).
 """
 
 from repro.common.errors import DataError

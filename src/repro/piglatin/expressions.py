@@ -15,7 +15,7 @@ Null semantics follow Pig: comparisons and arithmetic involving null yield
 null; FILTER keeps a row only when the predicate is true (null is not true).
 """
 
-from repro.common.errors import DataError
+from repro.common.errors import DataError, PlanError
 from repro.data.schema import Field, Schema
 from repro.data.types import coerce_value, DataType, infer_type, numeric_result_type
 from repro.piglatin import ast
@@ -49,6 +49,25 @@ class CompiledExpr:
 
     def __repr__(self):
         return f"CompiledExpr({self.canonical})"
+
+
+class ForEachItem:
+    """One GENERATE output: either a scalar expression or FLATTEN(group)."""
+
+    __slots__ = ("compiled", "flatten_positions", "name")
+
+    def __init__(self, compiled=None, flatten_positions=None, name=None):
+        if (compiled is None) == (flatten_positions is None):
+            raise PlanError("a ForEachItem is an expression XOR a flatten")
+        self.compiled = compiled
+        self.flatten_positions = flatten_positions
+        self.name = name
+
+    def canonical(self):
+        if self.compiled is not None:
+            return self.compiled.canonical
+        positions = ",".join(f"${pos}" for pos in self.flatten_positions)
+        return f"flatten({positions})"
 
 
 def compile_expression(node, schema):

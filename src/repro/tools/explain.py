@@ -13,24 +13,21 @@ or from a shell::
 import sys
 
 from repro.logical import build_logical_plan
-from repro.logical.optimizer import optimize as optimize_logical
 from repro.mrcompiler import compile_to_workflow
 from repro.physical import logical_to_physical
 from repro.piglatin import parse_query
 
 
-def explain(query_text, optimize=False, dataset_versions=None):
+def explain(query_text, dataset_versions=None):
     """Render the logical plan, physical plan, and MapReduce workflow."""
     logical = build_logical_plan(parse_query(query_text))
-    sections = ["-- logical plan " + "-" * 40, logical.describe()]
-    if optimize:
-        logical = optimize_logical(logical)
-        sections += ["-- optimized logical plan " + "-" * 30, logical.describe()]
     physical = logical_to_physical(logical, dataset_versions or {})
-    sections += ["-- physical plan " + "-" * 39, physical.describe()]
     workflow = compile_to_workflow(physical, "explain")
-    sections += ["-- mapreduce workflow " + "-" * 34, workflow.describe()]
-    return "\n".join(sections)
+    return "\n".join([
+        "-- logical plan " + "-" * 40, logical.describe(),
+        "-- physical plan " + "-" * 39, physical.describe(),
+        "-- mapreduce workflow " + "-" * 34, workflow.describe(),
+    ])
 
 
 def main(argv=None):

@@ -89,16 +89,6 @@ class TestExplain:
         assert "-- mapreduce workflow" in text
         assert "FILTER[>($0,1)]" in text
 
-    def test_optimized_section(self):
-        query = (
-            "A = load '/data/t' as (x:int, y:chararray);"
-            "B = foreach A generate x;"
-            "C = filter B by x > 1;"
-            "store C into '/out/r';"
-        )
-        text = explain(query, optimize=True)
-        assert "-- optimized logical plan" in text
-
     def test_multi_job_workflow_shown(self):
         query = (
             "A = load '/data/t' as (x:int, y:chararray);"

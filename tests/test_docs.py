@@ -1,13 +1,15 @@
-"""Docs hygiene: intra-repo links resolve and the examples compile.
+"""Docs hygiene: intra-repo links resolve, the ``*.md`` files code names
+exist, and the examples compile.
 
-The CI ``docs`` job runs the same checks standalone
-(``python -m repro.tools.doccheck`` + ``compileall``); running them in
-tier-1 too means a broken README link fails locally before it reaches
-CI.
+The CI ``docs`` job runs the link check standalone
+(``python -m repro.tools.doccheck``) and runs every example; running the
+checks in tier-1 too means a broken README link fails locally before it
+reaches CI.
 """
 
 import os
 import py_compile
+import re
 
 from repro.tools.doccheck import (check_file, find_orphans,
                                   iter_markdown_files, link_targets, main)
@@ -15,6 +17,9 @@ from repro.tools.doccheck import (check_file, find_orphans,
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DOC_TARGETS = ["README.md", "docs", "ROADMAP.md", "CHANGES.md"]
+
+#: a ``*.md`` file name, possibly with a directory part, as code cites it
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def _repo_path(*parts):
@@ -93,6 +98,28 @@ class TestRepoDocs:
                       "process-entrypoint", "baseline", "--fail-on-new",
                       "justification", "limitations"):
             assert topic in text.lower(), topic
+
+
+    def test_md_names_in_code_resolve(self):
+        """Every ``*.md`` name in a ``.py`` file under src/, benchmarks/ or
+        examples/ is a file relative to that file's directory, the repo
+        root or docs/."""
+        dangling = []
+        for top in ("src", "benchmarks", "examples"):
+            for directory, _, names in os.walk(_repo_path(top)):
+                bases = (directory, REPO_ROOT, _repo_path("docs"))
+                for name in sorted(names):
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(directory, name)
+                    with open(path, encoding="utf-8") as handle:
+                        for number, line in enumerate(handle, 1):
+                            dangling.extend(
+                                (os.path.relpath(path, REPO_ROOT), number, target)
+                                for target in MD_NAME.findall(line)
+                                if not any(os.path.isfile(os.path.join(base, target))
+                                           for base in bases))
+        assert dangling == []
 
 
 class TestDoccheckTool:

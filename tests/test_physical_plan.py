@@ -1,7 +1,10 @@
 """Unit tests for physical operators and plan surgery/cloning."""
 
+import sys
+
 import pytest
 
+from repro import PigSystem
 from repro.common.errors import PlanError
 from repro.data import DataType, Field, Schema
 from repro.logical import build_logical_plan
@@ -12,9 +15,10 @@ from repro.physical.operators import (
     POSplit,
     POStore,
 )
-from repro.piglatin import parse_query
+from repro.piglatin import expressions, nested, parse_query
 
-from tests.helpers import Q1_TEXT, Q2_TEXT
+from tests.helpers import load_querygen, Q1_TEXT, Q2_TEXT
+from tests.test_nested_foreach import L4_STYLE
 
 
 def physical(text):
@@ -192,3 +196,86 @@ class _TruePredicate:
     @staticmethod
     def fn(row):
         return True
+
+
+class TestKeyTypeChecks:
+    """JOIN and COGROUP key lists go through one type check: paired keys
+    must have equal types, or both be numeric."""
+
+    LOADS = ("A = load '/data/a' as (k:int, v:int);"
+             "B = load '/data/b' as (k:chararray, w:int);")
+
+    def test_join_key_type_mismatch(self):
+        with pytest.raises(PlanError, match="join key type mismatch"):
+            physical(self.LOADS + "C = join A by k, B by k;"
+                     "store C into '/out/c';")
+
+    def test_cogroup_key_type_mismatch_names_both_types(self):
+        with pytest.raises(PlanError, match="cogroup key type mismatch") as info:
+            physical(self.LOADS + "C = cogroup A by k, B by k;"
+                     "store C into '/out/c';")
+        message = str(info.value)
+        assert "INT" in message and "CHARARRAY" in message
+
+    def test_cogroup_checks_every_input_against_the_first(self):
+        with pytest.raises(PlanError, match="cogroup key type mismatch"):
+            physical(self.LOADS + "C = cogroup A by k, A by v, B by k;"
+                     "store C into '/out/c';")
+
+    def test_cogroup_accepts_int_against_double(self):
+        plan = physical(
+            "A = load '/data/a' as (k:int);"
+            "B = load '/data/b' as (k:double);"
+            "C = cogroup A by k, B by k;"
+            "store C into '/out/c';")
+        assert "COGROUP[$0|$0]" in [op.signature() for op in plan.operators()]
+
+
+class TestCompileOnce:
+    """Every expression, predicate and nested block is compiled once per
+    ``PigSystem.compile``: the logical operators keep what they compile
+    to infer their schemas, and translation passes it through."""
+
+    COUNTED = ("compile_expression", "compile_predicate",
+               "compile_inner_pipeline")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Top-level calls of the three compilers from anywhere in
+        ``repro``; calls they make to each other are not counted."""
+        originals = {"compile_expression": expressions.compile_expression,
+                     "compile_predicate": expressions.compile_predicate,
+                     "compile_inner_pipeline": nested.compile_inner_pipeline}
+        counts = dict.fromkeys(self.COUNTED, 0)
+        depth = [0]
+
+        def counting(name, fn):
+            def counted(*args):
+                if not depth[0]:
+                    counts[name] += 1
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return counted
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for name, fn in originals.items():
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counting(name, fn))
+        return counts
+
+    def test_querygen_pool(self, counts):
+        system = PigSystem()
+        for query in load_querygen().querygen(7, 200):
+            system.compile(query.text)
+        assert counts == {"compile_expression": 1280, "compile_predicate": 233,
+                          "compile_inner_pipeline": 0}
+
+    def test_nested_foreach(self, counts):
+        PigSystem().compile(L4_STYLE)
+        # B's two items, C's key, D's two items; D's one inner block
+        assert counts == {"compile_expression": 5, "compile_predicate": 0,
+                          "compile_inner_pipeline": 1}

@@ -16,6 +16,8 @@ from repro.pigmix import (
 )
 from repro.restore import plan_fingerprint
 from tests.helpers import load_querygen
+from tests.test_nested_foreach import L4_STYLE, L7_STYLE
+from tests.test_split_statement import SPLIT_QUERY
 
 
 def tiny_config():
@@ -318,11 +320,24 @@ def _job_fingerprints(workflow):
     return ",".join(plan_fingerprint(job.plan) for job in workflow.jobs)
 
 
+def _operator_digest(workflow):
+    """SHA-1 over every job operator's signature, schema, alias and path
+    (Load and Store paths, temp paths included), in workflow order."""
+    records = [
+        f"{op.signature()}|{op.schema.canonical()}|{op.alias}|"
+        f"{getattr(op, 'path', '')}"
+        for job in workflow.jobs for op in job.plan.operators()
+    ]
+    return hashlib.sha1("\n".join(records).encode()).hexdigest()
+
+
 class TestGoldenFingerprints:
     """``plan_fingerprint`` of every compiled job, taken before the
-    tokenizer, the parser and the plan walks were rewritten. Fingerprints
-    are written into the durable repository files, so the same text must
-    compile to the same plans on the same data."""
+    tokenizer, the parser and the plan walks were rewritten, and operator
+    digests taken before the logical optimizer went and translation
+    stopped recompiling expressions. Fingerprints and schemas are written
+    into the durable repository files, so the same text must compile to
+    the same plans on the same data."""
 
     #: query -> SHA-1 of its jobs' fingerprints, in workflow order
     PIGMIX = {
@@ -345,6 +360,35 @@ class TestGoldenFingerprints:
     #: SHA-1 of the fingerprints of every job of ``querygen(7, 50)``
     #: (90 jobs), in pool and workflow order
     QUERYGEN_50 = "0581706951092f63cc5ad89c98db08ebdcfa90d1"
+    #: query -> :func:`_operator_digest` of its workflow. Signatures alone
+    #: miss schemas and aliases, which persistence writes too.
+    PIGMIX_OPERATORS = {
+        "L11": "39a4cd5fec227c2d85217e52147ecc8e04e36995",
+        "L11a": "5297c549a197f7218a4da4debe9effffd041f881",
+        "L11b": "8029432223a12ba4133b37a04132f9ff5eaeb887",
+        "L11c": "8254ff3ea0b173d88fae27980719834c6bc35d55",
+        "L11d": "c841108be63ae29486cdb08cf9636ee9101a7a19",
+        "L2": "f9323fb2c2855faca3d1d66c237334b95dd14280",
+        "L3": "a9f4cd4ba2d06af5563cd7f5cfdc2977a2e0b603",
+        "L3a": "e20b85575a3d8838036c11447644594ede58f7bb",
+        "L3b": "a05e4a2301cc084bacc8a3759e5560595bd15210",
+        "L3c": "33ede3d27812c235c9d7a029e7e6514b5473ec0a",
+        "L4": "8b48babebf73d67a7cba0a3813b5b1ef16e011ca",
+        "L5": "cec876f5572a6638092e68ab89eb7e0ed22cbfbd",
+        "L6": "9103c22b4a4d29d28df29aca9ce7fbd5cd544f05",
+        "L7": "f2988fa0c442e82d9736bce7c369ccacd8d0ad8b",
+        "L8": "659a10c8efa3dd8da392fbbdf04d7823911224ca",
+    }
+    #: script -> :func:`_operator_digest` (SPLIT has two Stores per job,
+    #: so it has no plan fingerprint)
+    SCRIPT_OPERATORS = {
+        "split": "086f2409c35fa4f592c4ea7970b37112de87a323",
+        "l4_style": "8bcbbb450e58e5000c91cd160b68cc4467e751da",
+        "l7_style": "95b6edc67bd37c9d3b0f1c91830f28e280db0b9a",
+    }
+    #: SHA-1 of the :func:`_operator_digest` of every ``querygen(7, 50)``
+    #: workflow, in pool order
+    QUERYGEN_50_OPERATORS = "558254a35b0ed19b251d952a39499c30a521368a"
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -364,3 +408,21 @@ class TestGoldenFingerprints:
                           for query in pool)
         assert joined.count(",") + 1 == 90
         assert hashlib.sha1(joined.encode()).hexdigest() == self.QUERYGEN_50
+
+    def test_pigmix_operators(self, system):
+        got = {name: _operator_digest(system.compile(query_text(name), name))
+               for name in GOLDEN_QUERIES}
+        assert got == self.PIGMIX_OPERATORS
+
+    def test_split_and_nested_scripts(self, system):
+        scripts = {"split": SPLIT_QUERY, "l4_style": L4_STYLE,
+                   "l7_style": L7_STYLE}
+        got = {name: _operator_digest(system.compile(text, name))
+               for name, text in scripts.items()}
+        assert got == self.SCRIPT_OPERATORS
+
+    def test_querygen_operators(self, system):
+        pool = load_querygen().querygen(7, 50)
+        joined = ",".join(_operator_digest(system.compile(query.text, "q"))
+                          for query in pool)
+        assert hashlib.sha1(joined.encode()).hexdigest() == self.QUERYGEN_50_OPERATORS
