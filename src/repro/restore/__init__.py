@@ -18,26 +18,27 @@ The matching pipeline and its cost
 ----------------------------------
 
 The paper's matcher is a *sequential scan* of the repository in priority
-order, and the seed reproduced it literally. With n entries, L loads per
-plan, and C the cost of one containment test:
+order, and the seed reproduced it literally. With n entries, m the
+entries a fingerprint lookup offers, and C the cost of one containment
+test:
 
 =====================  =====================  ==========================
-operation              seed (linear scan)     indexed (PR 1)
+operation              seed (linear scan)     indexed
 =====================  =====================  ==========================
 ``find_equivalent``    O(n·C) full scan       O(C) fingerprint bucket
-``insert``             O(n²) cached subsume   O(k·C + n) — k candidates
-                       checks + Kahn rerun    from the load index; Kahn
-                                              over the touched components
-                                              only, merged into the rest
-matcher pass           O(n·C)                 O(k·C): only entries whose
-                                              loads ⊆ the job's loads
+``insert``             O(n²) cached subsume   O(m·C + n); Kahn over the
+                       checks + Kahn rerun    touched components only,
+                                              merged into the rest
+matcher pass           O(n·C)                 O(m·C): only entries that
+                                              can be contained
 ``remove``             O(n), leaks the        O(n): prunes the edges
                        subsumption cache      and indexes
 =====================  =====================  ==========================
 
 C is a lookup of the entry's frontier fingerprint in a digest of the
-other plan, confirmed exactly on a hit (:mod:`repro.restore.matcher`); the
-leaf-load inverted index lives in :mod:`repro.restore.index`. The contract
+other plan, confirmed exactly on a hit (:mod:`repro.restore.matcher`);
+the repository runs it the other way round, from a plan's sites to the
+entries filed under them. The contract
 is that indexing changes *nothing* observable: ``scan()`` yields the exact
 order the seed's reorder produced and every match/rewrite/registration
 decision is bit-identical. The seed implementation is frozen as
@@ -51,8 +52,8 @@ Sharding (PR 2) extends the same contract to a *partitioned* store:
 N shards by leaf-load key, keeps the canonical-fingerprint dict as the
 global cross-shard dedup channel, fans ``match_candidates`` out only to
 the shards owning a job's load keys, and merges per-shard candidates
-back into the paper's priority order — identical decisions, probe cost
-proportional to the owning shards instead of the whole repository.
+back into the paper's priority order, keeping those filed under one of
+the job's sites — exactly the unsharded candidate sequence.
 
 Ranking (PR 3) makes the *order* of that merged candidate walk pluggable
 (:mod:`repro.restore.ranking`): the default

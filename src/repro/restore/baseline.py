@@ -45,8 +45,10 @@ class LinearScanRepository:
         """Entries in the order the matcher must try them."""
         return list(self._entries)
 
-    def match_candidates(self, plan):
-        """The seed had no index: every entry is a candidate."""
+    def match_candidates(self, plan, digest=None):
+        """The seed had no index: every entry is a candidate. ``digest``
+        (the plan's, from a manager that looks candidates up by it) is
+        accepted and ignored."""
         return self.scan()
 
     def entry(self, entry_id):

@@ -4,8 +4,8 @@ The paper's repository matcher is a *sequential scan* in priority order
 (Section 3): every ``find_equivalent`` walks all entries with a full
 mutual-containment check, and every insert re-derives the subsumption
 partial order with O(n^2) containment tests. That is faithful — and it is
-exactly the overhead Figs. 11/14 measure. Two structures remove the
-linear factors without changing a single matching decision:
+exactly the overhead Figs. 11/14 measure. Two keys remove the linear
+factors without changing a single matching decision:
 
 * **plan fingerprints** — a canonical structural hash over operator
   signatures and DAG edges. The hash and the per-plan
@@ -13,66 +13,41 @@ linear factors without changing a single matching decision:
   :mod:`repro.restore.matcher`, next to the equivalence test they
   mirror; :func:`plan_fingerprint` here is the digest's fingerprint of a
   plan's match frontier. Two mutually-contained single-Store plans always
-  hash identically, so the fingerprint never produces a false negative
-  and turns ``find_equivalent`` into a dict lookup plus an exact
-  confirmation of the (tiny) bucket.
+  hash identically, so the fingerprint never produces a false negative.
+  The repository files its entries under it, which makes
+  ``find_equivalent`` a dict lookup plus an exact confirmation of the
+  (tiny) bucket, and makes every containment search — the matcher's
+  probe and both directions of subsumption discovery on insert — a
+  lookup keyed by the digest's site fingerprints.
 
 * **leaf-load keys** (:func:`leaf_loads`, :class:`LoadIndex`) — the
-  frozenset of ``(path, version)`` pairs a plan reads. Containment maps
-  every repository Load onto an input-plan Load with an identical
-  signature (``LOAD[path@vN]``), so an entry can only match a job whose
-  load set is a superset of the entry's. An inverted index over these
-  keys lets the matcher try only plausible entries instead of scanning
-  everything.
+  frozenset of ``(path, version)`` pairs a plan reads, recorded by the
+  digest's walk. Containment maps every repository Load onto an
+  input-plan Load with an identical signature (``LOAD[path@vN]``), so an
+  entry can only match a job whose load set is a superset of the
+  entry's. Sharding places entries by these keys, and each shard (or
+  shard worker) filters its slice with an inverted index over them.
 
 Both accept skeleton plans reloaded from persistence: a skeleton Load
 carries no ``path``/``version`` attributes, but its canonical signature
 embeds them and :func:`parse_load_signature` recovers the pair.
 """
 
-from repro.restore.matcher import PlanDigest
-
-
-def parse_load_signature(signature):
-    """Recover ``(path, version)`` from a canonical Load signature.
-
-    Load signatures are ``LOAD[{path}@v{version}]`` with an integer
-    version (``POLoad.signature``). Returns None when ``signature`` does
-    not have that shape (a foreign skeleton operator, say).
-    """
-    if not (signature.startswith("LOAD[") and signature.endswith("]")):
-        return None
-    body = signature[len("LOAD["):-1]
-    path, sep, version = body.rpartition("@v")
-    if not sep:
-        return None
-    try:
-        return path, int(version)
-    except ValueError:
-        return None
+# parse_load_signature stays importable from here, beside the keys it
+# recovers.
+from repro.restore.matcher import parse_load_signature, PlanDigest
 
 
 def leaf_loads(plan):
-    """The frozenset of ``(path, version)`` pairs ``plan`` reads.
+    """The frozenset of ``(path, version)`` pairs ``plan`` reads
+    (:attr:`PlanDigest.loads <repro.restore.matcher.PlanDigest>`).
 
     Returns None when any leaf Load cannot be keyed (no path/version
     attributes and an unparseable signature) — callers must then treat
     the plan as matchable against anything, which preserves correctness
     at the cost of indexing that one entry.
     """
-    keys = set()
-    for op in plan.operators():
-        if op.kind != "load":
-            continue
-        path = getattr(op, "path", None)
-        version = getattr(op, "version", None)
-        if path is None or version is None:
-            parsed = parse_load_signature(op.signature())
-            if parsed is None:
-                return None
-            path, version = parsed
-        keys.add((path, version))
-    return frozenset(keys)
+    return PlanDigest(plan).loads
 
 
 def plan_fingerprint(plan):
@@ -83,17 +58,14 @@ def plan_fingerprint(plan):
     return PlanDigest(plan).fingerprint
 
 
-#: sentinel distinguishing "caller did not pass keys" from None (unkeyable)
-_UNKEYED = object()
-
-
 class LoadIndex:
     """Inverted index from leaf-load keys to entry ids.
 
     ``candidate_ids(job_loads)`` answers "which entries could possibly be
     contained in a plan reading exactly these datasets" — entries whose
     load set is a subset of ``job_loads``, plus any entry whose loads
-    could not be keyed (conservatively always a candidate).
+    could not be keyed (conservatively always a candidate). Shards and
+    shard workers filter their slices with it.
     """
 
     def __init__(self):
@@ -101,9 +73,8 @@ class LoadIndex:
         self._loads = {}       # entry id -> frozenset of keys, or None
         self._unindexed = set()  # ids with unknown (or empty) load sets
 
-    def add(self, entry, keys=_UNKEYED):
-        if keys is _UNKEYED:
-            keys = leaf_loads(entry.plan)
+    def add(self, entry):
+        keys = entry.digest.loads
         self._loads[entry.entry_id] = keys
         if not keys:  # None (unparseable) or empty: always a candidate
             self._unindexed.add(entry.entry_id)
@@ -121,9 +92,6 @@ class LoadIndex:
                 if not postings:
                     del self._postings[key]
 
-    def loads_of(self, entry_id):
-        return self._loads.get(entry_id)
-
     def candidate_ids(self, job_loads):
         """Ids of entries whose load set is a subset of ``job_loads``.
 
@@ -139,23 +107,6 @@ class LoadIndex:
             entry_id for entry_id in touched
             if self._loads[entry_id] is None or self._loads[entry_id] <= job_loads
         }
-
-    def superset_ids(self, entry_loads):
-        """Ids of entries whose load set is a superset of ``entry_loads``.
-
-        These are the only existing entries whose plans could contain a
-        new plan reading ``entry_loads`` (used for subsumption-edge
-        discovery on insert). Unkeyable entries are always included.
-        """
-        if not entry_loads:
-            return set(self._loads)
-        iterator = iter(entry_loads)
-        result = set(self._postings.get(next(iterator), _EMPTY))
-        for key in iterator:
-            if not result:
-                break
-            result &= self._postings.get(key, _EMPTY)
-        return result | self._unindexed
 
 
 _EMPTY = frozenset()

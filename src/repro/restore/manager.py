@@ -49,9 +49,9 @@ class ReStoreReport:
     Besides the decision lists (rewrites, eliminations, registrations,
     evictions), the report carries :class:`~repro.restore.stats.MatchCounters`
     explaining why candidate entries offered by ``match_candidates`` were
-    *not* used — a candidate can survive the load-index / shard-merge
-    filter and still be skipped because its stored file is gone from the
-    DFS or because the exact containment test (paper Section 3) fails.
+    *not* used — a candidate can be skipped because its stored file is
+    gone from the DFS or because the exact containment test (paper
+    Section 3) fails.
     """
 
     def __init__(self, workflow_name, ranker_name="structural"):
@@ -336,22 +336,15 @@ class ReStore(JobControl):
         """Scan the repository; rewrite on the first match; rescan until
         no plan matches (paper Section 3).
 
-        Each pass asks the repository for its match candidates — entries
-        the leaf-load index (and, for a sharded repository, the shard
-        fan-out merge) cannot rule out, in scan order. Skipped entries
-        provably cannot match (a containment maps every entry Load onto
-        an identically-versioned job Load), so the first candidate that
-        matches is exactly the entry the seed's full sequential scan
-        would have chosen. The candidates are recomputed every pass
-        because a rewrite changes the job's load set, and so is the
-        job's :class:`~repro.restore.matcher.PlanDigest`: one walk of
-        the job plan per pass, however many candidates it is tried on.
-
-        Every candidate the filter let through is accounted for in the
-        report's :class:`~repro.restore.stats.MatchCounters`: matched,
-        skipped because its stored output no longer exists, or skipped
-        because the exact containment test rejected it after the
-        candidate merge.
+        Each pass builds the job's
+        :class:`~repro.restore.matcher.PlanDigest` — one walk of the job
+        plan — and asks the repository for the entries filed under its
+        site fingerprints, in the ranker's try order. Skipped entries
+        provably cannot match, so the first candidate that matches is
+        exactly the entry the seed's full sequential scan would have
+        chosen. A rewrite changes the job plan, so every pass starts
+        anew. Every candidate offered is accounted for in the report's
+        :class:`~repro.restore.stats.MatchCounters`.
         """
         counters = self.last_report.match_counters
         record_hit = getattr(self.repository, "record_match_hit", None)
@@ -360,6 +353,10 @@ class ReStore(JobControl):
         # survive a restart); the frozen seed baseline has no channel and
         # gets the direct stamp.
         record_use = getattr(self.repository, "record_use", None)
+        # The structural default passes no ranker: the frozen seed
+        # baseline, which the lock-step property suite drives through
+        # this manager, accepts none (and ignores the digest).
+        ranked = {} if self.ranker.is_structural else {"ranker": self.ranker}
         # The ingest lock keeps the whole match pass atomic against the
         # async registrar's batches: a probe never sees a half-applied
         # batch, and use-stamps/worker-pool traffic stays serialized
@@ -368,9 +365,9 @@ class ReStore(JobControl):
             progressed = True
             while progressed:
                 progressed = False
-                candidates = self._match_candidates(job)
-                job_digest = PlanDigest(job.plan) if candidates else None
-                for entry in candidates:
+                job_digest = PlanDigest(job.plan)
+                for entry in self.repository.match_candidates(
+                        job.plan, digest=job_digest, **ranked):
                     counters.candidates_tried += 1
                     if not self.dfs.exists(entry.output_path):
                         counters.skipped_missing_output += 1
@@ -410,19 +407,6 @@ class ReStore(JobControl):
         self.last_report.ranking.record(
             job.job_id, entry.entry_id, estimated,
             realized_entry_savings(entry, model, self.dfs))
-
-    def _match_candidates(self, job):
-        """The repository's candidates for ``job``, in the ranker's
-        try order.
-
-        The structural default calls ``match_candidates(plan)`` exactly
-        as the seed did — keeping that path signature-identical is what
-        lets the lock-step property suite drive the frozen baseline
-        repository (which accepts no ranker) through this manager.
-        """
-        if self.ranker.is_structural:
-            return self.repository.match_candidates(job.plan)
-        return self.repository.match_candidates(job.plan, ranker=self.ranker)
 
     def _simplify(self, job, workflow):
         """Drop copy stores; eliminate the job when nothing remains.

@@ -20,6 +20,9 @@ operator of a plan in one walk; "entry ⊆ job" is then a dict lookup of the
 entry's frontier fingerprint in the job's digest, confirmed by the exact
 recursive test. Callers that test one plan many times (the manager's scan
 pass, subsumption discovery) build its digest once and pass that instead.
+The repository runs the same lookup the other way round: it files its
+entries by frontier fingerprint, so the entries a plan may contain are
+the ones filed under its digest's site fingerprints.
 
 Two entry points:
 
@@ -100,29 +103,66 @@ def operator_fingerprint(op):
 _NOT_SINGLE_STORE = "repository plans must have exactly one Store"
 
 
+def parse_load_signature(signature):
+    """Recover ``(path, version)`` from a canonical Load signature.
+
+    Load signatures are ``LOAD[{path}@v{version}]`` with an integer
+    version (``POLoad.signature``). Returns None when ``signature`` does
+    not have that shape (a foreign skeleton operator, say).
+    """
+    if not (signature.startswith("LOAD[") and signature.endswith("]")):
+        return None
+    body = signature[len("LOAD["):-1]
+    path, sep, version = body.rpartition("@v")
+    if not sep:
+        return None
+    try:
+        return path, int(version)
+    except ValueError:
+        return None
+
+
+def load_key(op):
+    """The ``(path, version)`` pair a Load reads: its attributes, or its
+    signature parsed when it is a skeleton reloaded from persistence
+    (None when neither works)."""
+    path = getattr(op, "path", None)
+    version = getattr(op, "version", None)
+    if path is None or version is None:
+        return parse_load_signature(op.signature())
+    return path, version
+
+
 class PlanDigest:
     """What containment asks of one plan, gathered in a single walk.
 
     ``sites`` maps a fingerprint to the operators carrying it that may
     be a match frontier, in topological order: Stores and bare Loads
     never are (reusing a stored output to replace a plain Load would be
-    a no-op rewrite), nor are Splits. ``frontier`` and ``fingerprint``
-    read the plan as a repository entry and raise ValueError unless it
-    has exactly one Store. A digest describes the plan as it was when
-    walked; a rewritten plan needs a new one.
+    a no-op rewrite), nor are Splits. An entry is contained in the plan
+    only if its frontier fingerprint is a key of ``sites``. ``loads`` is
+    the frozenset of :func:`load_key` pairs the plan reads, None when a
+    Load cannot be keyed. ``frontier`` and ``fingerprint`` read the plan
+    as a repository entry and raise ValueError unless it has exactly one
+    Store. A digest describes the plan as it was when walked; a
+    rewritten plan needs a new one.
     """
 
-    __slots__ = ("sites", "_frontier", "_fingerprint")
+    __slots__ = ("sites", "loads", "_frontier", "_fingerprint")
 
     def __init__(self, plan):
         memo = {}
         self.sites = sites = {}
         stores = []
+        keys = []
         for op in plan.operators():
             if isinstance(op, POStore):
                 stores.append(op)
-            elif op.kind not in ("load", "split"):
+            elif op.kind == "load":
+                keys.append(load_key(op))
+            elif op.kind != "split":
                 sites.setdefault(_fingerprint(op, memo), []).append(op)
+        self.loads = None if None in keys else frozenset(keys)
         self._frontier = self._fingerprint = None
         if len(stores) == 1:
             self._frontier = skip_splits(stores[0].inputs[0])

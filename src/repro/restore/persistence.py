@@ -375,6 +375,8 @@ class LoaderReport:
         self.fingerprint_mismatches = 0
         self.last_seq = 0              # highest sequence number seen
         self.keys = {}                 # entry_id -> stable log key
+        #: every key a segment record names, removed entries' included
+        self.logged_keys = set()
         #: resume state: manifest num_shards, plus one descriptor per
         #: partition label ({"shard", "file", "entries", "base_seq",
         #: "segment"}) and the count of complete records per segment —
@@ -671,6 +673,7 @@ def _load_segmented(dfs, manifest, body, repository, report):
         records = _parse_segment(lines, segment, report)
         report.segment_records[label] = len(records)
         for record in records:
+            report.logged_keys.add(record.get("key"))
             if record["seq"] <= state["base_seq"]:
                 report.stale_records += 1
             elif record["seq"] <= order_seq:

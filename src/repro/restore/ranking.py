@@ -4,11 +4,11 @@ The paper orders the repository structurally (Section 3): plans that
 subsume others come first, then higher input/output ratio, then longer
 producing-job time. That order is a *proxy* for benefit — the entry the
 scan finds first is assumed to be the one that saves the most work. With
-the load index (PR 1) and the shard fan-out merge (PR 2) narrowing the
-candidate set to a handful of entries per probe, re-ranking those few
-candidates by *estimated savings* from the Equation-2 cost model becomes
-affordable, the same move self-tuning materialized-view selectors make:
-byte cost, not topology, predicts runtime.
+the repository's fingerprint lookup narrowing each probe to its
+*matchable set* (the few entries that can be contained in the job),
+re-ranking those by *estimated savings* from the Equation-2 cost model
+is affordable, the same move self-tuning materialized-view selectors
+make: byte cost, not topology, predicts runtime.
 
 Two rankers implement one protocol:
 
@@ -21,8 +21,8 @@ Two rankers implement one protocol:
   startup + load + operator + shuffle cost, minus the cost of loading
   the materialized file, from the entry's recorded statistics) and tries
   best-savings-first. Subsumption (the paper's rule 1) stays a **hard
-  constraint**: an entry is never tried after one it strictly contains,
-  because the containing plan eliminates strictly more work whenever
+  constraint** within the matchable set: an entry is never tried before
+  a matchable container, which eliminates strictly more work whenever
   both match. Only rule 2's ratio/time metrics are replaced by the cost
   model; ties break on global scan rank, so the order is deterministic.
 
@@ -148,14 +148,14 @@ class SavingsRanker(CandidateRanker):
     """Best-estimated-savings-first, under the subsumption constraint.
 
     The order is the priority-greedy topological order of the strict
-    subsumption DAG *restricted to the candidate set* — the same scheme
-    the repository uses for its global scan order, with rule 2's
-    structural metrics replaced by ``(-estimated savings, scan rank)``.
-    A container is still tried before every entry it strictly subsumes
-    (it eliminates strictly more work whenever both match); among
-    unrelated candidates the cost model decides, and equal estimates
-    fall back to the structural scan rank, so the order is a pure
-    function of the candidate set.
+    subsumption DAG *restricted to the matchable set* (the entries that
+    can be contained in the job) — the same scheme the repository uses
+    for its global scan order, with rule 2's structural metrics replaced
+    by ``(-estimated savings, scan rank)``. A matchable container is
+    tried before every entry it strictly subsumes; one that cannot match
+    delays nothing. Among unrelated candidates the cost model decides,
+    and equal estimates fall back to the structural scan rank, so the
+    order is a pure function of the candidate set.
 
     Requires the indexed :class:`~repro.restore.repository.Repository`
     (or a subclass such as the sharded repository): the frozen seed

@@ -16,18 +16,22 @@ subsumption DAG: repeatedly emit the ready entry with the best rule-2
 metrics (ties broken by insertion sequence, so the order is a pure
 function of the entry set). The seed implementation re-derived it from
 scratch with O(n^2) containment tests per insert; this version maintains
-it incrementally on top of :mod:`repro.restore.index`:
+it incrementally on two dicts keyed by Merkle fingerprint
+(:mod:`repro.restore.matcher`): the *buckets* file every entry under its
+frontier fingerprint, and the *site index* files every entry under each
+of its plan's site fingerprints. An entry ``b`` can only be contained in
+a plan whose digest has ``b``'s frontier fingerprint among its sites, so:
 
 * ``find_equivalent`` is a fingerprint-bucket lookup (O(1) plus an exact
   confirmation of the bucket) instead of a full scan;
-* on ``insert``, subsumption edges are computed only against entries the
-  load index deems reachable (containment forces the contained plan's
-  loads to be a subset of the container's), and only the subsumption
-  components the insert touches are re-sorted (below);
-* ``match_candidates`` gives the matcher only the entries whose loads are
-  a subset of the job's, in scan order — provably the same first match as
-  the seed's full scan;
-* ``remove`` prunes the edge sets and all index buckets, so
+* on ``insert``, only the buckets of the new entry's sites (what it may
+  contain) and the site index under its fingerprint (what may contain
+  it) get a subsumption test, and only the subsumption components the
+  insert touches are re-sorted (below);
+* ``match_candidates`` gives the matcher the buckets of the job digest's
+  sites, in scan order — exactly the entries that can match, so the
+  first match is the seed's full scan's;
+* ``remove`` prunes the edge sets, the buckets and the site index, so
   eviction-heavy retention policies no longer leak.
 
 Why a component-local re-sort is exact: the ready set of one weakly
@@ -61,7 +65,6 @@ import heapq
 import itertools
 
 from repro.common.errors import RepositoryError
-from repro.restore.index import LoadIndex, leaf_loads
 from repro.restore.matcher import contains, PlanDigest
 
 
@@ -160,7 +163,7 @@ class Repository:
     ``scan()`` yields entries in match-priority order; ``insert`` keeps the
     partial order; ``find_equivalent`` deduplicates re-registrations of the
     same computation; ``match_candidates`` narrows a matcher pass to the
-    entries the leaf-load index cannot rule out.
+    entries filed under the job's site fingerprints.
     """
 
     def __init__(self):
@@ -170,8 +173,8 @@ class Repository:
         self._rank_for = None         # the scan() snapshot _rank was built from
         self._by_id = {}
         self._sequence = 0
-        self._load_index = LoadIndex()
         self._buckets = {}            # fingerprint -> [entries, insert order]
+        self._by_site = {}            # site fingerprint -> {entry ids}
         self._edges_out = {}          # a subsumes b: edges_out[a] ∋ b (ids)
         self._edges_in = {}
         # Ids of the entries whose components may be out of greedy
@@ -259,23 +262,24 @@ class Repository:
             self._order = tuple(self._entries)
         return self._order
 
-    def match_candidates(self, plan, ranker=None):
+    def match_candidates(self, plan, ranker=None, digest=None):
         """Entries that could be contained in ``plan``, in try order.
 
-        Containment maps every entry Load onto an equally-signed Load of
-        the input plan, so only entries whose ``(path, version)`` load set
-        is a subset of the plan's can match; all others are skipped
-        without a containment test. Falls back to the full scan when the
-        plan's loads cannot be keyed.
+        An entry is contained in ``plan`` only if its frontier
+        fingerprint is one of the sites of ``plan``'s
+        :class:`~repro.restore.matcher.PlanDigest`, so the candidates are
+        the buckets of those sites. Pass ``digest`` when the caller
+        already holds it (the manager's scan pass does).
 
         Without a ``ranker`` (or with a structural one) the candidates
         come back in global scan order — the paper's priority order,
-        bit-identical to the seed. A non-structural
+        restricted to the entries that can match. A non-structural
         :class:`~repro.restore.ranking.CandidateRanker` reorders exactly
         the same candidate *set* (ranking never adds or drops entries;
         the property suite asserts the permutation).
         """
-        candidates = self._filtered_candidates(plan)
+        candidates = self._filtered_candidates(
+            digest if digest is not None else PlanDigest(plan))
         if ranker is None or ranker.is_structural:
             return candidates
         return tuple(ranker.order(candidates, self))
@@ -295,16 +299,16 @@ class Repository:
         ``executor="processes"``."""
         return None
 
-    def _filtered_candidates(self, plan):
-        """The load-index filter half of :meth:`match_candidates`, in
-        scan order."""
-        candidate_ids = self._load_index.candidate_ids(leaf_loads(plan))
-        if candidate_ids is None:
-            return self.scan()
-        if not candidate_ids:
-            return ()
-        return tuple(map(self._by_id.__getitem__, sorted(
-            candidate_ids, key=self.scan_rank().__getitem__)))
+    def _filtered_candidates(self, digest):
+        """The lookup half of :meth:`match_candidates`: the entries filed
+        under ``digest``'s site fingerprints, in scan order."""
+        buckets = self._buckets
+        found = [entry for fingerprint in digest.sites
+                 for entry in buckets.get(fingerprint, ())]
+        if len(found) > 1:
+            rank = self.scan_rank()
+            found.sort(key=lambda entry: rank[entry.entry_id])
+        return tuple(found)
 
     def scan_rank(self):
         """entry_id -> position in the global scan order (cached per
@@ -348,22 +352,23 @@ class Repository:
         producing-job time — higher first) breaking ties among entries no
         constraint relates.
 
-        Subsumption edges are discovered only against entries the load
-        index deems reachable; then :meth:`_reorder` re-sorts the new
+        Subsumption edges are discovered only against entries a
+        fingerprint lookup offers; then :meth:`_reorder` re-sorts the new
         entry's component (plus any dirty ones) and merges it into the
         rest of the order.
         """
         entry._sequence = self._sequence
         self._sequence += 1
         entry._scan_key = _priority(entry)
-        entry_loads = leaf_loads(entry.plan)
-        self._discover_edges(entry, entry_loads)
+        self._discover_edges(entry)
 
-        self._by_id[entry.entry_id] = entry
-        self._load_index.add(entry, entry_loads)
+        entry_id = entry.entry_id
+        self._by_id[entry_id] = entry
         self._buckets.setdefault(entry.fingerprint, []).append(entry)
-        self._edges_out.setdefault(entry.entry_id, set())
-        self._edges_in.setdefault(entry.entry_id, set())
+        for site in entry.digest.sites:
+            self._by_site.setdefault(site, set()).add(entry_id)
+        self._edges_out.setdefault(entry_id, set())
+        self._edges_in.setdefault(entry_id, set())
 
         self._reorder(entry)
         self._order = None
@@ -406,29 +411,25 @@ class Repository:
         (called after the remove change event fires, so listeners can
         still resolve the entry's shard via :meth:`shard_id_of`)."""
 
-    def _discover_edges(self, entry, entry_loads):
-        """Record subsumption edges between ``entry`` and the index-reachable
-        candidates."""
-        # Entries the new plan could strictly contain: their loads must be
-        # a subset of the new plan's loads.
-        below_ids = self._load_index.candidate_ids(entry_loads)
-        if below_ids is None:
-            below_ids = set(self._by_id)
-        # Entries that could strictly contain the new plan: their loads
-        # must be a superset of the new plan's loads (unkeyable new plans
-        # must conservatively consider everything).
-        if entry_loads is None:
-            above_ids = set(self._by_id)
-        else:
-            above_ids = self._load_index.superset_ids(entry_loads)
-        for other_id in below_ids:
-            if self._subsumes(entry, self._by_id[other_id]):
-                self._edges_out.setdefault(entry.entry_id, set()).add(other_id)
-                self._edges_in[other_id].add(entry.entry_id)
-        for other_id in above_ids:
+    def _discover_edges(self, entry):
+        """Record subsumption edges between ``entry`` and the entries a
+        fingerprint lookup offers."""
+        entry_id = entry.entry_id
+        digest = entry.digest
+        # Entries the new plan could strictly contain: filed under one of
+        # its site fingerprints.
+        for site in digest.sites:
+            for other in self._buckets.get(site, ()):
+                if self._subsumes(entry, other):
+                    self._edges_out.setdefault(entry_id, set()).add(
+                        other.entry_id)
+                    self._edges_in[other.entry_id].add(entry_id)
+        # Entries that could strictly contain the new plan: its frontier
+        # fingerprint is one of their sites.
+        for other_id in self._by_site.get(digest.fingerprint, ()):
             if self._subsumes(self._by_id[other_id], entry):
-                self._edges_out[other_id].add(entry.entry_id)
-                self._edges_in.setdefault(entry.entry_id, set()).add(other_id)
+                self._edges_out[other_id].add(entry_id)
+                self._edges_in.setdefault(entry_id, set()).add(other_id)
 
     def _subsumes(self, a, b):
         """Does entry ``a``'s plan strictly contain entry ``b``'s? Asked
@@ -583,7 +584,11 @@ class Repository:
             self._dirty.discard(entry_id)
             self._dirty.update(self._edges_out.get(entry_id, ()))
         del self._by_id[entry_id]
-        self._load_index.discard(entry)
+        for site in entry.digest.sites:
+            ids = self._by_site[site]
+            ids.discard(entry_id)
+            if not ids:
+                del self._by_site[site]
         bucket = self._buckets.get(entry.fingerprint)
         if bucket is not None:
             bucket[:] = [kept for kept in bucket if kept is not entry]

@@ -33,8 +33,8 @@ Sharding layout
 * Each shard filters only its own entries (~n/N of the repository) and
   the fan-out merges the per-shard candidates **back into the paper's
   global priority order** (Section 3's subsumption-then-metrics order)
-  before the matcher runs — so the first match is the same entry the
-  unsharded repository's sequential scan would have chosen, bit for bit.
+  and keeps the entries filed under the job digest's sites: the
+  unsharded repository's candidate sequence, bit for bit.
 
 :class:`ShardedRepository` subclasses :class:`Repository` for the global
 view: scan order, ``find_equivalent``, insert/remove bookkeeping, and the
@@ -49,7 +49,8 @@ and the seed linear-scan repositories.
 import zlib
 
 from repro.common.errors import RepositoryError
-from repro.restore.index import LoadIndex, leaf_loads
+from repro.restore.index import LoadIndex
+from repro.restore.matcher import PlanDigest
 from repro.restore.repository import Repository
 from repro.restore.stats import ShardStats
 
@@ -91,9 +92,9 @@ class RepositoryShard:
     def __iter__(self):
         return iter(self._entries.values())
 
-    def add(self, entry, entry_loads):
+    def add(self, entry):
         self._entries[entry.entry_id] = entry
-        self._load_index.add(entry, entry_loads)
+        self._load_index.add(entry)
         self.stats.occupancy = len(self._entries)
 
     def discard(self, entry):
@@ -286,11 +287,8 @@ class ShardedRepository(Repository):
     # observe a consistent shard layout when the event fires.
 
     def _post_insert(self, entry):
-        # The global load index just computed and cached the entry's leaf
-        # loads; reuse them rather than re-walking the plan.
-        entry_loads = self._load_index.loads_of(entry.entry_id)
-        shard = self.owning_shard(entry_loads)
-        shard.add(entry, entry_loads)
+        shard = self.owning_shard(entry.digest.loads)
+        shard.add(entry)
         self._shard_of[entry.entry_id] = shard
         if self._pool is not None:
             self._pool.record_insert(shard.shard_id, entry)
@@ -322,36 +320,45 @@ class ShardedRepository(Repository):
 
     # Matching ---------------------------------------------------------------
 
-    def _filtered_candidates(self, plan):
-        """Fan out to the shards owning ``plan``'s leaf-load keys, merge
-        their candidates back into the global priority order.
+    def _filtered_candidates(self, digest):
+        """Fan out to the shards owning the job's leaf-load keys, merge
+        their candidates back into the global priority order, and keep
+        those whose fingerprint is one of ``digest``'s sites.
 
         This is the sharded half of the inherited ``match_candidates``
         (the ranker tail is shared base-class code, so both repository
         flavors have one ranking path). A job touching k load keys
         consults at most k shards plus the catch-all (only when the
-        catch-all is occupied). Unkeyable plans fall back to the full
-        global scan, exactly like the unsharded repository. Either way
-        this counts as **one** logical probe (see
+        catch-all is occupied). Unkeyable plans take the unsharded
+        repository's fingerprint lookup without consulting a shard.
+        Either way this counts as **one** logical probe (see
         :meth:`merged_shard_stats`), however many partitions it fans
         out to.
         """
         self._logical_probes += 1
-        job_loads = leaf_loads(plan)
+        job_loads = digest.loads
         if job_loads is None:
-            return self.scan()
+            return super()._filtered_candidates(digest)
         shard_ids = self._consulted_shard_ids(job_loads)
         if not shard_ids:
             return ()
         if self._pool is not None:
             return self._merge_pool_answer(
-                self._pool.match_probe(shard_ids, job_loads))
-        entries = [entry for shard_id in shard_ids
-                   for entry in self._partition_by_id(shard_id).probe(
-                       job_loads)]
+                self._pool.match_probe(shard_ids, job_loads), digest)
+        return self._matchable_in_scan_order(
+            [entry for shard_id in shard_ids
+             for entry in self._partition_by_id(shard_id).probe(job_loads)],
+            digest)
+
+    def _matchable_in_scan_order(self, entries, digest):
+        """The merged shard answer ``entries`` without those whose
+        fingerprint is not one of ``digest``'s sites, in global scan
+        order — the unsharded repository's candidate sequence."""
+        sites = digest.sites
         rank = self.scan_rank()
-        return tuple(sorted(entries,
-                            key=lambda entry: rank[entry.entry_id]))
+        return tuple(sorted(
+            (entry for entry in entries if entry.fingerprint in sites),
+            key=lambda entry: rank[entry.entry_id]))
 
     def _consulted_shard_ids(self, job_loads):
         """The partition ids a probe for ``job_loads`` must consult: the
@@ -366,20 +373,18 @@ class ShardedRepository(Repository):
         return (self._catchall if shard_id == CATCHALL_SHARD
                 else self._shards[shard_id])
 
-    def _merge_pool_answer(self, answers):
+    def _merge_pool_answer(self, answers, digest):
         """Resolve one pool probe's ``{shard_id: [entry ids]}`` answer to
-        entries in global scan order, crediting each consulted
-        partition's statistics exactly as its in-process ``probe`` would
-        have (so shard reports are executor-independent)."""
+        the matchable entries in global scan order, crediting each
+        consulted partition's statistics exactly as its in-process
+        ``probe`` would have (so shard reports are executor-independent)."""
         entries = []
         for shard_id, keys in answers.items():
             shard = self._partition_by_id(shard_id)
             shard.stats.probes += 1
             shard.stats.candidates_returned += len(keys)
             entries.extend(self._by_id[key] for key in keys)
-        rank = self.scan_rank()
-        return tuple(sorted(entries,
-                            key=lambda entry: rank[entry.entry_id]))
+        return self._matchable_in_scan_order(entries, digest)
 
     def match_candidates_batch(self, plans, ranker=None):
         """Candidate tuples for many plans in one probe round-trip.
@@ -396,12 +401,13 @@ class ShardedRepository(Repository):
             return [self.match_candidates(plan, ranker=ranker)
                     for plan in plans]
         probes = []
+        digests = [PlanDigest(plan) for plan in plans]
         direct = {}   # plan index -> candidates resolved without the pool
-        for index, plan in enumerate(plans):
+        for index, digest in enumerate(digests):
             self._logical_probes += 1
-            job_loads = leaf_loads(plan)
+            job_loads = digest.loads
             if job_loads is None:
-                direct[index] = self.scan()
+                direct[index] = Repository._filtered_candidates(self, digest)
                 continue
             shard_ids = self._consulted_shard_ids(job_loads)
             if not shard_ids:
@@ -410,10 +416,10 @@ class ShardedRepository(Repository):
             probes.append((index, shard_ids, job_loads))
         answers = self._pool.match_probe_batch(probes) if probes else {}
         results = []
-        for index in range(len(plans)):
+        for index, digest in enumerate(digests):
             candidates = (direct[index] if index in direct
                           else self._merge_pool_answer(
-                              answers.get(index, {})))
+                              answers.get(index, {}), digest))
             if ranker is not None and not ranker.is_structural:
                 candidates = tuple(ranker.order(candidates, self))
             results.append(candidates)

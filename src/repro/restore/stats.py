@@ -69,20 +69,19 @@ class EntryStats:
 class MatchCounters:
     """Why matcher candidates were (not) used, for one workflow.
 
-    ``match_candidates`` narrows the repository to entries that *could*
-    match; this records what happened to each candidate the matcher then
-    actually tried:
+    ``match_candidates`` narrows the repository to the entries filed
+    under the job's site fingerprints, the only ones that *could* match;
+    this records what happened to each candidate the matcher then tried:
 
     * ``matched`` — containment held and the job was rewritten;
     * ``skipped_missing_output`` — the entry's stored file is gone from
       the DFS (evicted externally, or deleted by an operator);
-    * ``skipped_no_containment`` — the candidate survived the load-index
-      (or shard-merge) filter but the exact containment test failed.
+    * ``skipped_no_containment`` — the exact containment test failed
+      after all: a fingerprint collision, or an entry plan with an
+      interior Split (which the hash skips).
 
-    The split explains reports beyond "how many rewrites happened": a
-    high ``skipped_no_containment`` count means the candidate filter is
-    loose for this workload, a high ``skipped_missing_output`` count
-    means the repository is stale relative to the DFS.
+    A high ``skipped_missing_output`` count means the repository is
+    stale relative to the DFS.
     """
 
     __slots__ = ("candidates_tried", "matched", "skipped_missing_output",

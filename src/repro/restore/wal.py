@@ -281,8 +281,13 @@ class RepositoryLog:
                 or any((entry.stats.use_count, entry.stats.last_used_tick)
                        != report.use_stats.get(entry.entry_id)
                        for entry in repository))
-        self._next_key = 1 + max(
-            (_key_index(key) for key in self._keys.values()), default=-1)
+        # A removed entry's key stays taken while a segment still holds
+        # its records: a new entry minted under it would be removed by
+        # them on the next reload.
+        taken = set(self._keys.values())
+        if resumable:
+            taken |= report.logged_keys
+        self._next_key = 1 + max(map(_key_index, taken), default=-1)
         unkeyed = [entry for entry in repository
                    if entry.entry_id not in self._keys]
         for entry in unkeyed:

@@ -53,7 +53,12 @@ from repro.restore import (
     SavingsRanker,
     ShardedRepository,
 )
-from repro.restore.matcher import contains, find_containment, pairwise_plan_traversal
+from repro.restore.matcher import (
+    contains,
+    find_containment,
+    pairwise_plan_traversal,
+    PlanDigest,
+)
 from repro.restore.persistence import (
     CATCHALL_LABEL,
     segment_file_path,
@@ -260,6 +265,23 @@ def _first_match_path(candidates, probe_plan):
     return None
 
 
+def _assert_edges_exact(repo, context):
+    """The edge oracle: ``b ∈ subsumption_edges_among(all)[a]`` exactly
+    when ``b``'s plan is strictly contained in ``a``'s, checked by brute
+    force over every ordered pair on digests built here from the plans."""
+    entries = list(repo.scan())
+    digests = {entry.entry_id: PlanDigest(entry.plan) for entry in entries}
+    edges = repo.subsumption_edges_among(digests)
+    for a in entries:
+        for b in entries:
+            strictly = (a is not b
+                        and contains(digests[b.entry_id], digests[a.entry_id])
+                        and not contains(digests[a.entry_id],
+                                         digests[b.entry_id]))
+            assert (b.entry_id in edges[a.entry_id]) == strictly, \
+                (context, a.output_path, b.output_path)
+
+
 def _repository_fleet():
     """Every repository implementation that must be observationally
     identical to the seed linear scan, labelled for failure messages."""
@@ -334,6 +356,11 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
                                    rng.choice([0, 0, 1]))
                 expected = seed.find_equivalent(probe)
                 expected_first = _first_match_path(seed.scan(), probe)
+                # The candidate contract: the seed's scan, restricted to
+                # the entries filed under one of the probe's sites.
+                sites = PlanDigest(probe).sites
+                matchable = [e.output_path for e in seed.scan()
+                             if e.fingerprint in sites]
                 indexed_candidates = None
                 indexed_ranked = None
                 for name, repo in fleet:
@@ -348,6 +375,7 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
                     # not drop any matching entry.
                     candidates = [e.output_path
                                   for e in repo.match_candidates(probe)]
+                    assert candidates == matchable, (context, name)
                     assert _first_match_path(repo.match_candidates(probe),
                                              probe) == expected_first, \
                         (context, name)
@@ -372,6 +400,8 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
             for name, repo in fleet:
                 assert [e.output_path for e in repo.scan()] == \
                     [e.output_path for e in seed.scan()], (context, name)
+        for name, repo in fleet:
+            _assert_edges_exact(repo, (f"stream={stream} end", name))
 
 
 # --- Removal-heavy scan-order arm ------------------------------------------------
@@ -383,8 +413,9 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
 # containers removed before the entries they subsume (which frees
 # dependents), and reloads through a RepositoryLog mid-stream (the order
 # is pinned and every cached key re-derived). The scan order must equal
-# the seed's after every single operation. CI's fuzz job runs the arm at
-# ten times tier-1's examples (``--hypothesis-profile=repository-fuzz``).
+# the seed's, and the subsumption edges the brute-force oracle's, after
+# every single operation. CI's fuzz job runs the arm at ten times
+# tier-1's examples (``--hypothesis-profile=repository-fuzz``).
 
 if settings.get_current_profile_name() == "repository-fuzz":
     ORDER_BUDGET = settings()
@@ -463,9 +494,11 @@ def test_property_removal_heavy_order_matches_seed(plan_pool, data):
                                  if entry.output_path == path))
                 seed.remove(seed_entries.pop(path))
                 assert _scan_paths(live) == _scan_paths(seed), step
+                _assert_edges_exact(live, step)
         else:
             live, log = _reload_through_log(dfs, log, live, data)
         assert _scan_paths(live) == _scan_paths(seed), step
+        _assert_edges_exact(live, step)
     log.detach()
 
 

@@ -118,17 +118,6 @@ class TestLoadIndex:
         assert index.candidate_ids(frozenset({("/data/v", 0)})) == set()
         assert index.candidate_ids(None) is None
 
-    def test_superset_ids(self):
-        index = LoadIndex()
-        single = entry(BASE)
-        double = entry(TWO_LOADS, output="/stored/j")
-        index.add(single)
-        index.add(double)
-        assert index.superset_ids(frozenset({("/data/t", 0)})) == \
-            {single.entry_id, double.entry_id}
-        assert index.superset_ids(frozenset({("/data/u", 0)})) == \
-            {double.entry_id}
-
     def test_discard_cleans_postings(self):
         index = LoadIndex()
         stored = entry(BASE)
@@ -147,8 +136,6 @@ class TestLoadIndex:
         index.add(unkeyable)
         assert index.candidate_ids(frozenset({("/data/t", 0)})) == \
             {unkeyable.entry_id}
-        assert unkeyable.entry_id in index.superset_ids(
-            frozenset({("/data/t", 0)}))
 
 
 class TestRepositoryIndexIntegration:

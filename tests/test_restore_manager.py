@@ -15,10 +15,12 @@ from repro.restore import (
     ConservativeHeuristic,
     HeuristicRetentionPolicy,
     NoHeuristic,
+    Repository,
     RepositoryEntry,
     ReStore,
     ShardedRepository,
 )
+import repro.restore.manager as manager_module
 from repro.restore.stats import EntryStats
 
 from tests.helpers import (
@@ -277,6 +279,27 @@ PAGE_VIEWS_AS = """(user:chararray, timestamp:int,
     est_revenue:double, page_info:chararray, page_links:chararray)"""
 
 
+def page_views_entry(dfs, body, last, path):
+    """An entry over the current ``/data/page_views``: ``body`` runs
+    after the Load ``A`` and ``last`` is stored into ``path``, which
+    gets a stand-in file."""
+    plan = logical_to_physical(build_logical_plan(parse_query(
+        f"A = load '/data/page_views' as {PAGE_VIEWS_AS};{body}"
+        f"store {last} into '{path}';")),
+        {"/data/page_views": dfs.status("/data/page_views").version})
+    dfs.write_lines(path, ["x"], overwrite=True)
+    return RepositoryEntry(plan, path, EntryStats(1000, 100, 60.0))
+
+
+def insert_unrelated(repository, dfs, count):
+    """``count`` entries that read ``/data/page_views`` but filter it
+    in a way no query in these tests does."""
+    for number in range(count):
+        repository.insert(page_views_entry(
+            dfs, f"B = filter A by timestamp < {number};", "B",
+            f"/stored/c{number}"))
+
+
 class TestScanPass:
     """One plan digest per scan pass: taken anew after every rewrite,
     shared by every candidate of the pass."""
@@ -315,10 +338,11 @@ class TestScanPass:
             self.dfs.read_lines("/out/step2")
 
     def test_job_plan_walks_do_not_grow_with_candidates(self, monkeypatch):
-        # The cost guard no machine noise can fail: every candidate is
-        # tested against the pass's one digest of the job plan, so
-        # offering ten times the candidates walks the job plan exactly
-        # as often (the walk-per-candidate matcher did 2 + N).
+        # The cost guard no machine noise can fail: entries that read
+        # the job's inputs but cannot be contained in it are never
+        # offered, so ten times as many of them cost the submit no
+        # containment test and no extra walk of the job plan (the
+        # load-filtered probe tried every one of them).
         watched = set()
         walks = []
         original = PhysicalPlan.operators
@@ -329,40 +353,71 @@ class TestScanPass:
             return original(plan)
 
         monkeypatch.setattr(PhysicalPlan, "operators", counting)
-        version = self.dfs.status("/data/page_views").version
+        containment_calls = []
+        original_find = manager_module.find_containment
 
-        def walks_of_job_plan(num_candidates):
-            """operators() calls on the job's plan during one submit
-            against ``num_candidates`` candidates that all fail
-            containment."""
+        def counting_find(entry_plan, input_plan):
+            containment_calls.append(entry_plan)
+            return original_find(entry_plan, input_plan)
+
+        monkeypatch.setattr(manager_module, "find_containment",
+                            counting_find)
+
+        def cost_of_submit(num_unrelated):
+            """(job plan walks, containment calls) of one submit against
+            ``num_unrelated`` load-compatible entries it cannot
+            contain."""
             restore = fresh_restore(self.dfs, heuristic=None,
                                     enable_registration=False)
-            for number in range(num_candidates):
-                plan = logical_to_physical(build_logical_plan(parse_query(
-                    f"A = load '/data/page_views' as {PAGE_VIEWS_AS};"
-                    f"B = filter A by timestamp < {number};"
-                    f"store B into '/stored/c{number}';")),
-                    {"/data/page_views": version})
-                self.dfs.write_lines(f"/stored/c{number}", ["x"],
-                                     overwrite=True)
-                restore.repository.insert(RepositoryEntry(
-                    plan, f"/stored/c{number}", EntryStats(1000, 100, 60.0)))
+            insert_unrelated(restore.repository, self.dfs, num_unrelated)
             workflow = compile_query(
                 f"A = load '/data/page_views' as {PAGE_VIEWS_AS};"
                 "B = filter A by timestamp > 5; C = foreach B generate user;"
-                f"store C into '/out/walks{num_candidates}';", "walks",
+                f"store C into '/out/walks{num_unrelated}';", "walks",
                 self.dfs)
             watched.update(id(job.plan) for job in workflow.jobs)
-            del walks[:]
+            del walks[:], containment_calls[:]
             restore.submit(workflow)
             counters = restore.last_report.match_counters
-            assert counters.skipped_no_containment == num_candidates
+            assert counters.candidates_tried == 0
             assert counters.matched == 0
-            return len(walks)
+            return len(walks), len(containment_calls)
 
-        few, many = walks_of_job_plan(4), walks_of_job_plan(40)
+        few, many = cost_of_submit(4), cost_of_submit(40)
         assert few == many
-        assert many < 40
+        assert many[0] < 40
+
+    def test_insert_subsumption_tests_do_not_grow_with_unrelated(
+            self, monkeypatch):
+        # The insert-side twin: the subsumption tests made while
+        # inserting one entry are the same beside 4 or 40 entries that
+        # read the same input but neither contain it nor are contained.
+        calls = []
+        original = Repository._subsumes
+
+        def counting(repository, a, b):
+            calls.append((a, b))
+            return original(repository, a, b)
+
+        monkeypatch.setattr(Repository, "_subsumes", counting)
+
+        def tests_of_insert(num_unrelated):
+            repository = Repository()
+            insert_unrelated(repository, self.dfs, num_unrelated)
+            contained = repository.insert(page_views_entry(
+                self.dfs, "B = filter A by timestamp > 5;", "B",
+                "/stored/contained"))
+            del calls[:]
+            new = repository.insert(page_views_entry(
+                self.dfs, "B = filter A by timestamp > 5;"
+                "C = foreach B generate user;", "C", "/stored/new"))
+            assert repository.subsumption_edges_among(
+                [new.entry_id, contained.entry_id])[new.entry_id] \
+                == {contained.entry_id}
+            return len(calls)
+
+        few, many = tests_of_insert(4), tests_of_insert(40)
+        assert few == many >= 1
 
 
 class TestResourceAccounting:

@@ -1,7 +1,8 @@
 """Unit tests for cost-model-driven candidate ranking.
 
 The ranking contract: a ranker reorders exactly the candidate set the
-repository's load filter produced (never adds or drops entries), keeps
+repository's fingerprint lookup produced — the entries that can match —
+(never adds or drops entries), keeps
 the paper's rule 1 (subsumption) a hard constraint, is deterministic,
 and the structural default stays bit-identical to the unranked path.
 """
@@ -192,9 +193,38 @@ class TestSavingsOrder:
     def test_highest_estimated_savings_first(self):
         repo, cheap, best, mid = self._repo_with_unrelated()
         ranker = SavingsRanker(make_cost_model())
-        ordered = repo.match_candidates(self._probe_all_filters(), ranker=ranker)
+        ordered = ranker.order(repo.scan(), repo)
         assert [e.output_path for e in ordered] == \
             ["/s/best", "/s/mid", "/s/cheap"]
+
+    def test_container_that_cannot_match_does_not_delay_its_contained(self):
+        # C strictly contains b; a is unrelated to both. The job contains
+        # a and b but not C, and the estimates rank b > a > C. C is no
+        # candidate, so nothing holds b back behind it.
+        model = make_cost_model()
+        repo = Repository()
+        container = repo.insert(entry("/s/C", ops=[("filter", "b"),
+                                                   ("foreach", "c")],
+                                      time=100.0))
+        contained = repo.insert(entry("/s/b", ops=[("filter", "b")],
+                                      time=900.0))
+        unrelated = repo.insert(entry("/s/a", ops=[("filter", "a")],
+                                      time=500.0))
+        assert repo.subsumption_edges_among(
+            [container.entry_id, contained.entry_id])[container.entry_id] \
+            == {contained.entry_id}
+        savings = [estimate_entry_savings(one, model)
+                   for one in (contained, unrelated, container)]
+        assert savings == sorted(savings, reverse=True)
+        load = POLoad("/data/d0", None, 0)
+        job = PhysicalPlan([
+            POStore(SkeletonOp("foreach", "FOREACH[y]", None, [
+                SkeletonOp("filter", "FILTER[b]", None, [load])]), "/out/p"),
+            POStore(SkeletonOp("filter", "FILTER[a]", None, [load]),
+                    "/out/q"),
+        ])
+        ordered = repo.match_candidates(job, ranker=SavingsRanker(model))
+        assert [e.output_path for e in ordered] == ["/s/b", "/s/a"]
 
     def test_ranking_is_a_permutation_of_the_structural_candidates(self):
         repo, *_ = self._repo_with_unrelated()

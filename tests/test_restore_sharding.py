@@ -20,6 +20,7 @@ from repro.restore import (
     ShardedRepository,
     ShardWorkerPool,
 )
+from repro.restore.matcher import PlanDigest
 from repro.restore.persistence import entry_to_json, SkeletonOp
 from repro.restore.service import (
     _WorkerHandle,
@@ -182,15 +183,23 @@ class TestFanOut:
 
     def test_occupied_catchall_always_consulted(self):
         repo = ShardedRepository(num_shards=4)
-        repo.insert(_entry(0, path="/data/d0"))
-        unkeyable = _unkeyable_entry(1)
-        repo.insert(unkeyable)
+        keyed = repo.insert(_entry(0, path="/data/d0"))
+        unkeyable = repo.insert(_unkeyable_entry(1))
+        catchall = repo.partitions()[-1]
+        # No load filter can rule the catch-all entry out, so a keyed
+        # probe still consults the catch-all; the merge then drops the
+        # entry, whose fingerprint is not one of the probe's sites.
+        before = catchall.stats.probes
         probe = _chain_plan(0, "/data/d0", extra_op="probe")
-        candidates = repo.match_candidates(probe)
-        # The catch-all entry cannot be ruled out by the load filter, so
-        # it must be among the candidates (exactly as the unsharded
-        # repository treats unkeyable entries).
-        assert unkeyable in candidates
+        assert repo.match_candidates(probe) == (keyed,)
+        assert catchall.stats.probes == before + 1
+        # A probe that contains the unkeyable entry's plan gets it as a
+        # candidate.
+        frontier = unkeyable.plan.stores()[0].inputs[0]
+        container = PhysicalPlan([POStore(
+            SkeletonOp("foreach", "FOREACH[probe]", None, [frontier]),
+            "/out/p")])
+        assert repo.match_candidates(container) == (unkeyable,)
 
     def test_candidates_match_unsharded_repository(self):
         plain = Repository()
@@ -206,13 +215,28 @@ class TestFanOut:
                 == [e.output_path for e in plain.match_candidates(probe)]
 
     def test_unkeyable_probe_falls_back_to_full_scan(self):
+        # No shard can be picked for a probe whose loads cannot be
+        # keyed: it takes the global scan, restricted to the entries
+        # whose fingerprint is one of its sites, in scan order.
         repo = ShardedRepository(num_shards=4)
         for index in range(6):
             repo.insert(_entry(index, path=f"/data/d{index % 2}"))
         probe_load = SkeletonOp("load", "FOREIGN[p]", None, [])
         probe_chain = SkeletonOp("filter", "FILTER[p]", None, [probe_load])
-        probe = PhysicalPlan([POStore(probe_chain, "/out/p")])
-        assert repo.match_candidates(probe) == repo.scan()
+        stores = [POStore(probe_chain, "/out/p")]
+        for index in (0, 3, 4):
+            # Each contains entry ``index`` (a filter over its own Load).
+            stores.append(POStore(SkeletonOp(
+                "foreach", "FOREACH[probe]", None,
+                [_chain_plan(index, f"/data/d{index % 2}").stores()[0]
+                 .inputs[0]]), f"/out/q{index}"))
+        probe = PhysicalPlan(stores)
+        sites = PlanDigest(probe).sites
+        expected = tuple(entry for entry in repo.scan()
+                         if entry.fingerprint in sites)
+        assert sorted(entry.output_path for entry in expected) == \
+            ["/stored/s0", "/stored/s3", "/stored/s4"]
+        assert repo.match_candidates(probe) == expected
 
     def test_removal_updates_shard(self):
         repo = ShardedRepository(num_shards=4)

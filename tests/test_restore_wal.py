@@ -1315,6 +1315,26 @@ class TestResume:
         assert len(after) == 2
         assert after.scan()[0].stats.use_count == 1
 
+    def test_removed_keys_are_not_minted_again_after_a_resume(self):
+        """Regression: a removed entry's key lives on in its shard's
+        segment. A resumed log that minted it again for an entry of
+        another shard, then compacted only that shard, left the old
+        remove record to delete the new entry on the next reload."""
+        dfs = DistributedFileSystem()
+        live = ShardedRepository(num_shards=3)
+        log = RepositoryLog(dfs).attach(live)
+        live.insert(fabricated_entry(0))
+        live.remove(live.insert(fabricated_entry(4)))  # same shard
+        log.flush()
+        reloaded = load_repository(dfs)
+        log = RepositoryLog(dfs).attach(reloaded)
+        added = reloaded.insert(fabricated_entry(1))
+        assert reloaded.shard_id_of(added) != \
+            reloaded.shard_id_of(reloaded.scan()[0])
+        log.compact(shards=[shard_label(reloaded.shard_id_of(added))])
+        assert entry_fingerprints(load_repository(dfs)) == \
+            entry_fingerprints(reloaded)
+
     def test_attach_into_different_shard_count_heals(self):
         """A v4 file loaded into an explicit target with a different
         shard layout cannot resume the old sections — attach must
