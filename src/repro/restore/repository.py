@@ -51,7 +51,8 @@ when the entry blocked nobody (no out-edges); otherwise its dependents
 may now be ready earlier, so they are marked *dirty* and their
 components are re-sorted by the next insert — which then yields exactly
 the seed's full re-sort. After :meth:`Repository.force_scan_order` the
-whole repository is dirty: the next insert runs one full pass.
+whole repository is dirty: the next insert runs one full pass; the
+loader stages entries in that state (:meth:`Repository._stage`).
 
 Containment tests run on each entry's cached
 :class:`~repro.restore.matcher.PlanDigest`: two dict lookups per
@@ -357,6 +358,22 @@ class Repository:
         entry's component (plus any dirty ones) and merges it into the
         rest of the order.
         """
+        self._index(entry)
+        self._reorder(entry)
+        return self._announce(entry)
+
+    def _stage(self, entry):
+        """:meth:`insert` for a loader that pins the recorded order next:
+        the same indexing, hook and event, but the entry is appended and
+        the whole repository left dirty instead of re-sorted."""
+        self._index(entry)
+        self._entries.append(entry)
+        self._dirty = None
+        return self._announce(entry)
+
+    def _index(self, entry):
+        """Mint ``entry``'s sequence and priority key, discover its
+        subsumption edges and file it in every index."""
         entry._sequence = self._sequence
         self._sequence += 1
         entry._scan_key = _priority(entry)
@@ -370,7 +387,7 @@ class Repository:
         self._edges_out.setdefault(entry_id, set())
         self._edges_in.setdefault(entry_id, set())
 
-        self._reorder(entry)
+    def _announce(self, entry):
         self._order = None
         self._post_insert(entry)
         self._notify("insert", entry)
@@ -516,7 +533,8 @@ class Repository:
         from the order the file recorded. The saved positions are
         authoritative; the whole repository is marked dirty so the next
         insert re-sorts everything, exactly as the live repository's
-        order would come out. The loader re-pins each entry's tie-break
+        order would come out. The loader stages its entries (never
+        sorted, :meth:`_stage`) and re-pins each entry's tie-break
         sequence before calling this, so every cached priority key is
         re-derived here, on both paths.
         """

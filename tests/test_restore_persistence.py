@@ -1,31 +1,44 @@
 """Tests for repository persistence: save, reload, and reuse after restart."""
 
 import json
+import random
 
 import pytest
 
+import repro.restore.repository as repository_module
 from repro import PigSystem
+from repro.common import LogicalClock
 from repro.common.errors import RepositoryError
 from repro.data import DataType, Field, Schema
-from repro.physical.operators import POLoad
+from repro.dfs import DistributedFileSystem
+from repro.physical.operators import POLoad, POStore
+from repro.physical.plan import PhysicalPlan
 from repro.restore import (
+    HeuristicRetentionPolicy,
     leaf_loads,
     load_repository,
     Repository,
+    RepositoryEntry,
     RepositoryLog,
     save_repository,
     ShardedRepository,
 )
 from repro.restore.matcher import contains, find_containment
 from repro.restore.persistence import (
+    _force_recorded_order,
+    _read_order_log,
     entry_from_json,
     entry_to_json,
+    LoaderReport,
     MANIFEST_KEY,
     plan_from_json,
     plan_to_json,
     schema_from_json,
     schema_to_json,
+    shard_label,
+    SkeletonOp,
 )
+from repro.restore.stats import EntryStats
 
 from tests.helpers import Q1_TEXT, Q2_TEXT, seed_page_views, seed_users
 
@@ -460,3 +473,292 @@ class TestLoadSuspendsTheCollector:
         with pytest.raises(RepositoryError):
             load_repository(system.dfs)
         assert gc.isenabled()
+
+
+# --- Staged reload: the loader against a per-entry rebuild ---------------------
+#
+# The reference rebuilds the manifest's entry set with one ``insert`` per
+# section entry and phase-1 record, pins the recorded order with
+# ``_force_recorded_order`` and replays phase 2 with ``insert``. The
+# loader must leave every piece of repository state exactly as that
+# reference does, and both must then behave alike.
+
+_ROW = Schema([Field("a", DataType.INT), Field("b", DataType.CHARARRAY)])
+_GROUPED = Schema([Field("g", DataType.INT), Field("rows", DataType.BAG, _ROW)])
+#: a deeper chain of one family strictly contains every shallower one
+_CHAIN = (("FILTER[a>{family}]", _ROW), ("PROJECT[{family}]", _ROW),
+          ("GROUP[{family}]", _GROUPED))
+#: (input_bytes, output_bytes, producing_job_time): mostly tied
+_TIED = [(1000, 10, 5.0), (1000, 10, 5.0), (2000, 10, 5.0), (1000, 100, 60.0)]
+_SOURCES = [f"/data/d{index}" for index in range(5)]
+
+
+def chain_entry(family, depth, path, versions, stats, tick):
+    source = _SOURCES[family % len(_SOURCES)]
+    op = POLoad(source, _ROW, versions[source])
+    for signature, schema in _CHAIN[:depth]:
+        op = SkeletonOp("op", signature.format(family=family), schema, [op])
+    return RepositoryEntry(
+        PhysicalPlan([POStore(op, path)]), path,
+        EntryStats(*stats, created_tick=tick),
+        input_versions={source: versions[source]})
+
+
+def _source_versions(dfs):
+    return {source: dfs.status(source).version for source in _SOURCES}
+
+
+def _random_insert(repositories, rng, dfs, tick, path):
+    family, depth = rng.randrange(24), rng.randint(1, 3)
+    stats, versions = rng.choice(_TIED), _source_versions(dfs)
+    for repository in repositories:
+        repository.insert(
+            chain_entry(family, depth, path, versions, stats, tick))
+
+
+def _random_victim(repository, rng):
+    """Output path of an entry to remove, a container half the time
+    (removing one frees its dependents)."""
+    edges = repository.subsumption_edges_among(
+        [entry.entry_id for entry in repository])
+    containers = sorted(repository.entry(entry_id).output_path
+                        for entry_id, below in edges.items() if below)
+    if containers and rng.random() < 0.5:
+        return rng.choice(containers)
+    return rng.choice(sorted(entry.output_path for entry in repository))
+
+
+def _remove_path(repository, path):
+    repository.remove(next(entry for entry in repository
+                           if entry.output_path == path))
+
+
+def churned(num_shards, seed, tail):
+    """A repository churned through a RepositoryLog: inserts, removals,
+    use-stamps, dirty-shard and full compactions. ``tail`` leaves
+    records past the last compaction (phase 2 of a reload); without it
+    the stream ends on a dirty-shard compaction, so the other shards'
+    segment records are all phase 1."""
+    rng = random.Random(seed)
+    dfs = DistributedFileSystem()
+    for source in _SOURCES:
+        dfs.write_lines(source, ["x"])
+    live = (ShardedRepository(num_shards=num_shards) if num_shards
+            else Repository())
+    log = RepositoryLog(dfs).attach(live)
+
+    def dirty_compaction():
+        labels = sorted({shard_label(live.shard_id_of(entry))
+                         for entry in live})
+        log.compact(shards=[rng.choice(labels)])
+
+    for step in range(90):
+        for slot in range(rng.randint(1, 2)):
+            _random_insert([live], rng, dfs, step, f"/stored/c{step}-{slot}")
+        if rng.random() < 0.4:
+            _remove_path(live, _random_victim(live, rng))
+        if rng.random() < 0.3:
+            live.record_use(rng.choice(live.scan()), step)
+        if step % 40 == 19:
+            log.compact()
+        elif step % 10 == 4:
+            dirty_compaction()
+        elif step % 3 == 0:
+            log.checkpoint()
+    if tail:
+        dirty_compaction()
+        for step in range(90, 96):
+            _random_insert([live], rng, dfs, step, f"/stored/c{step}")
+        _remove_path(live, _random_victim(live, rng))
+        live.record_use(rng.choice(live.scan()), 96)
+        log.flush()
+    else:
+        log.flush()
+        dirty_compaction()
+    log.detach()
+    return dfs, live
+
+
+def per_entry_reload(dfs, repository):
+    """The reference rebuild of ``SAVED`` into ``repository``; returns
+    the number of phase-1 and phase-2 records it replayed."""
+    manifest = json.loads(dfs.read_lines(SAVED)[0])
+    sections, phase1, phase2 = [], [], []
+    for section in manifest["sections"]:
+        if section.get("file") and dfs.exists(section["file"]):
+            sections += [json.loads(line)
+                         for line in dfs.read_lines(section["file"])]
+        if section.get("segment") and dfs.exists(section["segment"]):
+            for line in dfs.read_lines(section["segment"]):
+                record = json.loads(line)
+                if record["seq"] <= section.get("base_seq", 0):
+                    continue
+                (phase1 if record["seq"] <= manifest["last_seq"]
+                 else phase2).append(record)
+    by_key = {}
+
+    def apply(record):
+        if record["op"] == "insert":
+            by_key[record["key"]] = repository.insert(
+                entry_from_json(record["entry"]))
+        elif record["op"] == "remove":
+            repository.remove(by_key.pop(record["key"]))
+        else:
+            stats = by_key[record["key"]].stats
+            stats.use_count = record["use_count"]
+            stats.last_used_tick = record["last_used_tick"]
+
+    sections.sort(key=lambda record: record["entry"].get("sequence") or 0)
+    for record in sections:
+        apply({"op": "insert", "key": record["key"], "entry": record["entry"]})
+    for record in sorted(phase1, key=lambda record: record["seq"]):
+        apply(record)
+    order = _read_order_log(dfs, manifest["order_log"], manifest["order_gen"],
+                            LoaderReport(SAVED, dfs))
+    _force_recorded_order(repository, order, by_key)
+    for record in sorted(phase2, key=lambda record: record["seq"]):
+        apply(record)
+    return len(phase1), len(phase2)
+
+
+def _listened(repository):
+    """``repository`` and the list its change events land in."""
+    events = []
+    repository.add_listener(lambda op, entry: events.append(
+        (op, entry.output_path, repository.shard_id_of(entry))))
+    return repository, events
+
+
+def repository_state(repository):
+    """Every piece of state a reload rebuilds, with entry ids (minted
+    per process) replaced by output paths."""
+    path_of = {entry.entry_id: entry.output_path for entry in repository}
+
+    def paths(ids):
+        return sorted(path_of[entry_id] for entry_id in ids)
+
+    return {
+        "scan": [(entry.output_path, entry._sequence, entry._scan_key)
+                 for entry in repository.scan()],
+        "next_sequence": repository._sequence,
+        "edges_out": {path_of[entry_id]: paths(below)
+                      for entry_id, below in repository._edges_out.items()},
+        "edges_in": {path_of[entry_id]: paths(above)
+                     for entry_id, above in repository._edges_in.items()},
+        "buckets": {fingerprint: [entry.output_path for entry in bucket]
+                    for fingerprint, bucket in repository._buckets.items()},
+        "by_site": {site: paths(ids)
+                    for site, ids in repository._by_site.items()},
+        "shards": {shard_id: [entry.output_path
+                              for entry in repository.shard_members(shard_id)]
+                   for shard_id in repository.shard_sizes()},
+        "dirty": (None if repository._dirty is None
+                  else paths(repository._dirty)),
+    }
+
+
+def _empty_like(num_shards):
+    return ShardedRepository(num_shards=num_shards) if num_shards \
+        else Repository()
+
+
+class TestStagedReload:
+    @pytest.mark.parametrize("num_shards", [0, 4], ids=["plain", "sharded"])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_reload_matches_per_entry_rebuild(self, num_shards, seed):
+        dfs, live = churned(num_shards, seed, tail=True)
+        reference, reference_events = _listened(_empty_like(num_shards))
+        phase1, phase2 = per_entry_reload(dfs, reference)
+        assert phase2 > 0
+        if num_shards:
+            assert phase1 > 0
+        loaded = load_repository(dfs)
+        assert type(loaded) is type(reference)
+        assert loaded.loader_report.dangling_records == 0
+        assert [entry.output_path for entry in loaded.scan()] == \
+            [entry.output_path for entry in live.scan()]
+        assert repository_state(loaded) == repository_state(reference)
+        # The same load into an empty explicit target fires the same
+        # change events, each after the entry joined its shard.
+        target, events = _listened(_empty_like(num_shards))
+        load_repository(dfs, repository=target)
+        assert repository_state(target) == repository_state(reference)
+        assert events == reference_events
+
+        # Both keep behaving alike: inserts, removals and sweeps.
+        rng = random.Random(seed)
+        policy = HeuristicRetentionPolicy(window_ticks=40)
+        for step in range(100, 150):
+            action = rng.choice(["insert"] * 3 + ["remove", "sweep"])
+            if action == "insert":
+                _random_insert([loaded, reference], rng, dfs, step,
+                               f"/stored/d{step}")
+            elif action == "remove" and len(loaded):
+                path = _random_victim(loaded, rng)
+                for repository in (loaded, reference):
+                    _remove_path(repository, path)
+            elif action == "sweep":
+                if rng.random() < 0.3:
+                    dfs.write_lines(rng.choice(_SOURCES), [f"v{step}"],
+                                    overwrite=True)
+                evicted = [[entry.output_path for entry in policy.sweep(
+                    repository, dfs, LogicalClock(step))]
+                    for repository in (loaded, reference)]
+                assert evicted[0] == evicted[1], step
+            assert [(entry.output_path, entry._sequence)
+                    for entry in loaded.scan()] == \
+                [(entry.output_path, entry._sequence)
+                 for entry in reference.scan()], step
+
+
+def _schema_records(data, found):
+    """Collect every schema record of a plan record list, nested bag
+    element records included, as canonical JSON text."""
+    if data is None:
+        return
+    found.add(json.dumps(data, sort_keys=True))
+    for item in data:
+        _schema_records(item["element"], found)
+
+
+class TestColdReloadCost:
+    """A cold reload with no phase-2 record pins the recorded order over
+    staged entries: no Kahn pass and no merge ever run, and each
+    distinct schema record is decoded into one Schema."""
+
+    @pytest.mark.parametrize("num_shards", [0, 4], ids=["plain", "sharded"])
+    def test_no_resort_and_one_schema_per_record(self, num_shards,
+                                                 monkeypatch):
+        dfs, live = churned(num_shards, 7, tail=False)
+        distinct = set()
+        for file in dfs.list_files(prefix=f"{SAVED}."):
+            for line in dfs.read_lines(file):
+                entry = json.loads(line).get("entry")
+                for record in (entry["plan"] if entry else ()):
+                    _schema_records(record["schema"], distinct)
+        calls = {"greedy": 0, "merge": 0, "schema": 0}
+        greedy_order = Repository._greedy_order
+        merge = repository_module._merge
+        schema_init = Schema.__init__
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(Repository, "_greedy_order",
+                            counted("greedy", greedy_order))
+        monkeypatch.setattr(repository_module, "_merge",
+                            counted("merge", merge))
+        monkeypatch.setattr(Schema, "__init__",
+                            counted("schema", schema_init))
+        loaded = load_repository(dfs)
+        report = loaded.loader_report
+        assert report.last_seq == json.loads(
+            dfs.read_lines(SAVED)[0])["last_seq"]   # no phase-2 record
+        if num_shards:
+            assert report.replayed_records > 0      # phase-1 records
+        assert len(loaded) == len(live) > 50
+        assert calls["greedy"] == calls["merge"] == 0
+        assert 0 < calls["schema"] <= len(distinct)

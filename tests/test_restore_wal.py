@@ -1234,6 +1234,33 @@ class TestReplay:
         with pytest.raises(RepositoryError, match="scan order references"):
             load_repository(dfs)
 
+    @pytest.mark.parametrize("record", [
+        {"removed": [], "inserted": [["k9", 9]]},
+        {"removed": [], "inserted": [["k9", 9, "0"]]},
+        {"full": [["k0"]]},
+        {"full": 7},
+        {"full": [["k0", "zero"], ["k1", 1]]},
+    ], ids=["two-field-splice", "text-position", "one-field-pair",
+            "scalar-full", "text-sequence"])
+    def test_malformed_order_record_rejected(self, record):
+        """A malformed record in the order log the manifest points at is
+        corruption: one RepositoryError naming the file and the line."""
+        dfs = DistributedFileSystem()
+        live = Repository()
+        log = RepositoryLog(dfs).attach(live)
+        live.insert(fabricated_entry(0))
+        live.insert(fabricated_entry(1))
+        log.compact()
+        order_log, records = order_log_of(dfs)
+        record = dict(record, gen=manifest_of(dfs)["order_gen"])
+        dfs.write_lines(order_log, [json.dumps(line)
+                                    for line in [*records, record]],
+                        overwrite=True)
+        with pytest.raises(RepositoryError) as raised:
+            load_repository(dfs)
+        assert repr(order_log) in str(raised.value)
+        assert f"line {len(records)}" in str(raised.value)
+
 
 class TestResume:
     def test_reattach_resumes_sequence_and_keys(self):
@@ -1463,6 +1490,12 @@ class TestMigration:
         assert len(merged) == 4
         assert {e.output_path for e in merged.scan()} == \
             {e.output_path for e in live.scan()} | {"/stored/s30"}
+        # The merge inserts entry by entry, exactly like a twin target.
+        twin = Repository()
+        for index in (30, 0, 1, 2):
+            twin.insert(fabricated_entry(index))
+        assert [e.output_path for e in merged.scan()] == \
+            [e.output_path for e in twin.scan()]
 
     def test_v4_loads_into_explicit_target(self):
         """Cross-format migration works for v4 too: a v4 file written by

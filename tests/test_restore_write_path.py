@@ -138,8 +138,9 @@ class TestSweep:
 class TestNoWholeRepositoryPass:
     """An insert hands the Kahn routine only the subsumption components
     it touches: its own, plus those of the surviving dependents of
-    entries removed since the previous insert. A cold reload runs at
-    most one full pass (after the recorded order is pinned)."""
+    entries removed since the previous insert. A cold reload stages its
+    entries unsorted and sorts nothing itself; at most one full pass
+    runs, on the first insert after the recorded order is pinned."""
 
     def _instrument(self, monkeypatch):
         calls = []  # (entry ids handed, entries in the repository)
