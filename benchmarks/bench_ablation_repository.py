@@ -8,12 +8,13 @@ docs/ARCHITECTURE.md):
   the partial order is maintained;
 * retention policy: Rules 1-4 keep the repository small at little cost;
 * **naive vs indexed repository** (PR 1): scan/insert/match timings of
-  the frozen seed linear scan against the fingerprint + leaf-load
-  indexed repository at 10/100/1000 entries;
+  the frozen seed linear scan against the fingerprint-indexed
+  repository at 10/100/1000 entries;
 * **candidate ranking** (PR 3): the paper's structural try-order vs the
   cost-model ``SavingsRanker`` over a PigMix-style stream — identical
-  outputs, total simulated workflow time never worse, estimator error
-  reported per arm;
+  outputs, total simulated workflow time no worse on this stream (not
+  a general guarantee, see :mod:`repro.restore.ranking`), estimator
+  error reported per arm;
 * **incremental persistence** (PR 4): per-checkpoint cost of
   ``save_repository`` — one full compaction, O(repository) — vs the
   append-only ``RepositoryLog`` checkpoint (O(delta)) at 1000 entries under a steady stream of
@@ -26,9 +27,10 @@ docs/ARCHITECTURE.md):
   replay verified bit-identical;
 * **worker-process service** (PR 6): the 8-shard workload with each
   partition promoted to a worker process behind the routing front-end,
-  probes shipped through the batched IPC-amortized path — candidate
-  sequences bit-identical to the serial executor (asserted on any
-  hardware), throughput bar ≥1.2x enforced on ≥4 cores.
+  probed one plan at a time — candidate sequences bit-identical to the
+  serial executor (asserted on any hardware), throughput bar ≥1.2x
+  enforced on ≥4 cores;
+* scan snapshot: ``scan()`` hands back one cached tuple per order.
 """
 
 import json
@@ -313,109 +315,14 @@ def test_indexed_repository_vs_naive(benchmark, record_experiment, size):
         )
 
 
-# --- Sharded repository: match throughput vs shard count (PR 2) ---------------
+# --- Worker-process service: routed probes vs the serial lookup ------------
 #
-# The same fabricated 1000-entry workload, partitioned by leaf-load key.
-# A probe reads one load key, so it consults exactly one shard; the
-# per-probe filter cost drops from O(n) to O(n/N), which is what the
-# throughput ratio measures (the serial executor is used so the numbers
-# are pure algorithmic gains, not thread scheduling).
-
-_SHARD_COUNTS = [1, 2, 8]
-_SHARDED_SIZE = 1000
-_SHARDED_PROBE_ROUNDS = 3
-
-
-@pytest.mark.benchmark(group="ablation-sharded-repository")
-def test_sharded_match_throughput_scales(benchmark, record_experiment):
-    """match_candidates throughput must scale with shard count: the
-    acceptance bar for PR 2 is >=2x at 8 shards vs 1 shard on the
-    1000-entry workload, with identical candidate sequences throughout.
-    """
-    pool_size = max(4, _SHARDED_SIZE // 10)
-    plans = [_fabricated_plan(index, pool_size)
-             for index in range(_SHARDED_SIZE)]
-
-    def populate(repository):
-        for index, plan in enumerate(plans):
-            stats = EntryStats(
-                input_bytes=1000 + (index % 7) * 500,
-                output_bytes=10 + (index % 5) * 30,
-                producing_job_time=1.0 + (index % 11),
-            )
-            repository.insert(
-                RepositoryEntry(plan, f"/stored/s{index}", stats))
-        return repository
-
-    repositories = {"unsharded": populate(Repository())}
-    for shard_count in _SHARD_COUNTS:
-        repositories[f"sharded-{shard_count}"] = populate(
-            ShardedRepository(num_shards=shard_count, executor="serial"))
-
-    # One probe per pool load key; every repository must hand the
-    # matcher identical candidate sequences.
-    probes = [_fabricated_plan(_SHARDED_SIZE * 2 + index, pool_size,
-                               extra_op=f"shardprobe{index}")
-              for index in range(pool_size)]
-    reference = [[e.output_path for e in
-                  repositories["unsharded"].match_candidates(probe)]
-                 for probe in probes]
-    for label, repository in repositories.items():
-        assert [[e.output_path for e in repository.match_candidates(probe)]
-                for probe in probes] == reference, label
-
-    def measure():
-        # Best-of-3 per repository: the ratio assertion below should
-        # reflect algorithmic cost, not a scheduler hiccup in one pass.
-        timings = {}
-        for label, repository in repositories.items():
-            passes = []
-            for _ in range(3):
-                seconds, _ = _timed(
-                    lambda repo=repository: [repo.match_candidates(probe)
-                                             for _ in range(_SHARDED_PROBE_ROUNDS)
-                                             for probe in probes])
-                passes.append(seconds)
-            timings[label] = min(passes)
-        return timings
-
-    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-    num_probes = len(probes) * _SHARDED_PROBE_ROUNDS
-    throughput = {label: num_probes / max(seconds, 1e-9)
-                  for label, seconds in timings.items()}
-    scaling = throughput["sharded-8"] / max(throughput["sharded-1"], 1e-9)
-    record_experiment(ExperimentResult(
-        "ablation_sharded_repository",
-        f"match_candidates throughput vs shard count "
-        f"({_SHARDED_SIZE} entries, {num_probes} probes, serial executor)",
-        ["repository", "seconds", "probes_per_s", "vs_1_shard"],
-        [
-            {"repository": label,
-             "seconds": round(timings[label], 6),
-             "probes_per_s": round(throughput[label], 1),
-             "vs_1_shard": round(throughput[label]
-                                 / max(throughput["sharded-1"], 1e-9), 2)}
-            for label in ("unsharded", "sharded-1", "sharded-2", "sharded-8")
-        ],
-        notes=[f"8-shard vs 1-shard throughput: {scaling:.1f}x "
-               f"(acceptance bar: >=2x)"],
-    ))
-    assert scaling >= 2.0, (
-        f"sharded match_candidates must scale >=2x from 1 to 8 shards at "
-        f"{_SHARDED_SIZE} entries, got {scaling:.1f}x "
-        f"({throughput['sharded-1']:.0f} -> {throughput['sharded-8']:.0f} "
-        f"probes/s)"
-    )
-
-
-# --- Worker-process service: routed batched probes vs serial fan-out (PR 6) ---
-#
-# The same 1000-entry 8-shard workload, with the partitions promoted to
-# worker processes behind the routing front-end. Probes ship through the
-# IPC-amortized batch API (one message per consulted worker per batch),
-# so the per-worker filters genuinely overlap across cores. Candidate
-# sequences must be bit-identical to the serial executor's throughout —
-# that assertion is unconditional; the throughput bar only applies on
+# A 1000-entry 8-shard workload, with the partitions promoted to worker
+# processes behind the routing front-end. Each match_candidates call
+# sends its probe to the routed workers before collecting any answer,
+# so the per-worker filters overlap across cores. Candidate sequences
+# must be bit-identical to the serial executor's throughout — that
+# assertion is unconditional; the throughput bar only applies on
 # hardware that can actually overlap the workers.
 
 _SERVICE_SIZE = 1000
@@ -426,9 +333,9 @@ _SERVICE_ROUNDS = 3
 @pytest.mark.benchmark(group="ablation-worker-service")
 def test_worker_service_match_throughput(benchmark, record_experiment):
     """The service arm of the ablation: match throughput of the
-    process-backed 8-shard repository (batched probes) vs the serial
-    executor, decisions bit-identical. On >=4 cores the overlapped
-    workers must win (bar: >=1.2x)."""
+    process-backed 8-shard repository vs the serial executor, one
+    ``match_candidates`` call per plan on both, decisions bit-identical.
+    On >=4 cores the overlapped workers must win (bar: >=1.2x)."""
     pool_size = max(4, _SERVICE_SIZE // 10)
     plans = [_fabricated_plan(index, pool_size)
              for index in range(_SERVICE_SIZE)]
@@ -452,12 +359,12 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
                                extra_op=f"svcprobe{index}")
               for index in range(pool_size)]
 
-    # Unconditional: the routed batch answers exactly what the serial
-    # fan-out answers, probe for probe, entry for entry.
-    reference = [[e.output_path for e in cs]
-                 for cs in serial.match_candidates_batch(probes)]
-    assert [[e.output_path for e in cs]
-            for cs in service.match_candidates_batch(probes)] == reference
+    # Unconditional: the routed workers answer exactly what the serial
+    # lookup answers, probe for probe, entry for entry.
+    reference = [[e.output_path for e in serial.match_candidates(probe)]
+                 for probe in probes]
+    assert [[e.output_path for e in service.match_candidates(probe)]
+            for probe in probes] == reference
 
     def measure():
         timings = {}
@@ -466,9 +373,10 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
                  lambda: [serial.match_candidates(probe)
                           for _ in range(_SERVICE_ROUNDS)
                           for probe in probes]),
-                ("processes-batched",
-                 lambda: [service.match_candidates_batch(probes)
-                          for _ in range(_SERVICE_ROUNDS)])):
+                ("processes",
+                 lambda: [service.match_candidates(probe)
+                          for _ in range(_SERVICE_ROUNDS)
+                          for probe in probes])):
             passes = []
             for _ in range(3):
                 seconds, _ = _timed(run)
@@ -484,27 +392,26 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
     num_probes = len(probes) * _SERVICE_ROUNDS
     throughput = {label: num_probes / max(seconds, 1e-9)
                   for label, seconds in timings.items()}
-    speedup = throughput["processes-batched"] / max(throughput["serial"],
-                                                    1e-9)
+    speedup = throughput["processes"] / max(throughput["serial"], 1e-9)
     cores = os.cpu_count() or 1
     record_experiment(ExperimentResult(
         "ablation_worker_service",
         f"Worker-process service vs serial executor "
         f"({_SERVICE_SIZE} entries, {_SERVICE_SHARDS} shards, "
-        f"{num_probes} probes, batched routing, {cores} core(s))",
+        f"{num_probes} probes, one plan per call, {cores} core(s))",
         ["arm", "seconds", "probes_per_s", "speedup"],
         [
             {"arm": "serial executor",
              "seconds": round(timings["serial"], 6),
              "probes_per_s": round(throughput["serial"], 1),
              "speedup": 1.0},
-            {"arm": "worker processes (batched probes)",
-             "seconds": round(timings["processes-batched"], 6),
-             "probes_per_s": round(throughput["processes-batched"], 1),
+            {"arm": "worker processes",
+             "seconds": round(timings["processes"], 6),
+             "probes_per_s": round(throughput["processes"], 1),
              "speedup": round(speedup, 2)},
         ],
         notes=[
-            "decisions bit-identical to the serial fan-out (asserted "
+            "decisions bit-identical to the serial lookup (asserted "
             "unconditionally)",
             f"service vs serial throughput: {speedup:.2f}x on {cores} "
             f"core(s) (bar >=1.2x, enforced at >=4 cores)",
@@ -515,7 +422,7 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
             f"the worker-process service must beat the serial executor "
             f"on {cores} cores at {_SERVICE_SHARDS} shards, got "
             f"{speedup:.2f}x (serial {timings['serial']:.4f}s, "
-            f"batched {timings['processes-batched']:.4f}s)"
+            f"processes {timings['processes']:.4f}s)"
         )
 
 
@@ -523,16 +430,18 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
 #
 # Both arms run the same PigMix-style stream (repeats included, so the
 # matcher has real candidates to rank). Ranking only reorders the
-# matcher's walk — outputs must stay byte-identical — and because the
-# savings ranker keeps subsumption a hard constraint, its total simulated
-# workflow time can never exceed the structural order's.
+# matcher's walk — outputs must stay byte-identical. On this stream
+# (keep-everything retention, inputs never overwritten) the savings
+# order's total simulated workflow time must not exceed the structural
+# order's; that is a measured bar for this stream, not a property of the
+# ranker (repro.restore.ranking gives a stream where it costs more).
 
 _RANKING_STREAM = ["L2", "L3", "L3a", "L6", "L2", "L3", "L3b", "L7",
                    "L8", "L3c", "L3", "L2"]
 
 
 @pytest.mark.benchmark(group="ablation-ranking")
-def test_ranking_savings_never_loses_to_structural(benchmark, record_experiment):
+def test_ranking_savings_vs_structural(benchmark, record_experiment):
     """The acceptance bar for PR 3's ranking arm: SavingsRanker total
     simulated workflow time <= structural order's on the PigMix-style
     stream, with identical outputs and the per-candidate estimated vs
@@ -582,11 +491,11 @@ def test_ranking_savings_never_loses_to_structural(benchmark, record_experiment)
             "beyond the paper: rule 2's structural metrics replaced by "
             "Equation-2 estimated savings (subsumption kept hard)",
             f"savings vs structural total time: {savings['time']:.1f}s "
-            f"vs {structural['time']:.1f}s (bar: never worse)",
+            f"vs {structural['time']:.1f}s (bar: no worse on this stream)",
         ],
     ))
     assert savings["time"] <= structural["time"] + 1e-6, (
-        f"SavingsRanker must never lose to structural order, got "
+        f"SavingsRanker must not lose to structural order on this stream, got "
         f"{savings['time']:.2f}s vs {structural['time']:.2f}s"
     )
 

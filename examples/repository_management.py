@@ -10,7 +10,7 @@ proposes four rules for a production deployment:
 
 This example submits a stream of queries under both policies, then
 modifies the source data to show Rule 4 invalidation, runs the same
-stream against a sharded repository to show the partitioned match path
+stream against a sharded repository to show the partition layout
 (identical decisions, per-shard counters), shows the cost-model
 candidate ranker (the matcher tries candidates
 best-estimated-savings-first, the report's ranking ledger shows
@@ -86,7 +86,7 @@ def main():
     print("\nrepository after the sweep:")
     print(pruned.repository.describe())
 
-    print("\n=== sharded repository: same decisions, partitioned matching ===")
+    print("\n=== sharded repository: same decisions, partitioned layout ===")
     system = build_system()
     repository = ShardedRepository(num_shards=4)
     sharded = system.restore(repository=repository)
@@ -94,14 +94,17 @@ def main():
     print(f"entries: {len(repository)} across {repository.num_shards} shards")
     for row in repository.shard_report():
         print(f"  shard {row['shard']:>2}: {row['occupancy']} entr(ies), "
-              f"{row['probes']} probe(s), {row['match_hits']} hit(s)")
+              f"{row['probes']} probe(s), "
+              f"{row['candidates_returned']} candidate(s), "
+              f"{row['match_hits']} hit(s)")
     merged = repository.merged_shard_stats()
     print(f"merged: {merged['probes']} logical probe(s) over "
-          f"{merged['shard_consults']} shard consult(s), "
+          f"{merged['shard_consults']} shard routing(s), "
+          f"{merged['candidates_returned']} candidate(s), "
           f"{merged['match_hits']} hit(s)")
-    print("(per-shard probe counters count consultations — a probe that")
-    print(" fans out to an owned shard AND the catch-all appears in both")
-    print(" rows; the merged view counts each logical probe once)")
+    print("(a probe is answered by the same fingerprint lookup as the")
+    print(" plain repository; it counts once for each partition its load")
+    print(" keys route to, and each candidate counts for its owning shard)")
     print(f"last workflow's matcher: "
           f"{sharded.last_report.match_counters.describe()}")
 

@@ -47,15 +47,17 @@ suite (``tests/test_property_restore.py``) checks order- and
 decision-equivalence against it on randomized workflow streams;
 ``benchmarks/bench_ablation_repository.py`` reports the speedup.
 
-Sharding (PR 2) extends the same contract to a *partitioned* store:
+Sharding extends the same contract to a *partitioned* layout:
 :class:`repro.restore.sharding.ShardedRepository` hashes entries across
-N shards by leaf-load key, keeps the canonical-fingerprint dict as the
-global cross-shard dedup channel, fans ``match_candidates`` out only to
-the shards owning a job's load keys, and merges per-shard candidates
-back into the paper's priority order, keeping those filed under one of
-the job's sites — exactly the unsharded candidate sequence.
+N shards by leaf-load key — the unit of the per-shard persistence files
+and of the worker processes below — and keeps the canonical-fingerprint
+dict as the global cross-shard dedup channel. Under the default serial
+executor it inherits all four operations of the table's indexed
+column, ``match_candidates`` included: a probe costs what it costs
+unsharded, plus a bump of the counters of the partitions its load keys
+route to.
 
-Ranking (PR 3) makes the *order* of that merged candidate walk pluggable
+Ranking makes the *order* of that candidate walk pluggable
 (:mod:`repro.restore.ranking`): the default
 :class:`~repro.restore.ranking.StructuralRanker` keeps the paper's
 priority order bit-identical to the seed, while
@@ -88,7 +90,7 @@ The worker-process service (PR 6) promotes each partition to a worker
 ``ShardedRepository(executor="processes")`` builds a
 :class:`~repro.restore.service.ShardWorkerPool`, buffering
 inserts/removals per owning worker (batched hand-off over
-``multiprocessing`` queues) and fanning probes out by load-key hash
+``multiprocessing`` queues) and routing probes by load-key hash
 while ``find_equivalent``, ordering, ranking, statistics, and every
 durable write stay with the coordinator — decisions bit-identical to
 the serial path. A crashed worker is respawned and re-seeded from its

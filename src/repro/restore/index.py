@@ -25,8 +25,9 @@ factors without changing a single matching decision:
   digest's walk. Containment maps every repository Load onto an
   input-plan Load with an identical signature (``LOAD[path@vN]``), so an
   entry can only match a job whose load set is a superset of the
-  entry's. Sharding places entries by these keys, and each shard (or
-  shard worker) filters its slice with an inverted index over them.
+  entry's. Sharding places entries by these keys, and under
+  ``executor="processes"`` each shard worker filters its slice with an
+  inverted index over them (:mod:`repro.restore.service`).
 
 Both accept skeleton plans reloaded from persistence: a skeleton Load
 carries no ``path``/``version`` attributes, but its canonical signature
@@ -64,8 +65,8 @@ class LoadIndex:
     ``candidate_ids(job_loads)`` answers "which entries could possibly be
     contained in a plan reading exactly these datasets" — entries whose
     load set is a subset of ``job_loads``, plus any entry whose loads
-    could not be keyed (conservatively always a candidate). Shards and
-    shard workers filter their slices with it.
+    could not be keyed (conservatively always a candidate). Shard
+    workers filter their slices with it.
     """
 
     def __init__(self):

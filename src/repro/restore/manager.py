@@ -91,9 +91,10 @@ class ReStore(JobControl):
 
     * ``repository`` — where stored outputs live: the indexed
       :class:`~repro.restore.repository.Repository` by default, or a
-      :class:`~repro.restore.sharding.ShardedRepository` for partitioned
-      matching (the manager is repository-agnostic — every decision is
-      identical either way, only the probe cost changes);
+      :class:`~repro.restore.sharding.ShardedRepository` for a
+      partitioned layout (per-shard persistence files and counters,
+      optional worker processes; the manager is repository-agnostic —
+      every decision is identical either way);
     * ``heuristic`` — sub-job selection (:class:`AggressiveHeuristic` is
       the paper's default, Section 4); pass None to disable sub-job
       materialization;
@@ -106,7 +107,12 @@ class ReStore(JobControl):
       :class:`~repro.restore.ranking.SavingsRanker` (best
       cost-model-estimated savings first, subsumption still a hard
       constraint), or any :class:`~repro.restore.ranking.CandidateRanker`
-      instance (the manager binds its cost model). A non-structural
+      instance (the manager binds its cost model). Outputs are identical
+      under every ranker, but total simulated time is not guaranteed to
+      be the structural order's or less: that was checked only under
+      keep-everything retention over inputs that are never overwritten
+      (:mod:`~repro.restore.ranking` gives a stream where savings
+      ranking costs more). A non-structural
       ranker needs a ranking-capable repository (the indexed or sharded
       one — not the frozen seed baseline);
     * ``enable_rewrite`` / ``enable_registration`` — turn the matcher or
@@ -252,11 +258,11 @@ class ReStore(JobControl):
         registrar (pending registrations are applied, not dropped),
         flush the attached :class:`~repro.restore.wal.RepositoryLog`'s
         pending change records to their segments, then release the
-        repository's resources (probe thread pool or shard worker
-        processes).
+        repository's resources (the shard worker processes of
+        ``executor="processes"``).
 
         Without this, records buffered since the last checkpoint are
-        silently lost on shutdown and a threaded/process executor leaks.
+        silently lost on shutdown and the worker processes leak.
         Idempotent, and also reachable as a context manager::
 
             with ReStore(dfs, cost_model, ...) as manager:

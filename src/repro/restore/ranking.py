@@ -26,12 +26,20 @@ Two rankers implement one protocol:
   both match. Only rule 2's ratio/time metrics are replaced by the cost
   model; ties break on global scan rank, so the order is deterministic.
 
-Keeping rule 1 is what makes the ranking *safe*: the property suite
-(``tests/test_property_restore.py``) proves that a ``SavingsRanker``
-manager's rewrites all still pass ``find_containment`` and that its
-total simulated workflow cost never exceeds the structural run's on
-randomized streams, and the ablation benchmark's ``ranking`` arm asserts
-the same over a PigMix-style stream.
+Keeping rule 1 is what makes each ranked walk *safe*: the property
+suite (``tests/test_property_restore.py``) checks that a
+``SavingsRanker`` manager's rewrites all still pass
+``find_containment`` and that its outputs are the structural run's.
+Total simulated workflow cost is a different matter: the entry a
+rewrite reuses decides what the rewritten job registers, so the two
+rankers' repositories diverge and later jobs see different candidates.
+The savings total is checked to be no more than the structural one
+only on the property suite's randomized streams and the ablation
+benchmark's ``ranking`` arm, both under keep-everything retention over
+inputs that are never overwritten. It is not a general guarantee — on the
+end-to-end ``ingest_churn`` stream (table overwrites, 4 shards, with
+either its evicting retention policy or keep-everything) the savings
+order costs about 0.5 % more simulated time.
 
 The estimators are module functions so the manager can record
 *estimated vs realized* savings for every rewrite regardless of which

@@ -241,8 +241,8 @@ class Repository:
 
     def close(self):
         """Release any resources the repository holds. The plain
-        repository holds none; the sharded subclass shuts down its probe
-        executor (thread pool or worker processes) here — having the
+        repository holds none; the sharded subclass flushes its attached
+        log and stops its worker processes, if any, here — having the
         method on the base class lets :meth:`ReStore.close` treat every
         repository flavor uniformly."""
 
@@ -284,14 +284,6 @@ class Repository:
         if ranker is None or ranker.is_structural:
             return candidates
         return tuple(ranker.order(candidates, self))
-
-    def match_candidates_batch(self, plans, ranker=None):
-        """Candidate tuples for many plans, positionally aligned with
-        ``plans``. Here simply the per-plan calls; the process-backed
-        sharded repository overrides this to ship the whole batch to
-        each consulted worker in one message."""
-        return [self.match_candidates(plan, ranker=ranker)
-                for plan in plans]
 
     @property
     def worker_pool(self):

@@ -1,8 +1,8 @@
 """The shard-worker service: repository partitions as worker processes.
 
-:class:`~repro.restore.sharding.ShardedRepository` partitioned the probe
-work, but every shard still lives in one interpreter, so match
-throughput caps at the GIL no matter how many shards exist. This module
+:class:`~repro.restore.sharding.ShardedRepository` partitions the entry
+set inside one interpreter and answers probes with the inherited
+fingerprint lookup. With ``executor="processes"`` this module
 promotes each partition — the hash shards *and* the catch-all — to a
 worker **process** that exclusively owns its entries and its
 :class:`~repro.restore.index.LoadIndex`, coordinated by the front-end
@@ -15,14 +15,15 @@ repository over ``multiprocessing`` queues:
   owning worker, **batched**: mutations buffer per worker and ship as
   one ``apply`` message right before the next probe that consults it
   (queue ordering makes the flush happen-before the probe);
-* ``match_candidates`` fans out by the job's load keys — every consulted
-  worker gets the probe, they filter their slices concurrently (separate
-  processes, no GIL), and the front-end merges the answered entry ids
-  back into the paper's global priority order. Decisions are
-  bit-identical to the serial path by construction: workers only
-  *filter* (the same :class:`LoadIndex` logic over the same entries);
-  ordering, ranking, containment, and statistics stay with the
-  front-end.
+* ``match_candidates`` is routed by the job's load keys — every
+  routed worker gets the probe, they filter their slices by load keys
+  concurrently (separate processes, no GIL), and the front-end keeps
+  the answered entries filed under the job's sites, in the paper's
+  global priority order. Decisions are bit-identical to the serial
+  path's fingerprint lookup: an entry filed under one of the job's
+  sites reads a subset of the job's loads, so it passes the workers'
+  load filter; ordering, ranking, containment, and statistics stay
+  with the front-end.
 
 Failure model: a worker that dies (crash, kill) is detected at the next
 dispatch or response wait — queues never block indefinitely — and is
@@ -64,9 +65,8 @@ class ShardWorkerState:
     front-end's entry id) plus a private
     :class:`~repro.restore.index.LoadIndex` over just those entries, and
     answers probes with the wire keys of the local entries the job's
-    load set cannot rule out — the worker-process analogue of
-    :meth:`RepositoryShard.probe`. Kept free of any multiprocessing so
-    the lock-step tests can drive it directly in-process.
+    load set cannot rule out. Kept free of any multiprocessing so the
+    lock-step tests can drive it directly in-process.
     """
 
     def __init__(self):
@@ -114,13 +114,6 @@ class ShardWorkerState:
         return [key for key, entry in self._entries.items()
                 if entry.entry_id in candidate_ids]
 
-    def probe_batch(self, probes):
-        """``[(probe_id, keys)]`` for a batch of ``(probe_id,
-        job_loads)`` probes — one message each way per worker, however
-        many probes the batch holds."""
-        return [(probe_id, self.probe(job_loads))
-                for probe_id, job_loads in probes]
-
 
 def _worker_main(requests, responses):  # statlint: process-entrypoint
     """The worker-process loop: drain the request queue into a
@@ -135,8 +128,6 @@ def _worker_main(requests, responses):  # statlint: process-entrypoint
             state.apply(message[1])
         elif op == "probe":
             responses.put(state.probe(message[1]))
-        elif op == "probe_batch":
-            responses.put(state.probe_batch(message[1]))
         elif op == "size":
             responses.put(len(state))
         elif op == "stop":
@@ -228,9 +219,9 @@ class ShardWorkerPool:
     shard objects — it *routes*: the repository forwards every
     insert/removal to the owning worker's buffer
     (:meth:`record_insert`/:meth:`record_remove`) and probes
-    through :meth:`match_probe`/:meth:`match_probe_batch`, which flush
-    the consulted workers' buffers (batched hand-off), fan the probe
-    out, and gather per-worker candidate ids.
+    through :meth:`match_probe`, which flushes the routed workers'
+    buffers (batched hand-off), sends them the probe, and gathers
+    per-worker candidate ids.
 
     Workers spawn lazily per partition on first use (``fork`` context,
     daemon processes) and are respawned on crash — see
@@ -322,48 +313,20 @@ class ShardWorkerPool:
             shipped += len(mutations)
         return shipped
 
-    # Probe fan-out ----------------------------------------------------------
+    # Probe routing ----------------------------------------------------------
 
     def match_probe(self, shard_ids, job_loads):
-        """Fan one probe out to the workers of ``shard_ids``; returns
-        ``{shard_id: [entry ids]}``. Dispatches to every worker before
-        collecting any answer, so the per-worker filters genuinely
-        overlap."""
-        return {
-            shard_id: answer for (shard_id, _), answer in zip(
-                *self._dispatch(shard_ids, lambda _: ("probe", job_loads)))
-        }
+        """Send one probe to the workers of ``shard_ids``; returns
+        ``{shard_id: [entry ids]}``.
 
-    def match_probe_batch(self, probes):
-        """Fan a *batch* of probes out in one message per consulted
-        worker: ``probes`` is ``[(probe_id, shard_ids, job_loads)]``,
-        the result ``{probe_id: {shard_id: [entry ids]}}``. This is the
-        IPC-amortized path the benchmark drives: worker count messages
-        per batch instead of probes x shards."""
-        per_worker = {}
-        for probe_id, shard_ids, job_loads in probes:
-            for shard_id in shard_ids:
-                per_worker.setdefault(shard_id, []).append(
-                    (probe_id, job_loads))
-        shard_ids = sorted(per_worker)
-        dispatched, answers = self._dispatch(
-            shard_ids, lambda shard_id: ("probe_batch",
-                                         per_worker[shard_id]))
-        results = {}
-        for (shard_id, _), answer in zip(dispatched, answers):
-            for probe_id, keys in answer:
-                results.setdefault(probe_id, {})[shard_id] = keys
-        return results
-
-    def _dispatch(self, shard_ids, message_for):
-        """Send ``message_for(shard_id)`` to every listed worker (after
-        flushing its mutation buffer), then gather one response each; a
-        worker that died is recovered and its message retried once on
-        the fresh replica (probes are read-only, so the retry is
-        safe)."""
+        Dispatches to every worker (after flushing its mutation buffer)
+        before collecting any answer, so the per-worker filters
+        genuinely overlap. A worker that died is recovered and the probe
+        retried once on the fresh replica (probes are read-only, so the
+        retry is safe)."""
+        message = ("probe", job_loads)
         dispatched = []
         for shard_id in shard_ids:
-            message = message_for(shard_id)
             try:
                 handle = self._ready_worker(shard_id)
                 handle.send(message)
@@ -371,15 +334,15 @@ class ShardWorkerPool:
                 handle = self._recover(shard_id)
                 handle.send(message)
             dispatched.append((shard_id, handle))
-        answers = []
+        answers = {}
         for shard_id, handle in dispatched:
             try:
-                answers.append(handle.receive())
+                answers[shard_id] = handle.receive()
             except WorkerCrashed:
                 fresh = self._recover(shard_id)
-                fresh.send(message_for(shard_id))
-                answers.append(fresh.receive())
-        return dispatched, answers
+                fresh.send(message)
+                answers[shard_id] = fresh.receive()
+        return answers
 
     def worker_size(self, shard_id):
         """The entry count a worker's replica holds (test/observability

@@ -1,12 +1,12 @@
-"""A sharded ReStore repository: partitioned matching, global semantics.
+"""A sharded ReStore repository: a partitioned layout, global semantics.
 
-The indexed :class:`~repro.restore.repository.Repository` (PR 1) made
-each lookup cheap, but the repository is still one object serving every
-probe serially. This module partitions the entry set across N **shards**
-so that a match probe only does work proportional to the shards that
-could possibly answer it — probed inline by default, or by one worker
-process per partition (``executor="processes"``,
-:mod:`repro.restore.service`).
+This module partitions the entry set across N **shards**. A shard is a
+layout: it decides which partition's segment and section files hold an
+entry (:mod:`repro.restore.wal`), which worker process replicates it
+under ``executor="processes"`` (:mod:`repro.restore.service`), and
+whose statistics a probe touches. It is not a second probe path: the
+serial executor answers ``match_candidates`` with the inherited
+fingerprint lookup.
 
 Sharding layout
 ---------------
@@ -16,32 +16,32 @@ Sharding layout
   layout) of the entry's *representative leaf-load key*: the minimum
   ``(path, version)`` pair of its load set. Entries whose loads cannot
   be keyed (or that read nothing) live in a dedicated **catch-all**
-  partition consulted by every probe, because no load filter can rule
-  them out.
+  partition, to which every probe is routed, because no load filter can
+  rule them out.
 
 * Containment requires an entry's load set to be a *subset* of the
   job's (see :mod:`repro.restore.index`), so an entry that can match a
   job has its representative key among the job's load keys. A probe for
-  a job touching ``k`` load keys therefore fans out to **at most k
-  shards** (plus the catch-all) and provably sees every possible match.
+  a job touching ``k`` load keys is therefore routed to **at most k
+  shards** (plus the occupied catch-all), and every candidate it
+  returns is owned by one of them.
 
 * The **canonical-fingerprint dict** is kept globally, not per shard: it
   is the cross-shard dedup channel that keeps ``find_equivalent`` O(1)
   for the whole repository and guarantees an equivalent computation is
   never stored twice, whichever shard would own the duplicate.
 
-* Each shard filters only its own entries (~n/N of the repository) and
-  the fan-out merges the per-shard candidates **back into the paper's
-  global priority order** (Section 3's subsumption-then-metrics order)
-  and keeps the entries filed under the job digest's sites: the
-  unsharded repository's candidate sequence, bit for bit.
+* Under ``executor="processes"`` the routed workers filter their slices
+  by load keys and the front-end keeps the entries filed under the job
+  digest's sites, in global scan order: the unsharded repository's
+  candidate sequence, bit for bit.
 
 :class:`ShardedRepository` subclasses :class:`Repository` for the global
-view: scan order, ``find_equivalent``, insert/remove bookkeeping, and the
-subsumption machinery are shared code, which is what makes the
-observational-equivalence property ("sharding changes no decision")
-testable and true by construction. The shards add the partitioned probe
-path and per-shard statistics; the property suite drives
+view: scan order, ``find_equivalent``, candidate lookup, insert/remove
+bookkeeping, and the subsumption machinery are shared code, which is
+what makes the observational-equivalence property ("sharding changes no
+decision") testable and true by construction. The shards add the
+partition layout and per-shard statistics; the property suite drives
 ``ShardedRepository(n ∈ {1, 2, 8})`` in lock-step against the unsharded
 and the seed linear-scan repositories.
 """
@@ -49,8 +49,6 @@ and the seed linear-scan repositories.
 import zlib
 
 from repro.common.errors import RepositoryError
-from repro.restore.index import LoadIndex
-from repro.restore.matcher import PlanDigest
 from repro.restore.repository import Repository
 from repro.restore.stats import ShardStats
 
@@ -70,21 +68,15 @@ def shard_index_for_key(load_key, num_shards):
 
 
 class RepositoryShard:
-    """One partition of a :class:`ShardedRepository`.
+    """One partition of a :class:`ShardedRepository`: its subset of
+    entries (insertion-ordered) and its statistics."""
 
-    Holds its subset of entries (insertion-ordered) plus a private
-    :class:`~repro.restore.index.LoadIndex` over just those entries, and
-    answers ``probe(job_loads)`` with the local entries whose load sets
-    the job cannot rule out — the per-shard half of ``match_candidates``.
-    """
-
-    __slots__ = ("shard_id", "stats", "_entries", "_load_index")
+    __slots__ = ("shard_id", "stats", "_entries")
 
     def __init__(self, shard_id):
         self.shard_id = shard_id
         self.stats = ShardStats(shard_id)
         self._entries = {}            # entry_id -> entry, insertion order
-        self._load_index = LoadIndex()
 
     def __len__(self):
         return len(self._entries)
@@ -94,37 +86,11 @@ class RepositoryShard:
 
     def add(self, entry):
         self._entries[entry.entry_id] = entry
-        self._load_index.add(entry)
         self.stats.occupancy = len(self._entries)
 
     def discard(self, entry):
         self._entries.pop(entry.entry_id, None)
-        self._load_index.discard(entry)
         self.stats.occupancy = len(self._entries)
-
-    def probe(self, job_loads):
-        """Local candidates for a job reading ``job_loads`` (unordered:
-        the owning repository merges shard results into the global
-        priority order).
-
-        Cost is O(local entries) — the sharded analogue of the unsharded
-        repository's full-scan filter, deliberately so: a shard is
-        modeled as an independent service scanning *its own slice*,
-        which is the unit of work that sharding divides (probe cost
-        n → n/N per shard, the scaling the ablation benchmark measures)
-        and that a multi-process shard service would distribute. An
-        id→entry lookup over ``candidate_ids`` would be O(candidates)
-        here, but only by leaning on the in-process dict this class
-        exists to decouple from.
-        """
-        self.stats.probes += 1
-        candidate_ids = self._load_index.candidate_ids(job_loads)
-        if not candidate_ids:
-            return ()
-        result = [entry for entry in self._entries.values()
-                  if entry.entry_id in candidate_ids]
-        self.stats.candidates_returned += len(result)
-        return result
 
 
 class ShardedRepository(Repository):
@@ -133,10 +99,10 @@ class ShardedRepository(Repository):
     Parameters:
 
     * ``num_shards`` — number of hash partitions (≥ 1);
-    * ``executor`` — how shard probes run: ``"serial"`` (default; the
-      owning shards are probed inline, one after the other) or
-      ``"processes"`` (one worker process per partition behind the
-      routing front-end, :class:`~repro.restore.service.ShardWorkerPool`);
+    * ``executor`` — how probes run: ``"serial"`` (default; the
+      inherited fingerprint lookup) or ``"processes"`` (one worker
+      process per partition behind the routing front-end,
+      :class:`~repro.restore.service.ShardWorkerPool`);
     * ``response_timeout`` — with ``executor="processes"``, seconds one
       worker response wait may stay silent before the worker is
       declared crashed (defaults to the service module's 60 s ceiling).
@@ -145,9 +111,9 @@ class ShardedRepository(Repository):
     :class:`Repository`: same scan order (the paper Section 3 priority
     order over the global entry set), same ``find_equivalent`` answers
     (the fingerprint dict is global — the cross-shard dedup channel),
-    same ``match_candidates`` sequences (per-shard candidates are merged
-    back into global scan order). What changes is the *cost*: a probe
-    touches only the shards owning the job's leaf-load keys.
+    same ``match_candidates`` sequences. What the shards add is the
+    partition layout persistence and the worker pool are built on, and
+    per-shard counters.
     """
 
     def __init__(self, num_shards=4, executor="serial",
@@ -163,8 +129,8 @@ class ShardedRepository(Repository):
         self._catchall = RepositoryShard(CATCHALL_SHARD)
         self._shard_of = {}           # entry_id -> owning RepositoryShard
         # executor="processes": a pool of worker-process replicas of the
-        # partitions answers probes by shard id; otherwise the in-process
-        # shards are probed inline.
+        # partitions answers probes by shard id; otherwise the inherited
+        # fingerprint lookup does.
         self._pool = None
         if executor == "processes":
             # Imported lazily: the service module imports persistence
@@ -173,7 +139,7 @@ class ShardedRepository(Repository):
             from repro.restore.service import ShardWorkerPool
             self._pool = ShardWorkerPool(response_timeout=response_timeout)
             self._pool.bind(self)
-        self._logical_probes = 0      # match_candidates calls (fan-outs)
+        self._logical_probes = 0      # match_candidates calls
         #: manifest header of the persisted file this repository was
         #: loaded from (set by ``load_repository``), or None.
         self.manifest_metadata = None
@@ -203,10 +169,10 @@ class ShardedRepository(Repository):
         """Per-shard occupancy/probe/hit counters as a list of dicts
         (catch-all last, shard id ``-1``), for operational reporting.
 
-        Per-shard ``probes`` counts *consultations*: one logical match
-        probe that fans out to an owned shard **and** the occupied
-        catch-all shows up in both rows. Use :meth:`merged_shard_stats`
-        for repository-level totals — summing this column double-counts
+        Per-shard ``probes`` counts *routings*: one logical match probe
+        routed to an owned shard **and** the occupied catch-all shows up
+        in both rows. Use :meth:`merged_shard_stats` for
+        repository-level totals — summing this column double-counts
         every such probe.
         """
         return [shard.stats.as_dict() for shard in self.partitions()]
@@ -215,14 +181,14 @@ class ShardedRepository(Repository):
         """Repository-level totals across all partitions.
 
         ``probes`` is the number of **logical** ``match_candidates``
-        fan-outs, counted once per call at the repository level —
-        summing the per-shard probe counters instead would double-count
-        any probe that consulted both an owned shard and the occupied
-        catch-all (each partition counts its own consultation). The
-        summed figure is still reported as ``shard_consults``.
-        ``candidates_returned`` and ``match_hits`` are exact sums of the
-        per-partition counters — with the caveat that an unkeyable-plan
-        probe falls back to the global scan without consulting any
+        calls, counted once per call at the repository level — summing
+        the per-shard probe counters instead would double-count any
+        probe routed to both an owned shard and the occupied catch-all
+        (each partition counts its own routing). The summed figure is
+        still reported as ``shard_consults``. ``candidates_returned``
+        (the returned candidates, each credited to its owning shard) and
+        ``match_hits`` are exact sums of the per-partition counters —
+        with the caveat that an unkeyable-plan probe is routed to no
         partition, so it contributes to ``probes`` but to neither
         ``shard_consults`` nor ``candidates_returned`` (its rewrites are
         still credited to the owning shard's ``match_hits``).
@@ -321,47 +287,34 @@ class ShardedRepository(Repository):
     # Matching ---------------------------------------------------------------
 
     def _filtered_candidates(self, digest):
-        """Fan out to the shards owning the job's leaf-load keys, merge
-        their candidates back into the global priority order, and keep
-        those whose fingerprint is one of ``digest``'s sites.
+        """The inherited lookup, plus per-shard statistics; with a worker
+        pool, the routed workers' answer instead of the lookup.
 
-        This is the sharded half of the inherited ``match_candidates``
-        (the ranker tail is shared base-class code, so both repository
-        flavors have one ranking path). A job touching k load keys
-        consults at most k shards plus the catch-all (only when the
-        catch-all is occupied). Unkeyable plans take the unsharded
-        repository's fingerprint lookup without consulting a shard.
-        Either way this counts as **one** logical probe (see
-        :meth:`merged_shard_stats`), however many partitions it fans
-        out to.
+        The probe counts once per partition it is routed to (the owners
+        of the job's load keys, plus the occupied catch-all), and each
+        returned candidate once for its owning partition, whichever
+        executor answers. An unkeyable plan is routed nowhere. Either
+        way this is **one** logical probe (see
+        :meth:`merged_shard_stats`).
         """
         self._logical_probes += 1
         job_loads = digest.loads
         if job_loads is None:
             return super()._filtered_candidates(digest)
         shard_ids = self._consulted_shard_ids(job_loads)
-        if not shard_ids:
-            return ()
-        if self._pool is not None:
-            return self._merge_pool_answer(
+        for shard_id in shard_ids:
+            self._partition_by_id(shard_id).stats.probes += 1
+        if self._pool is None:
+            candidates = super()._filtered_candidates(digest)
+        else:
+            candidates = self._merge_pool_answer(
                 self._pool.match_probe(shard_ids, job_loads), digest)
-        return self._matchable_in_scan_order(
-            [entry for shard_id in shard_ids
-             for entry in self._partition_by_id(shard_id).probe(job_loads)],
-            digest)
-
-    def _matchable_in_scan_order(self, entries, digest):
-        """The merged shard answer ``entries`` without those whose
-        fingerprint is not one of ``digest``'s sites, in global scan
-        order — the unsharded repository's candidate sequence."""
-        sites = digest.sites
-        rank = self.scan_rank()
-        return tuple(sorted(
-            (entry for entry in entries if entry.fingerprint in sites),
-            key=lambda entry: rank[entry.entry_id]))
+        for entry in candidates:
+            self._shard_of[entry.entry_id].stats.candidates_returned += 1
+        return candidates
 
     def _consulted_shard_ids(self, job_loads):
-        """The partition ids a probe for ``job_loads`` must consult: the
+        """The partition ids a probe for ``job_loads`` is routed to: the
         owners of the job's load keys, plus the catch-all when occupied."""
         shard_ids = sorted({shard_index_for_key(key, self.num_shards)
                             for key in job_loads})
@@ -375,55 +328,15 @@ class ShardedRepository(Repository):
 
     def _merge_pool_answer(self, answers, digest):
         """Resolve one pool probe's ``{shard_id: [entry ids]}`` answer to
-        the matchable entries in global scan order, crediting each
-        consulted partition's statistics exactly as its in-process
-        ``probe`` would have (so shard reports are executor-independent)."""
-        entries = []
-        for shard_id, keys in answers.items():
-            shard = self._partition_by_id(shard_id)
-            shard.stats.probes += 1
-            shard.stats.candidates_returned += len(keys)
-            entries.extend(self._by_id[key] for key in keys)
-        return self._matchable_in_scan_order(entries, digest)
-
-    def match_candidates_batch(self, plans, ranker=None):
-        """Candidate tuples for many plans in one probe round-trip.
-
-        With a worker pool this ships **one** message per consulted
-        worker for the whole batch (the IPC-amortized service path: the
-        workers filter all their probes concurrently, the front-end
-        merges); otherwise it degrades to per-plan
-        :meth:`match_candidates`. Results are positionally aligned with
-        ``plans`` and identical to the per-plan calls, decision for
-        decision.
-        """
-        if self._pool is None:
-            return [self.match_candidates(plan, ranker=ranker)
-                    for plan in plans]
-        probes = []
-        digests = [PlanDigest(plan) for plan in plans]
-        direct = {}   # plan index -> candidates resolved without the pool
-        for index, digest in enumerate(digests):
-            self._logical_probes += 1
-            job_loads = digest.loads
-            if job_loads is None:
-                direct[index] = Repository._filtered_candidates(self, digest)
-                continue
-            shard_ids = self._consulted_shard_ids(job_loads)
-            if not shard_ids:
-                direct[index] = ()
-                continue
-            probes.append((index, shard_ids, job_loads))
-        answers = self._pool.match_probe_batch(probes) if probes else {}
-        results = []
-        for index, digest in enumerate(digests):
-            candidates = (direct[index] if index in direct
-                          else self._merge_pool_answer(
-                              answers.get(index, {}), digest))
-            if ranker is not None and not ranker.is_structural:
-                candidates = tuple(ranker.order(candidates, self))
-            results.append(candidates)
-        return results
+        the entries filed under ``digest``'s sites, in global scan order
+        — the inherited lookup's sequence."""
+        sites = digest.sites
+        entries = (self._by_id[key] for keys in answers.values()
+                   for key in keys)
+        rank = self.scan_rank()
+        return tuple(sorted(
+            (entry for entry in entries if entry.fingerprint in sites),
+            key=lambda entry: rank[entry.entry_id]))
 
     @property
     def worker_pool(self):

@@ -313,9 +313,9 @@ class ShardStats:
 
     ``occupancy`` is the shard's current entry count (maintained by the
     owning :class:`~repro.restore.sharding.ShardedRepository`), ``probes``
-    counts ``match_candidates`` fan-outs that consulted this shard,
-    ``candidates_returned`` the entries it contributed to merged candidate
-    lists, and ``match_hits`` the rewrites that used one of its entries.
+    counts the ``match_candidates`` probes routed to this shard,
+    ``candidates_returned`` the returned candidates it owns, and
+    ``match_hits`` the rewrites that used one of its entries.
     """
 
     __slots__ = ("shard_id", "occupancy", "probes", "candidates_returned",

@@ -508,8 +508,8 @@ def test_property_removal_heavy_order_matches_seed(plan_pool, data):
 # process-backed ShardedRepository (2 and 8 shards, each partition a
 # worker process behind the routing front-end) joins serial sharded
 # twins and the frozen seed on randomized insert/remove/use/probe
-# streams. Scan orders, find_equivalent answers, and match decisions —
-# per-plan AND through the batched probe API — must be identical
+# streams. Scan orders, find_equivalent answers, and match decisions
+# must be identical
 # throughout, and the durable state the attached RepositoryLog wrote
 # for a process-backed arm must reload bit-identically.
 
@@ -577,13 +577,6 @@ def test_property_worker_processes_equivalent_to_serial(plan_pool):
                     for name, repo in fleet:
                         singly = [repo.match_candidates(probe)
                                   for probe in probes]
-                        # The batched service path answers exactly like
-                        # the per-plan calls, for every fleet member.
-                        batched = repo.match_candidates_batch(probes)
-                        assert [[e.output_path for e in cs] for cs in
-                                batched] \
-                            == [[e.output_path for e in cs] for cs in
-                                singly], (context, name)
                         firsts = [_first_match_path(cs, probe)
                                   for cs, probe in zip(singly, probes)]
                         assert firsts == expected, (context, name)
@@ -620,7 +613,7 @@ def test_property_worker_processes_equivalent_to_serial(plan_pool):
 # injection riding along: every stream kills a seed-chosen shard's
 # worker as its seed-chosen Nth message is sent, mid-stream. The pool's
 # cold re-seed must leave scan orders, find_equivalent answers, match
-# decisions (per-plan AND batched), and the executor-independent stats
+# decisions, and the executor-independent stats
 # identical to the serial twins and the frozen seed throughout; at end of
 # stream every worker must hold its partition's live membership; and the
 # durable log written by a process-backed arm must reload exactly.
@@ -713,11 +706,6 @@ def test_property_replicated_workers_equivalent_under_faults(plan_pool):
                             for name, repo in fleet:
                                 singly = [repo.match_candidates(probe)
                                           for probe in probes]
-                                batched = repo.match_candidates_batch(probes)
-                                assert [[e.output_path for e in cs]
-                                        for cs in batched] \
-                                    == [[e.output_path for e in cs]
-                                        for cs in singly], (context, name)
                                 firsts = [_first_match_path(cs, probe)
                                           for cs, probe in zip(singly,
                                                                probes)]

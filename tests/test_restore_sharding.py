@@ -1,4 +1,4 @@
-"""Unit tests for the sharded repository (layout, fan-out, the
+"""Unit tests for the sharded repository (layout, probe routing, the
 worker-process service, per-shard statistics, and the manager
 integration)."""
 
@@ -20,6 +20,7 @@ from repro.restore import (
     ShardedRepository,
     ShardWorkerPool,
 )
+from repro.restore.index import LoadIndex
 from repro.restore.matcher import PlanDigest
 from repro.restore.persistence import entry_to_json, SkeletonOp
 from repro.restore.service import (
@@ -27,7 +28,11 @@ from repro.restore.service import (
     ShardWorkerState,
     WorkerCrashed,
 )
-from repro.restore.sharding import CATCHALL_SHARD, shard_index_for_key
+from repro.restore.sharding import (
+    CATCHALL_SHARD,
+    RepositoryShard,
+    shard_index_for_key,
+)
 from repro.restore.stats import EntryStats
 
 from tests.faultinject import ARTIFACTS, FaultSchedule, install_hang_guard
@@ -187,8 +192,8 @@ class TestFanOut:
         unkeyable = repo.insert(_unkeyable_entry(1))
         catchall = repo.partitions()[-1]
         # No load filter can rule the catch-all entry out, so a keyed
-        # probe still consults the catch-all; the merge then drops the
-        # entry, whose fingerprint is not one of the probe's sites.
+        # probe is still routed to the catch-all; the lookup does not
+        # return the entry, whose fingerprint is not one of its sites.
         before = catchall.stats.probes
         probe = _chain_plan(0, "/data/d0", extra_op="probe")
         assert repo.match_candidates(probe) == (keyed,)
@@ -200,6 +205,33 @@ class TestFanOut:
             SkeletonOp("foreach", "FOREACH[probe]", None, [frontier]),
             "/out/p")])
         assert repo.match_candidates(container) == (unkeyable,)
+
+    def test_probe_scans_no_partition(self, monkeypatch):
+        # 200 entries on the probe's load key, none filed under one of
+        # its sites: the serial answer is the inherited fingerprint
+        # lookup, so no partition is iterated and no load index asked.
+        repo = ShardedRepository(num_shards=8)
+        for index in range(200):
+            repo.insert(_entry(index, path="/data/d0"))
+        asked = []
+        candidate_ids = LoadIndex.candidate_ids
+        monkeypatch.setattr(
+            LoadIndex, "candidate_ids",
+            lambda index, job_loads: asked.append(job_loads)
+            or candidate_ids(index, job_loads))
+        iterated = []
+        iterate = RepositoryShard.__iter__
+        monkeypatch.setattr(
+            RepositoryShard, "__iter__",
+            lambda shard: iterated.append(shard.shard_id) or iterate(shard))
+        probe = _chain_plan(9999, "/data/d0", extra_op="probe")
+        assert repo.match_candidates(probe) == ()
+        assert asked == []
+        assert iterated == []
+        # The probe still counts for the one partition it is routed to.
+        owning = shard_index_for_key(("/data/d0", 0), 8)
+        assert [row["shard"] for row in repo.shard_report()
+                if row["probes"]] == [owning]
 
     def test_candidates_match_unsharded_repository(self):
         plain = Repository()
@@ -317,34 +349,6 @@ class TestWorkerProcesses:
             procs.close()
             serial.close()
 
-    def test_batch_probe_matches_per_plan_calls(self):
-        serial, procs = _twin_repositories(num_shards=4, count=18, paths=4)
-        try:
-            plans = [_chain_plan(2000 + index, f"/data/d{index % 4}",
-                                 extra_op="batch")
-                     for index in range(9)]
-            # An unkeyable plan inside the batch exercises the full-scan
-            # fallback lane alongside the pooled probes.
-            foreign = SkeletonOp("load", "FOREIGN[b]", None, [])
-            chain = SkeletonOp("filter", "FILTER[b]", None, [foreign])
-            plans.append(PhysicalPlan([POStore(chain, "/out/b")]))
-            batched = procs.match_candidates_batch(plans)
-            singly = [serial.match_candidates(plan) for plan in plans]
-            assert [[e.output_path for e in candidates]
-                    for candidates in batched] \
-                == [[e.output_path for e in candidates]
-                    for candidates in singly]
-            # Logical probes count once per plan on both sides; the
-            # serial fallback of the batch API agrees too.
-            assert procs._logical_probes == serial._logical_probes
-            assert [[e.output_path for e in candidates] for candidates in
-                    serial.match_candidates_batch(plans)] \
-                == [[e.output_path for e in candidates]
-                    for candidates in singly]
-        finally:
-            procs.close()
-            serial.close()
-
     def test_worker_crash_recovers_from_memory(self):
         serial, procs = _twin_repositories(num_shards=2, count=10, paths=3)
         try:
@@ -427,12 +431,6 @@ class TestWorkerProcesses:
         assert len(state) == 3
         assert entries[0].entry_id not in state.probe(
             frozenset({("/data/d0", 0)}))
-        batch = state.probe_batch([(7, frozenset({("/data/d1", 0)})),
-                                   (9, frozenset())])
-        assert [probe_id for probe_id, _ in batch] == [7, 9]
-        assert set(batch[0][1]) == {entries[1].entry_id,
-                                    entries[3].entry_id}
-        assert batch[1][1] == []
 
     def test_pool_rejects_rebind(self):
         repo = ShardedRepository(num_shards=2, executor="processes")
@@ -528,7 +526,7 @@ class TestShardStats:
         owning = shard_index_for_key(("/data/d0", 0), 2)
         report = {row["shard"]: row for row in repo.shard_report()}
         assert report[owning]["probes"] == 1
-        assert report[owning]["candidates_returned"] == 10
+        assert report[owning]["candidates_returned"] == 1
         assert report[owning]["occupancy"] == 10
 
     def test_match_hits_credited_to_owning_shard(self):
