@@ -10,11 +10,6 @@ docs/ARCHITECTURE.md):
 * **naive vs indexed repository** (PR 1): scan/insert/match timings of
   the frozen seed linear scan against the fingerprint-indexed
   repository at 10/100/1000 entries;
-* **candidate ranking** (PR 3): the paper's structural try-order vs the
-  cost-model ``SavingsRanker`` over a PigMix-style stream — identical
-  outputs, total simulated workflow time no worse on this stream (not
-  a general guarantee, see :mod:`repro.restore.ranking`), estimator
-  error reported per arm;
 * **incremental persistence** (PR 4): per-checkpoint cost of
   ``save_repository`` — one full compaction, O(repository) — vs the
   append-only ``RepositoryLog`` checkpoint (O(delta)) at 1000 entries under a steady stream of
@@ -424,80 +419,6 @@ def test_worker_service_match_throughput(benchmark, record_experiment):
             f"{speedup:.2f}x (serial {timings['serial']:.4f}s, "
             f"processes {timings['processes']:.4f}s)"
         )
-
-
-# --- Candidate ranking: structural order vs cost-model savings (PR 3) ---------
-#
-# Both arms run the same PigMix-style stream (repeats included, so the
-# matcher has real candidates to rank). Ranking only reorders the
-# matcher's walk — outputs must stay byte-identical. On this stream
-# (keep-everything retention, inputs never overwritten) the savings
-# order's total simulated workflow time must not exceed the structural
-# order's; that is a measured bar for this stream, not a property of the
-# ranker (repro.restore.ranking gives a stream where it costs more).
-
-_RANKING_STREAM = ["L2", "L3", "L3a", "L6", "L2", "L3", "L3b", "L7",
-                   "L8", "L3c", "L3", "L2"]
-
-
-@pytest.mark.benchmark(group="ablation-ranking")
-def test_ranking_savings_vs_structural(benchmark, record_experiment):
-    """The acceptance bar for PR 3's ranking arm: SavingsRanker total
-    simulated workflow time <= structural order's on the PigMix-style
-    stream, with identical outputs and the per-candidate estimated vs
-    realized savings surfaced in the recorded experiment."""
-
-    def run_arm(ranker):
-        system = _system_with_data()
-        restore = system.restore(ranker=ranker)
-        totals = {"time": 0.0, "estimated": 0.0, "realized": 0.0,
-                  "rewrites": 0}
-        for index, name in enumerate(_RANKING_STREAM):
-            result = restore.submit(
-                system.compile(query_text(name), f"rank{index}"))
-            totals["time"] += result.total_execution_time
-            ledger = restore.last_report.ranking
-            totals["estimated"] += ledger.total_estimated_savings
-            totals["realized"] += ledger.total_realized_savings
-            totals["rewrites"] += len(ledger)
-        outputs = {path: system.dfs.read_lines(path)
-                   for path in system.dfs.list_files("/out")}
-        return totals, outputs
-
-    def measure():
-        return {"structural": run_arm(None), "savings": run_arm("savings")}
-
-    arms = benchmark.pedantic(measure, rounds=1, iterations=1)
-    (structural, structural_outputs) = arms["structural"]
-    (savings, savings_outputs) = arms["savings"]
-    assert savings_outputs == structural_outputs  # ranking changes no result
-    assert savings["rewrites"] >= 1
-
-    record_experiment(ExperimentResult(
-        "ablation_ranking",
-        f"Candidate ranking ablation over a {len(_RANKING_STREAM)}-query "
-        f"PigMix-style stream",
-        ["ranker", "total_time_s", "rewrites", "estimated_savings_s",
-         "realized_savings_s"],
-        [
-            {"ranker": label,
-             "total_time_s": round(arm["time"], 1),
-             "rewrites": arm["rewrites"],
-             "estimated_savings_s": round(arm["estimated"], 1),
-             "realized_savings_s": round(arm["realized"], 1)}
-            for label, (arm, _) in arms.items()
-        ],
-        notes=[
-            "beyond the paper: rule 2's structural metrics replaced by "
-            "Equation-2 estimated savings (subsumption kept hard)",
-            f"savings vs structural total time: {savings['time']:.1f}s "
-            f"vs {structural['time']:.1f}s (bar: no worse on this stream)",
-        ],
-    ))
-    assert savings["time"] <= structural["time"] + 1e-6, (
-        f"SavingsRanker must not lose to structural order on this stream, got "
-        f"{savings['time']:.2f}s vs {structural['time']:.2f}s"
-    )
 
 
 # --- Incremental persistence: append-only log vs full rewrite (PR 4) ----------

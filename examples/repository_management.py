@@ -11,12 +11,8 @@ proposes four rules for a production deployment:
 This example submits a stream of queries under both policies, then
 modifies the source data to show Rule 4 invalidation, runs the same
 stream against a sharded repository to show the partition layout
-(identical decisions, per-shard counters), shows the cost-model
-candidate ranker (the matcher tries candidates
-best-estimated-savings-first, the report's ranking ledger shows
-estimated vs realized savings per rewrite, and the ranker choice is
-recorded in the persisted repository's manifest), and finishes with
-segmented persistence: a manager wired to a RepositoryLog checkpoints
+(identical decisions, per-shard counters), and finishes with segmented
+persistence: a manager wired to a RepositoryLog checkpoints
 O(delta) change records per submit into per-shard segment files, a
 restart replays manifest+sections+segments into the exact same
 repository, and a mutation burst confined to one shard compacts only
@@ -33,7 +29,6 @@ from repro.restore import (
     KeepEverythingPolicy,
     load_repository,
     RepositoryLog,
-    save_repository,
     ShardedRepository,
 )
 
@@ -107,26 +102,6 @@ def main():
     print(" keys route to, and each candidate counts for its owning shard)")
     print(f"last workflow's matcher: "
           f"{sharded.last_report.match_counters.describe()}")
-
-    print("\n=== cost-model ranking: best estimated savings first ===")
-    system = build_system()
-    ranked = system.restore(ranker="savings",
-                            repository=ShardedRepository(num_shards=4))
-    decisions = []
-    for name in stream:
-        ranked.submit(system.compile(query_text(name), name))
-        decisions.extend(ranked.last_report.ranking.decisions)
-    print(f"{len(decisions)} ranked rewrite(s) across the stream "
-          f"(estimated vs realized savings per decision):")
-    for decision in decisions[:6]:
-        print(f"  {decision.job_id} reused {decision.entry_id}: "
-              f"estimated {decision.estimated_savings:.1f}s, "
-              f"realized {decision.realized_savings:.1f}s")
-    save_repository(ranked.repository, system.dfs, ranker=ranked.ranker)
-    reloaded = load_repository(system.dfs)
-    if getattr(reloaded, "manifest_metadata", None):
-        print(f"persisted manifest records ranker="
-              f"{reloaded.manifest_metadata.get('ranker')!r}")
 
     print("\n=== segmented persistence: O(delta) checkpoints, "
           "O(dirty shards) compaction ===")

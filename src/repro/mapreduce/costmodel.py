@@ -43,11 +43,6 @@ DEFAULT_CPU_RATES = {
 #: CPU throughput charged to operator kinds missing from ``cpu_rates``.
 FALLBACK_CPU_RATE = 50 * MB
 
-#: Shuffle-inducing operator kinds, by name rather than by class so that
-#: skeleton plans reloaded from persistence estimate identically to the
-#: originals (``PhysOp.is_blocking`` is lost in serialization).
-BLOCKING_KINDS = frozenset({"join", "group", "cogroup", "distinct", "sort"})
-
 
 class CostModelConfig:
     """Tunable constants for the cost model."""
@@ -158,34 +153,6 @@ class CostModel:
             + waves * cfg.task_startup_sec
             + effective / cfg.read_bytes_per_sec / concurrency
         )
-
-    def estimate_subplan_time(self, op_kinds, input_bytes):
-        """Equation-2-style estimate for a sub-plan over ``input_bytes``.
-
-        A repository entry records the *whole* producing job's execution
-        time; for a sub-job entry (an injected-store prefix of that
-        job), only the prefix's share is actually avoided on reuse. This
-        reconstructs it from the statistics an entry does carry: startup
-        plus Tload over the input bytes (via :meth:`estimate_load_time`)
-        plus per-operator CPU — and, for blocking operators, spill +
-        merge shuffle — over the same bytes at the same slot
-        concurrency. Deliberately coarse (every operator is charged the
-        full input volume), but built from the same constants as
-        :meth:`job_time`, so it is comparable to recorded times.
-        """
-        cfg = self.config
-        effective = input_bytes * cfg.scale
-        num_tasks = max(1, math.ceil(effective / cfg.hdfs_block_bytes))
-        concurrency = min(self.cluster.map_capacity, num_tasks)
-        total = self.estimate_load_time(input_bytes)
-        for kind in op_kinds:
-            if kind in ("load", "store", "split"):
-                continue
-            rate = cfg.cpu_rates.get(kind, FALLBACK_CPU_RATE)
-            total += effective / rate / concurrency
-            if kind in BLOCKING_KINDS:
-                total += 2 * effective / cfg.shuffle_bytes_per_sec / concurrency
-        return total
 
     def job_time(self, stats):
         """Equation 2: simulated execution time breakdown for one job."""

@@ -57,15 +57,9 @@ column, ``match_candidates`` included: a probe costs what it costs
 unsharded, plus a bump of the counters of the partitions its load keys
 route to.
 
-Ranking makes the *order* of that candidate walk pluggable
-(:mod:`repro.restore.ranking`): the default
-:class:`~repro.restore.ranking.StructuralRanker` keeps the paper's
-priority order bit-identical to the seed, while
-:class:`~repro.restore.ranking.SavingsRanker` tries candidates by
-Equation-2 estimated savings (subsumption still a hard constraint, scan
-rank as the deterministic tiebreak); every applied rewrite's estimated
-vs realized savings is recorded on the
-:class:`~repro.restore.manager.ReStoreReport`'s ranking ledger.
+The matcher tries those candidates in one order, the paper's Section 3
+scan order: subsuming plans first, then higher input/output ratio, then
+longer producing-job time.
 
 Persistence has one durable format and one writer
 (:mod:`repro.restore.wal`), which keeps the repository durable without
@@ -91,7 +85,7 @@ The worker-process service (PR 6) promotes each partition to a worker
 :class:`~repro.restore.service.ShardWorkerPool`, buffering
 inserts/removals per owning worker (batched hand-off over
 ``multiprocessing`` queues) and routing probes by load-key hash
-while ``find_equivalent``, ordering, ranking, statistics, and every
+while ``find_equivalent``, ordering, statistics, and every
 durable write stay with the coordinator — decisions bit-identical to
 the serial path. A crashed worker is respawned and re-seeded from its
 partition's own section + segment files when a
@@ -137,12 +131,6 @@ from repro.restore.matcher import (
     pairwise_plan_traversal,
 )
 from repro.restore.persistence import load_repository, LoaderReport
-from repro.restore.ranking import (
-    CandidateRanker,
-    estimate_entry_savings,
-    SavingsRanker,
-    StructuralRanker,
-)
 from repro.restore.repository import Repository, RepositoryEntry
 from repro.restore.selector import (
     HeuristicRetentionPolicy,
@@ -155,9 +143,7 @@ from repro.restore.wal import RepositoryLog, save_repository
 
 __all__ = [
     "AggressiveHeuristic",
-    "CandidateRanker",
     "ConservativeHeuristic",
-    "estimate_entry_savings",
     "find_containment",
     "HeuristicRetentionPolicy",
     "IngestQueue",
@@ -178,8 +164,6 @@ __all__ = [
     "RepositoryLog",
     "ReStore",
     "ReStoreReport",
-    "SavingsRanker",
     "ShardedRepository",
     "ShardWorkerPool",
-    "StructuralRanker",
 ]

@@ -32,15 +32,10 @@ from repro.restore.ingest import (
     SubmitEndRecord,
 )
 from repro.restore.matcher import find_containment, PlanDigest
-from repro.restore.ranking import (
-    estimate_entry_savings,
-    realized_entry_savings,
-    resolve_ranker,
-)
 from repro.restore.repository import Repository, RepositoryEntry
 from repro.restore.rewriter import apply_rewrite, classify_copy_stores, restamp_stages
 from repro.restore.selector import KeepEverythingPolicy
-from repro.restore.stats import EntryStats, MatchCounters, RankingLedger
+from repro.restore.stats import EntryStats, MatchCounters
 
 
 class ReStoreReport:
@@ -54,7 +49,7 @@ class ReStoreReport:
     Section 3) fails.
     """
 
-    def __init__(self, workflow_name, ranker_name="structural"):
+    def __init__(self, workflow_name):
         self.workflow_name = workflow_name
         self.rewrites = []            # (job_id, entry_id)
         self.eliminated_jobs = []     # job_ids fully served from the repository
@@ -65,8 +60,6 @@ class ReStoreReport:
         self.checkpoint = None        # persistence checkpoint outcome, if any
         self.ingest = None            # IngestStats when the manager is async
         self.match_counters = MatchCounters()  # why candidates were skipped
-        #: per-rewrite estimated vs realized savings (estimator error)
-        self.ranking = RankingLedger(ranker_name)
 
     @property
     def num_rewrites(self):
@@ -79,8 +72,7 @@ class ReStoreReport:
             f"{len(self.injected_stores)} store(s) injected, "
             f"{len(self.registered_entries)} entr(ies) registered, "
             f"{len(self.evicted_entries)} evicted; "
-            f"matcher: {self.match_counters.describe()}; "
-            f"{self.ranking.describe()}"
+            f"matcher: {self.match_counters.describe()}"
         )
 
 
@@ -101,20 +93,6 @@ class ReStore(JobControl):
     * ``retention`` — admission/eviction policy (paper default stores
       everything; :class:`~repro.restore.selector.HeuristicRetentionPolicy`
       implements Section 5's Rules 1-4);
-    * ``ranker`` — candidate try-order for the matcher: None or
-      ``"structural"`` for the paper's Section 3 priority order (the
-      default, bit-identical to the seed), ``"savings"`` for
-      :class:`~repro.restore.ranking.SavingsRanker` (best
-      cost-model-estimated savings first, subsumption still a hard
-      constraint), or any :class:`~repro.restore.ranking.CandidateRanker`
-      instance (the manager binds its cost model). Outputs are identical
-      under every ranker, but total simulated time is not guaranteed to
-      be the structural order's or less: that was checked only under
-      keep-everything retention over inputs that are never overwritten
-      (:mod:`~repro.restore.ranking` gives a stream where savings
-      ranking costs more). A non-structural
-      ranker needs a ranking-capable repository (the indexed or sharded
-      one — not the frozen seed baseline);
     * ``enable_rewrite`` / ``enable_registration`` — turn the matcher or
       the repository population off (used by the experiments to measure
       overhead and no-reuse baselines);
@@ -161,14 +139,13 @@ class ReStore(JobControl):
     def __init__(self, dfs, cost_model, repository=None, heuristic=_DEFAULT,
                  retention=None, clock=None, enable_rewrite=True,
                  enable_registration=True, register_whole_jobs=True,
-                 register_final_outputs=True, ranker=None, persistence=None,
+                 register_final_outputs=True, persistence=None,
                  checkpoint_every=1, ingest="inline", ingest_queue_size=1024,
                  ingest_policy="block", ingest_batch_size=32):
         super().__init__(dfs, cost_model, keep_temps=True)
         self.repository = repository if repository is not None else Repository()
         self.heuristic = AggressiveHeuristic() if heuristic is self._DEFAULT else heuristic
         self.retention = retention or KeepEverythingPolicy()
-        self.ranker = resolve_ranker(ranker, cost_model)
         self.clock = clock or LogicalClock()
         self.enable_rewrite = enable_rewrite
         self.enable_registration = enable_registration
@@ -180,11 +157,6 @@ class ReStore(JobControl):
             persistence = RepositoryLog(dfs)
         self.persistence = persistence
         if persistence is not None:
-            if persistence.ranker is None:
-                # Snapshots written by managed persistence carry the same
-                # deployment metadata save_repository(..., ranker=) would
-                # record; set before attach — it may compact immediately.
-                persistence.ranker = self.ranker
             persistence.attach(self.repository)
         self.checkpoint_every = max(1, int(checkpoint_every))
         self._submits_since_checkpoint = 0
@@ -231,7 +203,7 @@ class ReStore(JobControl):
         Call :meth:`flush` for a read-after-drain barrier.
         """
         self.clock.tick()
-        self.last_report = ReStoreReport(workflow.name, self.ranker.name)
+        self.last_report = ReStoreReport(workflow.name)
         self.last_report.ingest = self._ingest.stats
         self._discard_paths = []
         result = self.run(workflow)
@@ -345,7 +317,7 @@ class ReStore(JobControl):
         Each pass builds the job's
         :class:`~repro.restore.matcher.PlanDigest` — one walk of the job
         plan — and asks the repository for the entries filed under its
-        site fingerprints, in the ranker's try order. Skipped entries
+        site fingerprints, in scan order. Skipped entries
         provably cannot match, so the first candidate that matches is
         exactly the entry the seed's full sequential scan would have
         chosen. A rewrite changes the job plan, so every pass starts
@@ -359,10 +331,6 @@ class ReStore(JobControl):
         # survive a restart); the frozen seed baseline has no channel and
         # gets the direct stamp.
         record_use = getattr(self.repository, "record_use", None)
-        # The structural default passes no ranker: the frozen seed
-        # baseline, which the lock-step property suite drives through
-        # this manager, accepts none (and ignores the digest).
-        ranked = {} if self.ranker.is_structural else {"ranker": self.ranker}
         # The ingest lock keeps the whole match pass atomic against the
         # async registrar's batches: a probe never sees a half-applied
         # batch, and use-stamps/worker-pool traffic stays serialized
@@ -373,7 +341,7 @@ class ReStore(JobControl):
                 progressed = False
                 job_digest = PlanDigest(job.plan)
                 for entry in self.repository.match_candidates(
-                        job.plan, digest=job_digest, **ranked):
+                        job.plan, digest=job_digest):
                     counters.candidates_tried += 1
                     if not self.dfs.exists(entry.output_path):
                         counters.skipped_missing_output += 1
@@ -382,7 +350,6 @@ class ReStore(JobControl):
                     if match is None:
                         counters.skipped_no_containment += 1
                         continue
-                    self._record_ranking_decision(job, entry)
                     apply_rewrite(job, match, entry, self.dfs)
                     if record_use is not None:
                         record_use(entry, self.clock.now())
@@ -394,25 +361,6 @@ class ReStore(JobControl):
                     self.last_report.rewrites.append((job.job_id, entry.entry_id))
                     progressed = True
                     break
-
-    def _record_ranking_decision(self, job, entry):
-        """Ledger one applied rewrite's estimated vs realized savings.
-
-        The estimate comes from the active ranker when it has one (so
-        the ledger logs exactly the number the ranker ranked by, even
-        when the ranker was constructed over a different cost model);
-        rankers that do not estimate — the structural default — get the
-        same accounting from the manager's cost model. Realized savings
-        re-evaluate against the same model, so the estimated-vs-realized
-        delta isolates estimator error, not model disagreement.
-        """
-        estimated = self.ranker.estimated_savings(entry)
-        model = getattr(self.ranker, "cost_model", None) or self.cost_model
-        if estimated is None:
-            estimated = estimate_entry_savings(entry, model)
-        self.last_report.ranking.record(
-            job.job_id, entry.entry_id, estimated,
-            realized_entry_savings(entry, model, self.dfs))
 
     def _simplify(self, job, workflow):
         """Drop copy stores; eliminate the job when nothing remains.

@@ -548,7 +548,7 @@ def _load_repository(dfs, path, repository):
         return repository
     manifest = _supported_manifest(path, lines[0])
     repository = _load_segmented(dfs, manifest, lines[1:], repository, report)
-    # Surface the manifest (shard count, ranker metadata) to the caller;
+    # Surface the manifest (shard count, generation) to the caller;
     # harmless on a plain Repository target, which gains the attribute.
     repository.manifest_metadata = dict(manifest)
     report.entries_loaded = len(repository)

@@ -263,27 +263,19 @@ class Repository:
             self._order = tuple(self._entries)
         return self._order
 
-    def match_candidates(self, plan, ranker=None, digest=None):
+    def match_candidates(self, plan, digest=None):
         """Entries that could be contained in ``plan``, in try order.
 
         An entry is contained in ``plan`` only if its frontier
         fingerprint is one of the sites of ``plan``'s
         :class:`~repro.restore.matcher.PlanDigest`, so the candidates are
-        the buckets of those sites. Pass ``digest`` when the caller
-        already holds it (the manager's scan pass does).
-
-        Without a ``ranker`` (or with a structural one) the candidates
-        come back in global scan order — the paper's priority order,
-        restricted to the entries that can match. A non-structural
-        :class:`~repro.restore.ranking.CandidateRanker` reorders exactly
-        the same candidate *set* (ranking never adds or drops entries;
-        the property suite asserts the permutation).
+        the buckets of those sites, in global scan order — the paper's
+        Section 3 priority order restricted to the entries that can
+        match. Pass ``digest`` when the caller already holds it (the
+        manager's scan pass does).
         """
-        candidates = self._filtered_candidates(
+        return self._filtered_candidates(
             digest if digest is not None else PlanDigest(plan))
-        if ranker is None or ranker.is_structural:
-            return candidates
-        return tuple(ranker.order(candidates, self))
 
     @property
     def worker_pool(self):
@@ -316,9 +308,9 @@ class Repository:
     def subsumption_edges_among(self, entry_ids):
         """Strict-subsumption edges restricted to ``entry_ids``:
         ``{a: {b, ...}}`` where entry ``a``'s plan strictly contains
-        entry ``b``'s. Rankers use this to keep the paper's rule 1 (a
-        container is tried before everything it subsumes) a hard
-        constraint while reordering the rest."""
+        entry ``b``'s — the paper's rule 1 relation (a container is
+        tried before everything it subsumes) that the scan order is
+        built from, exposed for the edge oracles that check it."""
         ids = set(entry_ids)
         return {entry_id: self._edges_out.get(entry_id, _NO_EDGES) & ids
                 for entry_id in ids}

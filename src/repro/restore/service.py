@@ -22,7 +22,7 @@ repository over ``multiprocessing`` queues:
   global priority order. Decisions are bit-identical to the serial
   path's fingerprint lookup: an entry filed under one of the job's
   sites reads a subset of the job's loads, so it passes the workers'
-  load filter; ordering, ranking, containment, and statistics stay
+  load filter; ordering, containment, and statistics stay
   with the front-end.
 
 Failure model: a worker that dies (crash, kill) is detected at the next

@@ -5,7 +5,7 @@ MapReduce system collected while producing it — input/output sizes, the
 execution time of the producing job — plus reuse-tracking counters used by
 the ordering rules and the eviction rules.
 
-Two operational counter families ride along:
+Three operational counter families ride along:
 
 * :class:`MatchCounters` — per-workflow accounting of *why* repository
   candidates offered to the matcher were not used (missing output file,
@@ -13,9 +13,6 @@ Two operational counter families ride along:
   :class:`~repro.restore.manager.ReStoreReport`;
 * :class:`ShardStats` — per-shard probe/candidate/hit/occupancy counters
   maintained by :class:`~repro.restore.sharding.ShardedRepository`;
-* :class:`RankingLedger` — per-rewrite estimated vs realized savings
-  (the :mod:`~repro.restore.ranking` cost model's error, observable on
-  every :class:`~repro.restore.manager.ReStoreReport`);
 * :class:`IngestStats` — enqueue/coalesce/reject/batch counters and a
   drain-latency reservoir maintained by the async ingest front-end
   (:mod:`~repro.restore.ingest`), attached to reports when
@@ -115,108 +112,6 @@ class MatchCounters:
 
     def __repr__(self):
         return f"MatchCounters({self.describe()})"
-
-
-class RankingDecision:
-    """One applied rewrite's savings accounting.
-
-    ``estimated_savings`` is the :mod:`~repro.restore.ranking` score
-    computed from the entry's recorded statistics (what a
-    ``SavingsRanker`` ranks by); ``realized_savings`` re-evaluates the
-    same formula at rewrite time against the stored file's actual size.
-    The difference is the estimator's error for this decision.
-    """
-
-    __slots__ = ("job_id", "entry_id", "estimated_savings", "realized_savings")
-
-    def __init__(self, job_id, entry_id, estimated_savings, realized_savings):
-        self.job_id = job_id
-        self.entry_id = entry_id
-        self.estimated_savings = estimated_savings
-        self.realized_savings = realized_savings
-
-    @property
-    def estimate_error(self):
-        return self.estimated_savings - self.realized_savings
-
-    def as_dict(self):
-        return {
-            "job_id": self.job_id,
-            "entry_id": self.entry_id,
-            "estimated_savings": self.estimated_savings,
-            "realized_savings": self.realized_savings,
-            "estimate_error": self.estimate_error,
-        }
-
-    def __repr__(self):
-        return (
-            f"RankingDecision({self.job_id} <- {self.entry_id}, "
-            f"est={self.estimated_savings:.1f}s, "
-            f"real={self.realized_savings:.1f}s)"
-        )
-
-
-class RankingLedger:
-    """Every rewrite's estimated vs realized savings, for one workflow.
-
-    Recorded by the manager for **every** applied rewrite, whichever
-    ranker chose it — the structural default gets the same accounting,
-    so switching rankers is an observable A/B, not a blind flag flip.
-    """
-
-    __slots__ = ("ranker_name", "decisions")
-
-    def __init__(self, ranker_name="structural"):
-        self.ranker_name = ranker_name
-        self.decisions = []
-
-    def record(self, job_id, entry_id, estimated_savings, realized_savings):
-        decision = RankingDecision(job_id, entry_id, estimated_savings,
-                                   realized_savings)
-        self.decisions.append(decision)
-        return decision
-
-    def __len__(self):
-        return len(self.decisions)
-
-    @property
-    def total_estimated_savings(self):
-        return sum(decision.estimated_savings for decision in self.decisions)
-
-    @property
-    def total_realized_savings(self):
-        return sum(decision.realized_savings for decision in self.decisions)
-
-    @property
-    def mean_absolute_error(self):
-        """Mean |estimated - realized| over the workflow's rewrites —
-        the estimator-error counter the ranking docs promise."""
-        if not self.decisions:
-            return 0.0
-        return (sum(abs(decision.estimate_error)
-                    for decision in self.decisions) / len(self.decisions))
-
-    def as_dict(self):
-        return {
-            "ranker": self.ranker_name,
-            "decisions": [decision.as_dict() for decision in self.decisions],
-            "total_estimated_savings": self.total_estimated_savings,
-            "total_realized_savings": self.total_realized_savings,
-            "mean_absolute_error": self.mean_absolute_error,
-        }
-
-    def describe(self):
-        if not self.decisions:
-            return f"ranker={self.ranker_name}: no rewrites"
-        return (
-            f"ranker={self.ranker_name}: {len(self.decisions)} rewrite(s), "
-            f"estimated {self.total_estimated_savings:.1f}s saved, "
-            f"realized {self.total_realized_savings:.1f}s, "
-            f"mean |error| {self.mean_absolute_error:.2f}s"
-        )
-
-    def __repr__(self):
-        return f"RankingLedger({self.describe()})"
 
 
 class IngestStats:

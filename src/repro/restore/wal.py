@@ -91,9 +91,7 @@ class RepositoryLog:
     * ``compact_ratio`` — per-shard compaction threshold: a shard is
       *dirty* when its segment records per owned entry exceed this
       (≤ 0 is rejected; large values effectively disable compaction,
-      which the ablation benchmark uses to isolate the append cost);
-    * ``ranker`` — deployment metadata recorded in the manifest, exactly
-      as ``save_repository(..., ranker=...)`` records it.
+      which the ablation benchmark uses to isolate the append cost).
 
     Call :meth:`attach` to bind a repository (the indexed
     :class:`~repro.restore.repository.Repository` or the sharded
@@ -118,7 +116,7 @@ class RepositoryLog:
                   "snapshot_reads": "_mutex"}
 
     def __init__(self, dfs, path=DEFAULT_REPOSITORY_PATH, log_path=None,
-                 compact_ratio=1.0, ranker=None):
+                 compact_ratio=1.0):
         if compact_ratio <= 0:
             raise ValueError(
                 f"compact_ratio must be positive, got {compact_ratio}")
@@ -126,7 +124,6 @@ class RepositoryLog:
         self.path = path
         self.log_path = log_path if log_path is not None else f"{path}.log"
         self.compact_ratio = compact_ratio
-        self.ranker = ranker
         self.repository = None
         # Event intake, durable reads and checkpointing share one
         # re-entrant mutex: under async ingest the registrar thread
@@ -771,9 +768,6 @@ class RepositoryLog:
                   "order_log": order_log,
                   "order_gen": generation,
                   "sections": [sections[label] for label in sorted(sections)]}
-        ranker_name = getattr(self.ranker, "name", self.ranker)
-        if ranker_name is not None:
-            header["ranker"] = ranker_name
         self.dfs.write_lines(self.path, [json.dumps(header, sort_keys=True)],
                              overwrite=True)
         for label in sorted(targets):
@@ -819,29 +813,21 @@ class RepositoryLog:
         return f"<{self.describe()}>"
 
 
-def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH,
-                    ranker=None):
+def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH):
     """Persist the repository through the DFS: the authoritative full
     save, one full compaction (every section, a rebased order log,
     every segment truncated) in :meth:`RepositoryLog.compact`'s crash
     ordering. Returns the manifest's file status.
 
     When the repository's attached :class:`RepositoryLog` owns ``path``
-    on ``dfs``, this *is* ``log.compact()`` (a given ``ranker`` becomes
-    the log's) — the log keeps appending to the files the new manifest
-    references. Anywhere else it writes a standalone snapshot through a
-    throwaway log that never subscribes (a log attached elsewhere is not
-    disturbed); reloaded, it is a clean resume point for ``attach()``.
-
-    ``ranker`` (a :class:`~repro.restore.ranking.CandidateRanker` or its
-    name) is recorded in the manifest as deployment metadata — which
-    candidate ranking the saved repository was operated under. It does
-    not affect the entries (ranking reorders probes, never state).
+    on ``dfs``, this *is* ``log.compact()`` — the log keeps appending to
+    the files the new manifest references. Anywhere else it writes a
+    standalone snapshot through a throwaway log that never subscribes (a
+    log attached elsewhere is not disturbed); reloaded, it is a clean
+    resume point for ``attach()``.
     """
     log = getattr(repository, "persistence_log", None)
     if log is not None and log.dfs is dfs and log.path == path:
-        if ranker is not None:
-            log.ranker = ranker
         log.compact()
     else:
         # Keep the segment base of whatever manifest is being
@@ -849,7 +835,7 @@ def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH,
         # sequence floor and truncated — none is left stranded.
         previous = (read_manifest_line(dfs, path) or {}).get("log")
         RepositoryLog(
-            dfs, path, ranker=ranker,
+            dfs, path,
             log_path=previous if isinstance(previous, str) else None,
         )._save_unattached(repository)
     return dfs.status(path)

@@ -139,39 +139,6 @@ class TestLoadEstimate:
         assert model.estimate_load_time(0) >= model.config.job_startup_sec
 
 
-class TestSubplanEstimate:
-    def test_more_operators_cost_more(self):
-        model = CostModel()
-        base = model.estimate_subplan_time(["filter"], 100 * MB)
-        longer = model.estimate_subplan_time(["filter", "foreach"], 100 * MB)
-        assert longer > base
-
-    def test_blocking_operators_charge_shuffle(self):
-        model = CostModel()
-        mapside = model.estimate_subplan_time(["foreach"], 100 * MB)
-        blocking = model.estimate_subplan_time(["group"], 100 * MB)
-        # group's CPU rate is lower AND it pays spill+merge shuffle.
-        assert blocking > mapside
-
-    def test_loads_stores_and_splits_are_not_double_charged(self):
-        model = CostModel()
-        bare = model.estimate_subplan_time(["filter"], 100 * MB)
-        padded = model.estimate_subplan_time(
-            ["load", "split", "filter", "store"], 100 * MB)
-        assert padded == pytest.approx(bare)
-
-    def test_empty_subplan_is_just_the_load(self):
-        model = CostModel()
-        assert model.estimate_subplan_time([], 100 * MB) == \
-            pytest.approx(model.estimate_load_time(100 * MB))
-
-    def test_scale_applies(self):
-        small = CostModel(CostModelConfig(scale=1.0))
-        scaled = CostModel(CostModelConfig(scale=100.0))
-        assert scaled.estimate_subplan_time(["filter"], 100 * MB) > \
-            small.estimate_subplan_time(["filter"], 100 * MB)
-
-
 class TestJobStatsMerge:
     def test_merge_accumulates(self):
         a = stats_with(map_input=100, shuffle=10,

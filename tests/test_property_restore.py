@@ -16,16 +16,8 @@ The third family (PR 2): **sharding never changes decisions either**.
 :class:`~repro.restore.ShardedRepository` at shard counts 1, 2, and 8
 joins the same lock-step streams: every implementation must agree with
 the seed on scan order and matching, and the sharded candidate sequences
-(per-shard probes merged back into priority order) must be identical to
-the indexed repository's.
-
-The fourth family (PR 3): **savings ranking is safe**. A
-:class:`~repro.restore.SavingsRanker` walk sees exactly the structural
-candidate *set* (a permutation — ranking never drops or invents
-candidates), never tries an entry before one that subsumes it, and a
-manager driven by it applies only containment-valid rewrites while its
-total simulated workflow cost never exceeds the structural run's on the
-same randomized stream.
+(the inherited fingerprint lookup, whatever the shard layout) must be
+identical to the indexed repository's.
 """
 
 import contextlib
@@ -39,18 +31,15 @@ from repro import PigSystem
 from repro.data import DataType, encode_row, Field, Schema
 from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
-from repro.mapreduce import ClusterConfig, CostModel, CostModelConfig
 from repro.physical import logical_to_physical
 from repro.physical.operators import POLoad
 from repro.piglatin import parse_query
-import repro.restore.manager as manager_module
 from repro.restore import (
     LinearScanRepository,
     load_repository,
     Repository,
     RepositoryEntry,
     RepositoryLog,
-    SavingsRanker,
     ShardedRepository,
 )
 from repro.restore.matcher import (
@@ -293,34 +282,14 @@ def _repository_fleet():
     ]
 
 
-_RANKING_MODEL = CostModel(CostModelConfig(), ClusterConfig())
-
-
-def _assert_savings_walk_safe(repo, probe, structural_paths, context, name):
-    """The SavingsRanker walk over one probe: same candidate set as the
-    structural walk, no entry before its subsumer, deterministic."""
-    ranker = SavingsRanker(_RANKING_MODEL)
-    ranked = repo.match_candidates(probe, ranker=ranker)
-    ranked_paths = [e.output_path for e in ranked]
-    assert sorted(ranked_paths) == sorted(structural_paths), (context, name)
-    assert [e.output_path for e in repo.match_candidates(probe, ranker=ranker)] \
-        == ranked_paths, (context, name)
-    position = {e.entry_id: i for i, e in enumerate(ranked)}
-    edges = repo.subsumption_edges_among(position)
-    for above_id, below_ids in edges.items():
-        for below_id in below_ids:
-            assert position[above_id] < position[below_id], (context, name)
-    return ranked_paths
-
-
 def test_property_repositories_equivalent_to_seed(plan_pool):
     """200 randomized workflow streams of inserts/removals/probes: the
     indexed repository and the sharded repository (1, 2, and 8 shards)
     must produce scan orders, find_equivalent results, and match
     decisions identical to the frozen seed linear scan after every
     single operation — and the sharded candidate sequences must be
-    identical to the indexed repository's (the shard merge restores the
-    global priority order exactly)."""
+    identical to the indexed repository's (a serial sharded probe is the
+    inherited fingerprint lookup, in global priority order)."""
     for stream in range(200):
         rng = random.Random(1000 + stream)
         fleet = _repository_fleet()
@@ -362,15 +331,14 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
                 matchable = [e.output_path for e in seed.scan()
                              if e.fingerprint in sites]
                 indexed_candidates = None
-                indexed_ranked = None
                 for name, repo in fleet:
                     found = repo.find_equivalent(probe)
                     assert (found is None) == (expected is None), (context, name)
                     if found is not None:
                         assert found.output_path == expected.output_path, \
                             (context, name)
-                    # Match decision: the filtered (and, for shards,
-                    # fanned-out-and-merged) candidate walk must pick the
+                    # Match decision: the filtered candidate walk (the
+                    # same inherited lookup for shards) must pick the
                     # same first match as the seed's full scan, and must
                     # not drop any matching entry.
                     candidates = [e.output_path
@@ -386,17 +354,9 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
                     if indexed_candidates is None:
                         indexed_candidates = candidates
                     else:
-                        # The shard merge must reproduce the indexed
+                        # A sharded layout must reproduce the indexed
                         # repository's candidate sequence exactly.
                         assert candidates == indexed_candidates, (context, name)
-                    # Savings ranking: a safe permutation of the same
-                    # walk, identical across implementations.
-                    ranked = _assert_savings_walk_safe(
-                        repo, probe, candidates, context, name)
-                    if indexed_ranked is None:
-                        indexed_ranked = ranked
-                    else:
-                        assert ranked == indexed_ranked, (context, name)
             for name, repo in fleet:
                 assert [e.output_path for e in repo.scan()] == \
                     [e.output_path for e in seed.scan()], (context, name)
@@ -1043,81 +1003,6 @@ def test_property_manager_decisions_match_seed_repository():
             # Indexed and sharded managers see identical candidate
             # sequences, so their skip accounting must match too.
             assert counters == indexed_counters, label
-
-
-# --- The savings ranker is safe (PR 3) ----------------------------------------
-#
-# The third lock-step arm: the same randomized workflow streams, driven
-# through managers whose matcher tries candidates best-estimated-savings
-# first. Two guarantees, per stream:
-#
-# * every rewrite the savings manager APPLIES still passes
-#   find_containment at application time (checked by wrapping the
-#   manager's apply_rewrite for the duration of the test);
-# * outputs are byte-identical to the structural run's and the total
-#   simulated cost (sum of all job ETs over the whole stream) is never
-#   worse — reordering the walk may change which entry serves a rewrite,
-#   but only ever for an equivalent-or-cheaper one.
-
-
-def test_property_savings_ranker_streams_are_safe():
-    original_apply = manager_module.apply_rewrite
-    applied_invalid = []
-
-    def checked_apply(job, match, entry, dfs):
-        if find_containment(entry.plan, job.plan) is None:
-            applied_invalid.append((job.job_id, entry.entry_id))
-        return original_apply(job, match, entry, dfs)
-
-    manager_module.apply_rewrite = checked_apply
-    try:
-        for stream in range(15):
-            rng = random.Random(9000 + stream)
-            rows = [
-                (rng.choice(["x", "y", "z"]), rng.randint(0, 50),
-                 rng.randint(0, 50), rng.choice(["p", "q"]))
-                for _ in range(6)
-            ]
-            queries = []
-            for q in range(rng.randint(2, 4)):
-                transforms = [rng.choice(TRANSFORM_TEMPLATES)
-                              for _ in range(rng.randint(0, 3))]
-                tail = rng.choice(TAIL_TEMPLATES)
-                queries.append(build_query(transforms, tail)
-                               .replace("/out/result", f"/out/s{q}"))
-
-            arms = []
-            for ranker, repository in ((None, Repository()),
-                                       ("savings", Repository()),
-                                       ("savings", ShardedRepository(num_shards=4))):
-                system = PigSystem()
-                system.dfs.write_lines(
-                    "/data/t", [encode_row(r, SCHEMA) for r in rows])
-                manager = system.restore(repository=repository, ranker=ranker)
-                total_cost = 0.0
-                rewrites = 0
-                for name_index, query in enumerate(queries):
-                    result = manager.submit(system.compile(query, f"s{name_index}"))
-                    total_cost += result.total_execution_time
-                    rewrites += manager.last_report.num_rewrites
-                    # Every applied rewrite is in the savings ledger.
-                    assert len(manager.last_report.ranking) == \
-                        manager.last_report.num_rewrites
-                outputs = {f"/out/s{q}": system.dfs.read_lines(f"/out/s{q}")
-                           for q in range(len(queries))}
-                arms.append((outputs, total_cost, rewrites))
-
-            label = f"stream={stream}"
-            assert not applied_invalid, (label, applied_invalid)
-            (structural_out, structural_cost, _) = arms[0]
-            for outputs, total_cost, _ in arms[1:]:
-                assert outputs == structural_out, label
-                assert total_cost <= structural_cost + 1e-9, (
-                    label, total_cost, structural_cost)
-            # Both savings arms (indexed and sharded) agree with each other.
-            assert arms[1] == arms[2], label
-    finally:
-        manager_module.apply_rewrite = original_apply
 
 
 # --- Async ingest is invisible (PR 8) ------------------------------------------

@@ -419,6 +419,44 @@ class TestScanPass:
         few, many = tests_of_insert(4), tests_of_insert(40)
         assert few == many >= 1
 
+    def test_rewrite_costs_no_estimate_and_no_file_size(self, monkeypatch):
+        # A rewrite reuses the first containable entry in scan order;
+        # nothing on the match path prices the entry, so the pass asks
+        # the cost model for no estimate and the DFS for no file size.
+        restore = fresh_restore(self.dfs)
+        query = (f"A = load '/data/page_views' as {PAGE_VIEWS_AS};"
+                 "B = filter A by timestamp > 5; C = foreach B generate user;"
+                 "store C into '/out/priced';")
+        restore.submit(compile_query(query, "populate", self.dfs))
+        calls = []
+        matching = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                if matching:
+                    calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(restore.cost_model, "estimate_load_time",
+                            counted("estimate_load_time",
+                                    restore.cost_model.estimate_load_time))
+        monkeypatch.setattr(self.dfs, "file_size",
+                            counted("file_size", self.dfs.file_size))
+        original_pass = ReStore._match_and_rewrite
+
+        def watched_pass(manager, job):
+            matching.append(job)
+            try:
+                return original_pass(manager, job)
+            finally:
+                matching.pop()
+
+        monkeypatch.setattr(ReStore, "_match_and_rewrite", watched_pass)
+        restore.submit(compile_query(query, "reuse", self.dfs))
+        assert restore.last_report.num_rewrites >= 1
+        assert calls == []
+
 
 class TestResourceAccounting:
     """Regression tests for the PR 4 leak fixes."""

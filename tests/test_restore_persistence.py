@@ -344,39 +344,43 @@ class TestShardedPersistence:
         assert [[e.output_path for e in shard] for shard in reloaded.partitions()] \
             == [[e.output_path for e in shard] for shard in repository.partitions()]
 
-    def test_manifest_records_ranker_metadata(self):
-        from repro.restore import SavingsRanker
-
-        system, repository = self._populated(ShardedRepository(num_shards=4))
-        save_repository(repository, system.dfs, "/restore/by-name",
-                        ranker="savings")
-        save_repository(repository, system.dfs, "/restore/by-instance",
-                        ranker=SavingsRanker())
-        for path in ("/restore/by-name", "/restore/by-instance"):
-            manifest = json.loads(system.dfs.read_lines(path)[0])
-            assert manifest["ranker"] == "savings"
-        # Omitting the ranker omits the key.
-        save_repository(repository, system.dfs, "/restore/bare")
-        assert "ranker" not in json.loads(system.dfs.read_lines("/restore/bare")[0])
-
     def test_loader_surfaces_manifest_metadata(self):
         system, repository = self._populated(ShardedRepository(num_shards=4))
-        save_repository(repository, system.dfs, ranker="savings")
+        save_repository(repository, system.dfs)
         reloaded = load_repository(system.dfs)
-        assert reloaded.manifest_metadata["ranker"] == "savings"
         assert reloaded.manifest_metadata["num_shards"] == 4
         # A freshly constructed repository has no manifest provenance.
         assert ShardedRepository(num_shards=2).manifest_metadata is None
 
-    def test_ranker_metadata_does_not_change_reloaded_decisions(self):
+    def test_older_manifest_key_does_not_change_reloaded_decisions(self):
+        """Manifests written before the candidate order was fixed carry
+        one more key; the loader ignores it and decides identically."""
         system, repository = self._populated(ShardedRepository(num_shards=4))
         save_repository(repository, system.dfs, "/restore/plain")
-        save_repository(repository, system.dfs, "/restore/ranked",
-                        ranker="savings")
+        save_repository(repository, system.dfs, "/restore/older")
+        lines = system.dfs.read_lines("/restore/older")
+        manifest = json.loads(lines[0])
+        manifest["ranker"] = "savings"
+        system.dfs.write_lines(
+            "/restore/older",
+            [json.dumps(manifest, sort_keys=True)] + lines[1:],
+            overwrite=True)
         plain = load_repository(system.dfs, "/restore/plain")
-        ranked = load_repository(system.dfs, "/restore/ranked")
-        assert [e.output_path for e in ranked.scan()] == \
+        older = load_repository(system.dfs, "/restore/older")
+        assert [e.output_path for e in older.scan()] == \
             [e.output_path for e in plain.scan()]
+        for entry in plain.scan():
+            assert older.find_equivalent(entry.plan).output_path == \
+                entry.output_path
+        offered = 0
+        for text in (Q1_TEXT, Q2_TEXT):
+            for job in system.compile(text).topological_jobs():
+                expected = [e.output_path
+                            for e in plain.match_candidates(job.plan)]
+                assert [e.output_path
+                        for e in older.match_candidates(job.plan)] == expected
+                offered += len(expected)
+        assert offered  # the probes reach entries, so the check has teeth
 
     def test_sharded_save_is_deterministic(self):
         system, repository = self._populated(ShardedRepository(num_shards=4))

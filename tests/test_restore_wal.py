@@ -407,10 +407,9 @@ class TestRepositoryLogBasics:
         live.insert(fabricated_entry(0))
         log.checkpoint()
         assert len(dfs.read_lines(SEG)) == 1
-        save_repository(live, dfs, SNAPSHOT, ranker="savings")
+        save_repository(live, dfs, SNAPSHOT)
         assert segment_lines(dfs) == []
         assert live.persistence_log is log
-        assert manifest_of(dfs)["ranker"] == log.ranker == "savings"
         reloaded = load_repository(dfs)
         assert len(reloaded) == 1
         assert reloaded.loader_report.replayed_records == 0
@@ -1626,23 +1625,6 @@ class TestManagerIntegration:
         assert reloaded.loader_report.replayed_records > 0
         assert any(record["op"] == "remove"
                    for record in all_segment_records(system.dfs))
-
-    def test_manager_ranker_recorded_in_snapshot_manifest(self):
-        """The v4 manifest carries the same ranker provenance that
-        save_repository(..., ranker=) records — without requiring the
-        caller to duplicate it into the RepositoryLog constructor."""
-        system = pigmix_system()
-        log = RepositoryLog(system.dfs, compact_ratio=0.01)  # compact always
-        restore = system.restore(ranker="savings", persistence=log)
-        restore.submit(system.compile(Q1_TEXT))
-        assert restore.last_report.checkpoint["compacted"]
-        reloaded = load_repository(system.dfs)
-        assert reloaded.manifest_metadata["ranker"] == "savings"
-        # An explicitly configured log keeps its own setting.
-        explicit = RepositoryLog(system.dfs, ranker="structural")
-        system.restore(ranker="savings", persistence=explicit,
-                       repository=reloaded)
-        assert explicit.ranker == "structural"
 
     def test_use_stamps_survive_restart(self):
         system = pigmix_system()
