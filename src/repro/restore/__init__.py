@@ -104,7 +104,7 @@ record is reported and its file discarded), or ``coalesce``
 survivor) — and a background :class:`~repro.restore.ingest.Registrar`
 thread applies the records in batches: clone + dedup + admission,
 per-shard grouped worker-pool flushes
-(``Repository.insert_batch`` / ``ShardWorkerPool.flush_shards``), the
+(``ShardWorkerPool.flush_shards`` after each batch), the
 Rule 3/4 eviction sweep at the captured tick, and the persistence
 checkpoint. Inline mode runs the *same* capture/apply code
 synchronously, so decisions are bit-identical by construction — the

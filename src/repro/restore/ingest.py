@@ -527,8 +527,11 @@ class AsyncIngest:
         # Called on the registrar thread (under the lock) after an
         # apply-side decision — the submit-end record for this path's
         # submit may already be applied, so delete now instead of
-        # queueing: materialized/temp paths are never reallocated, and
-        # the shield set still protects re-registrations.
+        # queueing. The shield set protects every registered entry's
+        # path; a content-addressed path that a later submit has
+        # already written again for an unregistered record loses its
+        # file, which the matcher skips (dfs.exists) and the next
+        # materialization of the same computation writes back.
         self.sink.discard_path_now(path)
 
     def flush(self):

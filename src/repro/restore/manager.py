@@ -16,13 +16,11 @@ For every job that becomes ready, in order:
 One logical-clock tick per submitted workflow drives reuse windows.
 """
 
-import itertools
-
 from repro.common import LogicalClock
 from repro.mrcompiler.jobcontrol import JobControl
 from repro.physical.operators import POLoad, POStore
 from repro.physical.plan import PhysicalPlan
-from repro.restore.enumerator import enumerate_and_inject
+from repro.restore.enumerator import enumerate_and_inject, MATERIALIZED_PREFIX
 from repro.restore.heuristics import AggressiveHeuristic
 from repro.restore.ingest import (
     AsyncIngest,
@@ -121,7 +119,7 @@ class ReStore(JobControl):
       ``last_report.ingest``.
     """
 
-    MATERIALIZED_PREFIX = "/restore/materialized"
+    MATERIALIZED_PREFIX = MATERIALIZED_PREFIX
 
     #: Locking contract, enforced by `repro.tools.statlint`
     #: (``lock-discipline``): the discard shield is read/written by the
@@ -133,8 +131,6 @@ class ReStore(JobControl):
 
     #: sentinel: "use the paper's default heuristic" (None disables sub-jobs)
     _DEFAULT = object()
-
-    _instance_ids = itertools.count(1)
 
     def __init__(self, dfs, cost_model, repository=None, heuristic=_DEFAULT,
                  retention=None, clock=None, enable_rewrite=True,
@@ -165,10 +161,6 @@ class ReStore(JobControl):
         self.register_whole_jobs = register_whole_jobs
         self.register_final_outputs = register_final_outputs
         self.last_report = None
-        # Each manager materializes under its own directory so that several
-        # ReStore instances sharing one DFS never overwrite each other.
-        self._mat_prefix = f"{self.MATERIALIZED_PREFIX}/r{next(self._instance_ids)}"
-        self._mat_counter = itertools.count(1)
         self._pending_candidates = {}
         self._kept_paths = set()
         self._discard_paths = []
@@ -267,8 +259,7 @@ class ReStore(JobControl):
         if not self._simplify(job, workflow):
             return False
         if self.heuristic is not None:
-            candidates = enumerate_and_inject(job, self.heuristic,
-                                              self._allocate_materialized_path)
+            candidates = enumerate_and_inject(job, self.heuristic)
             self._pending_candidates[job.job_id] = candidates
             self.last_report.injected_stores.extend(
                 (job.job_id, candidate.operator.kind, candidate.path)
@@ -391,9 +382,6 @@ class ReStore(JobControl):
 
     # Registration --------------------------------------------------------------
 
-    def _allocate_materialized_path(self):
-        return f"{self._mat_prefix}/m{next(self._mat_counter)}"
-
     def _register_store(self, job, store, run_result):
         self._ingest.submit(self._capture_registration(
             job, store.inputs[0], store.path, run_result,
@@ -482,9 +470,11 @@ class ReStore(JobControl):
 
     def _finish_duplicate(self, record, existing):  # statlint: holds=_ingest.lock
         if existing.output_path == record.output_path:
-            # A re-registration at the same content-addressed path:
-            # the "duplicate" file IS the entry's stored file, so
-            # shield it from any queued discard.
+            # A re-registration at the same content-addressed path —
+            # a sub-job re-materialized because its entry's file was
+            # missing or rewriting was off, or the same operator twice
+            # in one job: the "duplicate" file IS the entry's stored
+            # file, so shield it from any queued discard.
             self._kept_paths.add(record.output_path)
         if record.origin == "sub-job":
             # A duplicate at a *different* path references nothing — the

@@ -27,7 +27,7 @@ the ones filed under its digest's site fingerprints.
 Two entry points:
 
 * :func:`find_containment` — the containment test used by ReStore proper;
-  returns the repo-op -> input-op mapping on success.
+  returns the input-plan frontier on success.
 * :func:`pairwise_plan_traversal` — a faithful transcription of the
   paper's Algorithm 1 (simultaneous depth-first traversal over successor
   sets), which never looks at a fingerprint. It is equivalent on the plans
@@ -44,18 +44,13 @@ from repro.physical.operators import POStore
 class Match:
     """A successful containment of ``entry_plan`` in an input plan."""
 
-    __slots__ = ("mapping", "frontier")
+    __slots__ = ("frontier",)
 
-    def __init__(self, mapping, frontier):
-        #: maps id(repo op) -> input op, for every non-Store repo op
-        self.mapping = mapping
+    def __init__(self, frontier):
         #: the input-plan operator equivalent to the repo plan's last
         #: operator before its Store — the point whose output the stored
         #: file materializes.
         self.frontier = frontier
-
-    def matched_input_ops(self):
-        return list(self.mapping.values())
 
 
 def skip_splits(op):
@@ -205,16 +200,6 @@ def _equivalent(repo_op, input_op, memo):
     return result
 
 
-def _build_mapping(repo_op, input_op, mapping):
-    input_op = skip_splits(input_op)
-    if id(repo_op) in mapping:
-        return mapping
-    mapping[id(repo_op)] = input_op
-    for repo_parent, input_parent in zip(repo_op.inputs, input_op.inputs):
-        _build_mapping(repo_parent, input_parent, mapping)
-    return mapping
-
-
 def _digest(plan):
     return plan if isinstance(plan, PlanDigest) else PlanDigest(plan)
 
@@ -222,9 +207,9 @@ def _digest(plan):
 def find_containment(entry_plan, input_plan):
     """Test whether ``entry_plan`` is contained in ``input_plan``.
 
-    Returns a :class:`Match` (repo-op mapping plus the input-plan frontier
-    operator) or None. Only the input operators whose fingerprint equals
-    the entry frontier's can be equivalent to it; they are confirmed with
+    Returns a :class:`Match` (the input-plan frontier operator) or None.
+    Only the input operators whose fingerprint equals the entry
+    frontier's can be equivalent to it; they are confirmed with
     the exact test in topological order, so the result is deterministic
     and no decision rests on the hash. Either argument may be the plan's
     :class:`PlanDigest` instead of the plan.
@@ -234,7 +219,7 @@ def find_containment(entry_plan, input_plan):
     memo = {}
     for site in target.sites.get(entry.fingerprint, ()):
         if _equivalent(frontier, site, memo):
-            return Match(_build_mapping(frontier, site, {}), site)
+            return Match(site)
     return None
 
 

@@ -27,9 +27,11 @@ grammar both sides share and the loader:
   one descriptor per partition pointing at that shard's immutable,
   generation-suffixed snapshot **section file** and its append-only
   **segment file**, with a per-section ``base_seq`` watermark;
-* a section line wraps an entry record with its stable log ``key`` and
-  global scan ``position``; a segment line is one mutation (insert /
-  remove / use-stamp) tagged with a monotonic sequence number;
+* a section line wraps an entry record with its log ``key`` and global
+  scan ``position``; a segment line is one mutation (insert / remove /
+  use-stamp) tagged with a monotonic sequence number. The writer derives
+  the key from the entry's insertion sequence (:func:`log_key`); the
+  loader treats keys as opaque strings;
 * the global scan order lives in an append-only **order log**
   (``order_log``/``order_gen``): full order records on (re)base,
   per-compaction **deltas** (keys removed, keys spliced in at recorded
@@ -171,24 +173,31 @@ def _operator_from_record(record, inputs, memo):
 # --- Repository (de)serialization ---------------------------------------------------
 
 
+def log_key(entry):
+    """The key the log writes for ``entry``: its insertion sequence,
+    which the repository assigns once and the loader restores, so the
+    key names the same entry in every process."""
+    return f"k{entry._sequence}"
+
+
 def entry_to_json(entry):
     """One entry as a JSON-able dict — the ``entry`` payload of section
-    records (and of the worker pool's ``add`` mutations). Every field
-    except three is fixed at insert time: the mutable pair
-    (``use_count``, ``last_used_tick``) and ``sequence``, which
-    :func:`entry_from_json` deliberately does not restore — it is
-    minted per process."""
+    records (and of the worker pool's ``add`` mutations). Every field is
+    fixed at insert time except the mutable pair (``use_count``,
+    ``last_used_tick``). ``sequence`` is restored by the loader, not by
+    :func:`entry_from_json`: the repository that admits the entry
+    assigns it."""
     stats = entry.stats
     return {
         "plan": plan_to_json(entry.plan),
         "fingerprint": entry.fingerprint,
-        # The insertion sequence is the scan order's final tie-break.
-        # It must round-trip: re-insertion mints sequences in scan-
-        # position order, but a subsumption-edge-constrained scan order
-        # can invert metric-tied entries relative to insertion order —
-        # a post-reload recompute would then break those ties
-        # differently than the live repository.
-        "sequence": getattr(entry, "_sequence", None),
+        # The insertion sequence is the entry's identity (its id and
+        # log key) and the scan order's final tie-break. It must
+        # round-trip: a subsumption-edge-constrained scan order can
+        # invert metric-tied entries relative to insertion order, so a
+        # post-reload recompute with other sequences would break those
+        # ties differently than the live repository.
+        "sequence": entry._sequence,
         "output_path": entry.output_path,
         "input_versions": entry.input_versions,
         "owns_file": entry.owns_file,
@@ -377,9 +386,9 @@ class LoaderReport:
     ``fingerprint_mismatches`` flags signature-canonicalization drift
     between the saving and loading release, ``torn_tail_dropped`` /
     ``stale_records`` / ``dangling_records`` account for every segment
-    record that was not replayed — and ``last_seq`` / ``keys`` are the
-    replay state a :class:`~repro.restore.wal.RepositoryLog` resumes
-    from when it re-attaches after a restart.
+    record that was not replayed — and ``last_seq`` / ``use_stats`` are
+    the replay state a :class:`~repro.restore.wal.RepositoryLog`
+    resumes from when it re-attaches after a restart.
     """
 
     def __init__(self, path, dfs=None):
@@ -400,10 +409,14 @@ class LoaderReport:
         self.torn_tail_dropped = 0     # partial final line from a crash
         self.orphaned_log_records = 0  # segment lines with no manifest
         self.fingerprint_mismatches = 0
+        #: entry records (removed entries' included) whose key is not
+        #: :func:`log_key` of their recorded sequence, or whose sequence
+        #: another entry held — a file written before keys were derived.
+        #: A re-attaching RepositoryLog rewrites it under the derived
+        #: keys, since its later records could otherwise name a key an
+        #: old record still uses.
+        self.foreign_keys = 0
         self.last_seq = 0              # highest sequence number seen
-        self.keys = {}                 # entry_id -> stable log key
-        #: every key a segment record names, removed entries' included
-        self.logged_keys = set()
         #: resume state: manifest num_shards, plus one descriptor per
         #: partition label ({"shard", "file", "entries", "base_seq",
         #: "segment"}) and the count of complete records per segment —
@@ -425,12 +438,13 @@ class LoaderReport:
         self.order_records = 0
         self.orphan_order_records = 0
         self.recorded_order = None
-        #: (use_count, last_used_tick) per entry at load time — lets a
-        #: re-attaching RepositoryLog detect use-stamps applied between
-        #: load and attach (which its listener never saw) and heal with
-        #: a compaction instead of silently losing them.
+        #: entry_id -> (use_count, last_used_tick) of every entry the
+        #: file loaded — lets a re-attaching RepositoryLog detect
+        #: inserts, removals and use-stamps applied between load and
+        #: attach (which its listener never saw) and heal with a
+        #: compaction instead of silently losing them.
         self.use_stats = {}
-        # The replay state (last_seq/keys) is only valid until the first
+        # The replay state (last_seq/use_stats) is only valid until the first
         # RepositoryLog attaches — it describes the repository *as
         # loaded*, not as later mutated — so attach() consumes it.
         self.replay_state_consumed = False
@@ -592,13 +606,30 @@ def _warn_unbrickable(message):
         warnings.warn(message, RuntimeWarning, stacklevel=4)
 
 
-def _apply_log_record(record, repository, insert, by_key, report, memo):
+def _admit(record, insert, by_key, taken, report, memo):
+    """Insert (or stage) the entry a section or insert record carries,
+    under the sequence it was recorded with. A sequence that a loaded
+    entry holds already (``taken``) — possible only in a file whose keys
+    were not derived from sequences — is left to the repository to
+    replace. A record whose key or sequence the entry does not keep is
+    counted in ``report.foreign_keys``."""
+    entry = entry_from_json(record["entry"], report, memo)
+    sequence = record["entry"].get("sequence")
+    if type(sequence) is int and sequence not in taken:
+        entry._sequence = sequence
+    insert(entry)
+    taken.add(entry._sequence)
+    if entry._sequence != sequence or record.get("key") != log_key(entry):
+        report.foreign_keys += 1
+    if record.get("key") is not None:
+        by_key[record["key"]] = entry
+
+
+def _apply_log_record(record, repository, insert, by_key, taken, report,
+                      memo):
     op = record["op"]
     if op == "insert":
-        entry = insert(entry_from_json(record["entry"], report, memo))
-        key = record.get("key")
-        if key is not None:
-            by_key[key] = entry
+        _admit(record, insert, by_key, taken, report, memo)
         report.replayed_records += 1
     elif op == "remove":
         if record.get("key") is None:
@@ -650,7 +681,7 @@ def _load_segmented(dfs, manifest, body, repository, report):
        with ``base_seq < seq <= last_seq`` merged across segments in
        global sequence order — this rebuilds exactly the entry set that
        was live when the manifest was written — and pin the scan order
-       and tie-break sequences to the manifest's recorded ones;
+       to the manifest's recorded one;
     2. replay the remaining records (``seq > last_seq``) in sequence
        order.
 
@@ -659,6 +690,12 @@ def _load_segmented(dfs, manifest, body, repository, report):
     truncation leaves them behind); each segment independently tolerates
     a torn final line. Segments can therefore be read in any order — the
     per-record sequence numbers, not file order, define the replay.
+
+    Every entry keeps the insertion sequence it was recorded with, so
+    its id and log key are the ones the writing process used, and the
+    repository's counter resumes above every sequence the files name —
+    removed entries' included: a record that names a removed entry's key
+    must never act on a new entry at a later reload.
     """
     report.format_version = DELTA_MANIFEST_VERSION
     report.log_path = manifest.get("log")
@@ -699,6 +736,7 @@ def _load_segmented(dfs, manifest, body, repository, report):
     # classify every record against its section's watermark and the
     # manifest's order watermark, then merge by global sequence number.
     phase1, phase2 = [], []
+    sequences = [record["entry"].get("sequence") for record in section_records]
     for label in sorted(report.section_state):
         state = report.section_state[label]
         segment = state.get("segment")
@@ -708,36 +746,40 @@ def _load_segmented(dfs, manifest, body, repository, report):
         records = _parse_segment(lines, segment, report)
         report.segment_records[label] = len(records)
         for record in records:
-            report.logged_keys.add(record.get("key"))
             if record["seq"] <= state["base_seq"]:
                 report.stale_records += 1
-            elif record["seq"] <= order_seq:
+                continue
+            if record["op"] == "insert":
+                sequences.append(record["entry"].get("sequence"))
+            if record["seq"] <= order_seq:
                 phase1.append(record)
             else:
                 phase2.append(record)
+    order = _read_order_log(dfs, manifest.get("order_log"),
+                            manifest.get("order_gen", 0), report)
+    sequences.extend(sequence for _, sequence in order)
+    repository._sequence = max(
+        [repository._sequence] + [sequence + 1 for sequence in sequences
+                                  if type(sequence) is int])
     # Phase 1: the repository as the manifest saw it. The insertion
     # order here is only a deterministic staging order (recorded
     # insertion sequence, a total key) — for a normal load the scan
-    # order and tie-breaks are pinned from the manifest below, so the
-    # entries are staged, never sorted; for a partial load into a
-    # pre-populated target, where pinning is skipped, they are inserted,
-    # reproducing the original insertion history as closely as the file
-    # allows.
+    # order is pinned from the manifest below, so the entries are
+    # staged, never sorted; for a partial load into a pre-populated
+    # target, where pinning is skipped, they are inserted, reproducing
+    # the original insertion history as closely as the file allows.
     by_key = {}
     memo = {}   # schema records decoded by this load
+    taken = {entry._sequence for entry in repository}
     insert = repository.insert if preexisting else repository._stage
     section_records.sort(key=lambda record:
                          record["entry"].get("sequence") or 0)
     for record in section_records:
-        entry = insert(entry_from_json(record["entry"], report, memo))
-        key = record.get("key")
-        if key is not None:
-            by_key[key] = entry
+        _admit(record, insert, by_key, taken, report, memo)
     phase1.sort(key=lambda record: record["seq"])
     for record in phase1:
-        _apply_log_record(record, repository, insert, by_key, report, memo)
-    order = _read_order_log(dfs, manifest.get("order_log"),
-                            manifest.get("order_gen", 0), report)
+        _apply_log_record(record, repository, insert, by_key, taken,
+                          report, memo)
     _force_recorded_order(repository, order, by_key,
                           partial=preexisting > 0)
     # Phase 2: everything appended since the manifest was written.
@@ -745,9 +787,8 @@ def _load_segmented(dfs, manifest, body, repository, report):
     report.last_seq = order_seq
     for record in phase2:
         _apply_log_record(record, repository, repository.insert, by_key,
-                          report, memo)
+                          taken, report, memo)
         report.last_seq = max(report.last_seq, record["seq"])
-    report.keys = {entry.entry_id: key for key, entry in by_key.items()}
     report.use_stats = {
         entry.entry_id: (entry.stats.use_count, entry.stats.last_used_tick)
         for entry in by_key.values()}
@@ -854,8 +895,7 @@ def _read_order_log(dfs, order_log, order_gen, report):
 
 
 def _force_recorded_order(repository, order, by_key, partial=False):
-    """Pin the phase-1 state to the manifest's recorded scan order and
-    tie-break sequences.
+    """Pin the phase-1 state to the manifest's recorded scan order.
 
     ``order`` is ``[[key, sequence], ...]`` over every entry live when
     the manifest was written; after phase 1 the repository must hold
@@ -867,15 +907,13 @@ def _force_recorded_order(repository, order, by_key, partial=False):
     resolution is still checked: the keys come from this file alone).
     """
     entries = []
-    sequences = []
-    for key, sequence in order:
+    for key, _ in order:
         entry = by_key.get(key)
         if entry is None:
             raise RepositoryError(
                 f"corrupt repository manifest: scan order references "
                 f"key {key!r}, which no section or segment defines")
         entries.append(entry)
-        sequences.append(sequence)
     if partial:
         return
     if len(entries) != len(repository):
@@ -883,9 +921,5 @@ def _force_recorded_order(repository, order, by_key, partial=False):
             f"corrupt repository manifest: scan order lists "
             f"{len(entries)} entr(ies), sections+segments rebuilt "
             f"{len(repository)}")
-    if not entries:
-        return
-    for entry, sequence in zip(entries, sequences):
-        entry._sequence = sequence
-    repository._sequence = max(sequences) + 1
-    repository.force_scan_order(entries)
+    if entries:
+        repository.force_scan_order(entries)

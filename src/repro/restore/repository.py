@@ -63,7 +63,6 @@ the property suite asserts order- and decision-equivalence against it.
 """
 
 import heapq
-import itertools
 
 from repro.common.errors import RepositoryError
 from repro.restore.matcher import contains, PlanDigest
@@ -78,13 +77,16 @@ class RepositoryEntry:
     retention rules read them), the versions of the datasets the plan
     read (Rule 4 invalidation), whether ReStore owns the stored file
     (safe to delete on evict), and whole-job/sub-job provenance.
-    """
 
-    _ids = itertools.count(1)
+    An entry has one identity, its ``_sequence``: the repository that
+    admits it assigns the sequence and derives ``entry_id`` from it
+    (:meth:`Repository.insert`), and both are fixed from then on.
+    """
 
     def __init__(self, plan, output_path, stats, input_versions=None,
                  owns_file=True, origin="whole-job"):
-        self.entry_id = f"e{next(self._ids)}"
+        self.entry_id = None
+        self._sequence = None
         #: canonical physical plan: Loads -> ... -> Store(output_path)
         self.plan = plan
         self.output_path = output_path
@@ -356,10 +358,17 @@ class Repository:
         return self._announce(entry)
 
     def _index(self, entry):
-        """Mint ``entry``'s sequence and priority key, discover its
-        subsumption edges and file it in every index."""
-        entry._sequence = self._sequence
-        self._sequence += 1
+        """Give ``entry`` its sequence, id and priority key, discover its
+        subsumption edges and file it in every index.
+
+        A fresh entry gets the next sequence. One that carries a
+        sequence already (the loader sets the recorded one) keeps it;
+        either way the counter moves past it, so no sequence is ever
+        handed out twice."""
+        if entry._sequence is None:
+            entry._sequence = self._sequence
+        self._sequence = max(self._sequence, entry._sequence + 1)
+        entry.entry_id = f"e{entry._sequence}"
         entry._scan_key = _priority(entry)
         self._discover_edges(entry)
 
@@ -376,30 +385,6 @@ class Repository:
         self._post_insert(entry)
         self._notify("insert", entry)
         return entry
-
-    def insert_batch(self, entries):
-        """Insert ``entries`` in order, then flush their shard groups.
-
-        Semantically identical to calling :meth:`insert` sequentially —
-        scan order, subsumption edges and change events are exactly the
-        per-entry ones — but the inserted entries are grouped by owning
-        shard and handed to :meth:`_flush_inserted_groups` once, so a
-        worker-pool-backed repository ships one grouped mutation message
-        per touched shard instead of serializing through a later probe.
-        Returns the entries, positionally aligned with ``entries``.
-        """
-        inserted = [self.insert(entry) for entry in entries]
-        groups = {}
-        for entry in inserted:
-            groups.setdefault(self.shard_id_of(entry), []).append(entry)
-        if groups:
-            self._flush_inserted_groups(groups)
-        return inserted
-
-    def _flush_inserted_groups(self, groups):
-        """Subclass hook: ``{shard_id: [entries]}`` just inserted by one
-        :meth:`insert_batch` call. The base repository has no shards and
-        no buffers — nothing to flush."""
 
     def _post_insert(self, entry):
         """Subclass hook, called after ``entry`` is fully indexed but
@@ -518,9 +503,9 @@ class Repository:
         authoritative; the whole repository is marked dirty so the next
         insert re-sorts everything, exactly as the live repository's
         order would come out. The loader stages its entries (never
-        sorted, :meth:`_stage`) and re-pins each entry's tie-break
-        sequence before calling this, so every cached priority key is
-        re-derived here, on both paths.
+        sorted, :meth:`_stage`) under their recorded sequences before
+        calling this; every cached priority key is re-derived here, on
+        both paths.
         """
         for entry in self._entries:
             entry._scan_key = _priority(entry)

@@ -50,7 +50,7 @@ import time
 
 from repro.common.errors import RepositoryError
 from repro.restore.index import LoadIndex
-from repro.restore.persistence import entry_from_json, entry_to_json
+from repro.restore.persistence import entry_from_json, entry_to_json, log_key
 
 
 class WorkerCrashed(RepositoryError):
@@ -61,17 +61,16 @@ class WorkerCrashed(RepositoryError):
 class ShardWorkerState:
     """The in-process core of one shard worker.
 
-    Holds the partition's skeleton entries keyed by the wire key (the
-    front-end's entry id) plus a private
+    Holds the partition's skeleton entries under the front-end's entry
+    ids, which each replica keeps, plus a private
     :class:`~repro.restore.index.LoadIndex` over just those entries, and
-    answers probes with the wire keys of the local entries the job's
-    load set cannot rule out. Kept free of any multiprocessing so the
-    lock-step tests can drive it directly in-process.
+    answers probes with the ids of the local entries the job's load set
+    cannot rule out. Kept free of any multiprocessing so the lock-step
+    tests can drive it directly in-process.
     """
 
     def __init__(self):
-        self._entries = {}      # wire key -> skeleton entry, insertion order
-        self._key_of = {}       # local entry_id -> wire key
+        self._entries = {}      # entry id -> skeleton entry, insertion order
         self._load_index = LoadIndex()
 
     def __len__(self):
@@ -88,10 +87,10 @@ class ShardWorkerState:
         log (or from the front-end members) would."""
         for mutation in mutations:
             if mutation[0] == "add":
-                _, key, entry_json = mutation
+                _, entry_id, entry_json = mutation
                 entry = entry_from_json(entry_json)
-                self._entries[key] = entry
-                self._key_of[entry.entry_id] = key
+                entry.entry_id = entry_id
+                self._entries[entry_id] = entry
                 self._load_index.add(entry)
             elif mutation[0] == "use":
                 entry = self._entries.get(mutation[1])
@@ -101,18 +100,17 @@ class ShardWorkerState:
             else:
                 entry = self._entries.pop(mutation[1], None)
                 if entry is not None:
-                    del self._key_of[entry.entry_id]
                     self._load_index.discard(entry)
 
     def probe(self, job_loads):
-        """Wire keys of the local candidates for a job reading
-        ``job_loads`` (insertion order; the front-end re-sorts the merge
-        into global scan order)."""
+        """Ids of the local candidates for a job reading ``job_loads``
+        (insertion order; the front-end re-sorts the merge into global
+        scan order)."""
         candidate_ids = self._load_index.candidate_ids(job_loads)
         if not candidate_ids:
             return []
-        return [key for key, entry in self._entries.items()
-                if entry.entry_id in candidate_ids]
+        return [entry_id for entry_id in self._entries
+                if entry_id in candidate_ids]
 
 
 def _worker_main(requests, responses):  # statlint: process-entrypoint
@@ -381,10 +379,10 @@ class ShardWorkerPool:
 
         The seed is the partition's durable state when the front-end has
         an attached RepositoryLog — section + segment + pending records,
-        one partition's files only — with the stable keys translated
-        back to entry ids; without a log (or if the durable view
-        disagrees with the live membership) the front-end's in-memory
-        members. The pool's own buffer for the shard is dropped: the
+        one partition's files only — with each durable key (derived from
+        the entry's sequence) mapped to the member's entry id; without a
+        log (or if the durable view disagrees with the live membership)
+        the front-end's in-memory members. The pool's own buffer for the shard is dropped: the
         full re-seed already reflects every recorded mutation."""
         self.recoveries += 1
         old = self._workers.pop(shard_id, None)
@@ -404,11 +402,9 @@ class ShardWorkerPool:
         log = getattr(repository, "persistence_log", None)
         if log is not None and hasattr(log, "partition_snapshot"):
             snapshot = log.partition_snapshot(shard_id)
-            by_stable = {key: entry_id
-                         for entry_id, key in log.stable_keys().items()}
-            if (set(snapshot) <= set(by_stable)
-                    and len(snapshot) == len(members)):
-                return [("add", by_stable[key], entry_json)
+            entry_ids = {log_key(entry): entry.entry_id for entry in members}
+            if set(snapshot) == set(entry_ids):
+                return [("add", entry_ids[key], entry_json)
                         for key, entry_json in snapshot.items()]
         return [("add", entry.entry_id, entry_to_json(entry))
                 for entry in members]

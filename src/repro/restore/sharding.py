@@ -266,14 +266,6 @@ class ShardedRepository(Repository):
             if self._pool is not None:
                 self._pool.record_remove(shard.shard_id, entry)
 
-    def _flush_inserted_groups(self, groups):
-        # One grouped worker message per shard an insert_batch touched
-        # (the entries' mutations are already buffered per shard by
-        # _post_insert; this ships them eagerly instead of on the next
-        # probe of that shard).
-        if self._pool is not None:
-            self._pool.flush_shards(sorted(groups))
-
     def record_use(self, entry, tick):
         super().record_use(entry, tick)
         # Worker replicas mirror the partition state, stats included:

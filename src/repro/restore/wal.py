@@ -41,12 +41,14 @@ from the loader's replay state (healing with a full compaction when the
 files show crash damage). Use-stamps are logged as absolute counter
 values, so replaying one twice converges instead of double-counting.
 
-Entries are identified across restarts by **stable log keys** (the
-``key`` field in section and segment records), assigned by this class on
-insert — entry ids are process-local and re-minted on every load, so
-remove/use records cannot reference them. All records of one entry
-(insert, use-stamps, remove) land in one segment: the owning shard is a
-pure function of the entry's loads, fixed for its lifetime.
+Entries are identified across restarts by their **insertion
+sequence**: the ``key`` field of section and segment records is
+:func:`~repro.restore.persistence.log_key` of it, derived when a record
+is written. The repository assigns the sequence once, the loader
+restores it, and no sequence a durable record names is handed out again.
+All records of one entry (insert, use-stamps, remove) land in one
+segment: the owning shard is a pure function of the entry's loads, fixed
+for its lifetime.
 """
 
 import json
@@ -58,6 +60,7 @@ from repro.restore.persistence import (
     DELTA_MANIFEST_VERSION,
     encode_order_delta,
     entry_to_json,
+    log_key,
     MANIFEST_KEY,
     order_log_path,
     order_log_prefix,
@@ -107,8 +110,7 @@ class RepositoryLog:
     #: listener fires on whichever thread mutates the repository (the
     #: registrar under async ingest) while flush/compact/snapshot run
     #: elsewhere. ``*_locked`` methods assert "caller holds the mutex".
-    GUARDED_BY = {"_seq": "_mutex", "_next_key": "_mutex",
-                  "_keys": "_mutex", "_pending": "_mutex",
+    GUARDED_BY = {"_seq": "_mutex", "_pending": "_mutex",
                   "_segment_records": "_mutex", "_sections": "_mutex",
                   "_order_log": "_mutex",
                   "_last_recorded_order": "_mutex",
@@ -136,8 +138,6 @@ class RepositoryLog:
         # because checkpoint() nests compact()/flush().
         self._mutex = threading.RLock()
         self._seq = 0                # last sequence number assigned
-        self._next_key = 0           # stable-key allocator
-        self._keys = {}              # entry_id -> stable log key
         self._pending = {}           # label -> serialized records not on DFS
         self._segment_records = {}   # label -> complete records in its segment
         self._sections = {}          # label -> manifest section descriptor
@@ -164,12 +164,13 @@ class RepositoryLog:
         """Bind ``repository`` and subscribe to its change events.
 
         A repository freshly rebuilt by ``load_repository`` from this
-        manifest resumes seamlessly: sequence numbers, stable keys,
-        per-segment record counts, the clean sections' file pointers,
-        and the order log's delta base continue from the loader's
-        replay state. Anything else — a live repository, or a reload
-        whose files had crash damage (torn tails, stale records, orphan
-        order records) — is checkpointed immediately: attach writes a
+        manifest resumes seamlessly: sequence numbers, per-segment
+        record counts, the clean sections' file pointers, and the order
+        log's delta base continue from the loader's replay state.
+        Anything else — a live repository, a reload whose files had
+        crash damage (torn tails, stale records, orphan order records),
+        or one whose keys are not derived from sequences (a file written
+        before they were) — is checkpointed immediately: attach writes a
         fresh full snapshot (every section, a rebased order log) and
         truncates every segment.
         """
@@ -226,13 +227,12 @@ class RepositoryLog:
         return self
 
     def _bind_locked(self, repository, probe):
-        # A fresh binding: records buffered (and keys assigned) for a
-        # previously attached repository describe state this one does
-        # not share — flushing them into the new segments would inject
-        # ghost mutations and reused sequence numbers (detach() warns to
-        # flush/close first if they were wanted).
+        # A fresh binding: records buffered for a previously attached
+        # repository describe state this one does not share — flushing
+        # them into the new segments would inject ghost mutations and
+        # reused sequence numbers (detach() warns to flush/close first
+        # if they were wanted).
         self._pending = {}
-        self._keys = {}
         self._segment_records = {}
         self._sections = {}
         self._order_log = None
@@ -260,41 +260,23 @@ class RepositoryLog:
         )
         if report is not None:
             report.replay_state_consumed = True
-        untracked_mutations = False
         if resumable:
             self._seq = report.last_seq
-            live_ids = {entry.entry_id for entry in repository}
-            self._keys = {entry_id: key
-                          for entry_id, key in report.keys.items()
-                          if entry_id in live_ids}
-            # Mutations applied between load and attach happened before
-            # the listener subscribed, so the log never saw them: a
-            # removal leaves a loader key with no live entry, a
-            # use-stamp leaves live stats differing from their values at
-            # load time. Either forces the healing compaction below
-            # (inserts are caught by the unkeyed check).
-            untracked_mutations = (
-                len(self._keys) != len(report.keys)
-                or any((entry.stats.use_count, entry.stats.last_used_tick)
-                       != report.use_stats.get(entry.entry_id)
-                       for entry in repository))
-        # A removed entry's key stays taken while a segment still holds
-        # its records: a new entry minted under it would be removed by
-        # them on the next reload.
-        taken = set(self._keys.values())
-        if resumable:
-            taken |= report.logged_keys
-        self._next_key = 1 + max(map(_key_index, taken), default=-1)
-        unkeyed = [entry for entry in repository
-                   if entry.entry_id not in self._keys]
-        for entry in unkeyed:
-            self._assign_key_locked(entry)
         repository.add_listener(self._on_event)
         repository.persistence_log = self
         self._seed_generation_locked()
         clean = (resumable
-                 and not unkeyed
-                 and not untracked_mutations
+                 # Mutations applied between load and attach happened
+                 # before the listener subscribed, so the log never saw
+                 # them: an insert or a removal changes the set of
+                 # entries, a use-stamp their stats.
+                 and report.use_stats == {
+                     entry.entry_id: (entry.stats.use_count,
+                                      entry.stats.last_used_tick)
+                     for entry in repository}
+                 # The records this log appends name entries by derived
+                 # key; a file keyed otherwise is rewritten first.
+                 and report.foreign_keys == 0
                  and report.torn_tail_dropped == 0
                  and report.stale_records == 0
                  and report.dangling_records == 0
@@ -348,8 +330,6 @@ class RepositoryLog:
         with self._mutex:
             self.repository = repository
             try:
-                for entry in repository:
-                    self._assign_key_locked(entry)
                 self._seed_generation_locked()
                 self._seq = self._probe_durable_state()[1]
                 self._compact_locked(None)
@@ -432,41 +412,27 @@ class RepositoryLog:
 
     # Change events ----------------------------------------------------------
 
-    def _assign_key_locked(self, entry):
-        key = f"k{self._next_key}"
-        self._next_key += 1
-        self._keys[entry.entry_id] = key
-        return key
-
     def _on_event(self, op, entry):
         with self._mutex:
             self._intake_locked(op, entry)
 
     def _intake_locked(self, op, entry):
+        if entry._sequence is None:
+            # An entry no repository admitted, so nothing durable
+            # references it: a record for it would be pure noise the
+            # loader could only drop. Skip it — and skip *before* taking
+            # a sequence number, so the durable stream has no phantom
+            # gap.
+            return
         shard_id = self.repository.shard_id_of(entry)
-        record = {"op": op, "shard": shard_id}
+        record = {"op": op, "shard": shard_id, "key": log_key(entry)}
         if op == "insert":
-            record["key"] = self._assign_key_locked(entry)
             record["entry"] = entry_to_json(entry)
-        elif op == "remove":
-            key = self._keys.pop(entry.entry_id, None)
-            if key is None:
-                # The entry was never keyed, so nothing durable
-                # references it: a '"key": null' remove record would be
-                # pure noise the loader could only drop. Skip it — and
-                # skip *before* taking a sequence number, so the durable
-                # stream has no phantom gap.
-                return
-            record["key"] = key
         elif op == "use":
-            key = self._keys.get(entry.entry_id)
-            if key is None:
-                return  # same: an unkeyed use-stamp references nothing
-            record["key"] = key
             # Absolute values, not increments: replay is idempotent.
             record["use_count"] = entry.stats.use_count
             record["last_used_tick"] = entry.stats.last_used_tick
-        else:
+        elif op != "remove":
             return  # an event this release does not persist
         self._seq += 1
         record["seq"] = self._seq
@@ -501,15 +467,8 @@ class RepositoryLog:
                     for label, count in sorted(self._segment_records.items())
                     if count}
 
-    def stable_keys(self):
-        """``entry_id -> stable log key`` for every live keyed entry (a
-        copy). The service layer inverts this to translate a replayed
-        partition's durable keys back to the front-end's entry ids."""
-        with self._mutex:
-            return dict(self._keys)
-
     def partition_snapshot(self, shard_id):
-        """One partition's durable-plus-pending state: ``{stable key:
+        """One partition's durable-plus-pending state: ``{log key:
         entry json}`` after replaying its section entries, its segment
         records, and this log's still-buffered pending records for the
         label (stale records at or below the section's ``base_seq``
@@ -725,7 +684,7 @@ class RepositoryLog:
                 file = section_file_path(self.path, label, generation)
                 self.dfs.write_lines(file, [
                     json.dumps({"position": rank[entry.entry_id],
-                                "key": self._keys[entry.entry_id],
+                                "key": log_key(entry),
                                 "entry": entry_to_json(entry)},
                                sort_keys=True)
                     for entry in members], overwrite=True)
@@ -733,7 +692,7 @@ class RepositoryLog:
                                "entries": len(members),
                                "base_seq": watermark,
                                "segment": self._segment_path(label)}
-        order = [[self._keys[entry.entry_id], entry._sequence]
+        order = [[log_key(entry), entry._sequence]
                  for entry in repository.scan()]
         # The scan-order record: a delta against the last durable order
         # when only dirty shards compacted (O(changes) appended to the
@@ -859,13 +818,4 @@ def _section_generation(file):
     _, _, suffix = file.rpartition(".g")
     if suffix.isdigit():
         return int(suffix)
-    return -1
-
-
-def _key_index(key):
-    """The integer suffix of a stable log key (``"k17"`` → 17); a key
-    this class did not mint counts as -1 — it cannot collide with the
-    allocator's ``k<N>`` names, so the allocator need not skip it."""
-    if isinstance(key, str) and key[:1] == "k" and key[1:].isdigit():
-        return int(key[1:])
     return -1

@@ -21,7 +21,6 @@ identical to the indexed repository's.
 """
 
 import contextlib
-import itertools
 import random
 
 import pytest
@@ -895,11 +894,6 @@ def test_property_manager_survives_crash_reload():
 
         crashy = PigSystem()
         crashy.dfs.write_lines("/data/t", [encode_row(r, SCHEMA) for r in rows])
-        # Materialized paths embed a per-manager prefix/counter; the
-        # crashy side re-creates its manager per submit, so pin both to
-        # keep its allocation sequence identical to the steady side's.
-        crashy_prefix = "/restore/materialized/crashy"
-        crashy_counter = itertools.count(1)
 
         for name_index, query in enumerate(queries):
             steady_mgr.submit(steady.compile(query, f"s{name_index}"))
@@ -908,8 +902,6 @@ def test_property_manager_survives_crash_reload():
             crashy_mgr = crashy.restore(
                 repository=reloaded,
                 persistence=RepositoryLog(crashy.dfs, compact_ratio=2.0))
-            crashy_mgr._mat_prefix = crashy_prefix
-            crashy_mgr._mat_counter = crashy_counter
             crashy_mgr.submit(crashy.compile(query, f"s{name_index}"))
             if rng.random() < 0.5:
                 # Crash mid-append before the next restart: tear a
@@ -928,27 +920,19 @@ def test_property_manager_survives_crash_reload():
                 label
 
 
-def _normalize(path, manager):
-    """Materialized sub-job paths embed a per-manager instance counter;
-    map them to a common prefix so two managers' decisions compare."""
-    return path.replace(manager._mat_prefix, "/MAT")
-
-
 def _report_shape(manager):
     report = manager.last_report
     repo = manager.repository
     return {
-        "rewrites": [_normalize(repo.entry(eid).output_path, manager)
+        "rewrites": [repo.entry(eid).output_path
                      for _, eid in report.rewrites],
         "eliminated": len(report.eliminated_jobs),
-        "injected": [(kind, _normalize(path, manager))
-                     for _, kind, path in report.injected_stores],
-        "registered": [_normalize(repo.entry(eid).output_path, manager)
+        "injected": [(kind, path) for _, kind, path in report.injected_stores],
+        "registered": [repo.entry(eid).output_path
                        for eid in report.registered_entries],
-        "rejected": [_normalize(path, manager)
-                     for path in report.rejected_candidates],
+        "rejected": list(report.rejected_candidates),
         "evicted": len(report.evicted_entries),
-        "scan": [_normalize(e.output_path, manager) for e in repo.scan()],
+        "scan": [e.output_path for e in repo.scan()],
     }
 
 
@@ -1029,14 +1013,11 @@ def _ingest_shape(manager):
     return {
         "rewrites": len(report.rewrites),
         "eliminated": len(report.eliminated_jobs),
-        "injected": [(kind, _normalize(path, manager))
-                     for _, kind, path in report.injected_stores],
+        "injected": [(kind, path) for _, kind, path in report.injected_stores],
         "registered": len(report.registered_entries),
-        "rejected": [_normalize(path, manager)
-                     for path in report.rejected_candidates],
+        "rejected": list(report.rejected_candidates),
         "evicted": len(report.evicted_entries),
-        "scan": [_normalize(e.output_path, manager)
-                 for e in manager.repository.scan()],
+        "scan": [e.output_path for e in manager.repository.scan()],
     }
 
 

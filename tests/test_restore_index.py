@@ -107,8 +107,10 @@ class TestPlanFingerprint:
 class TestLoadIndex:
     def test_candidates_are_subset_filtered(self):
         index = LoadIndex()
-        single = entry(BASE)
-        double = entry(TWO_LOADS, output="/stored/j")
+        # Admitted first: the repository gives each entry its id.
+        repository = Repository()
+        single = repository.insert(entry(BASE))
+        double = repository.insert(entry(TWO_LOADS, output="/stored/j"))
         index.add(single)
         index.add(double)
         both = frozenset({("/data/t", 0), ("/data/u", 0)})

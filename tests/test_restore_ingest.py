@@ -275,7 +275,7 @@ class TestAsyncManager:
             # a registered entry; the rejected ones were deleted by the
             # submit-end record.
             kept = {entry.output_path for entry in manager.repository.scan()}
-            assert set(dfs.list_files(manager._mat_prefix)) <= kept
+            assert set(dfs.list_files(ReStore.MATERIALIZED_PREFIX)) <= kept
 
     def test_coalesce_policy_matches_inline_outcome(self):
         inline_dfs = seeded_dfs()
@@ -305,7 +305,7 @@ class TestAsyncManager:
             assert stats.applied == stats.enqueued + stats.coalesced
             # Absorbed duplicates' materialized files were discarded.
             kept = {entry.output_path for entry in manager.repository.scan()}
-            assert set(dfs.list_files(manager._mat_prefix)) <= kept
+            assert set(dfs.list_files(ReStore.MATERIALIZED_PREFIX)) <= kept
 
     def test_within_batch_duplicates_skip_find_equivalent(self):
         dfs = seeded_dfs()
@@ -431,8 +431,7 @@ class TestIngestFaults:
             manager.flush()
             return (manager.last_report.num_rewrites,
                     len(manager.repository),
-                    sorted(entry.output_path.replace(manager._mat_prefix,
-                                                     "/MAT")
+                    sorted(entry.output_path
                            for entry in manager.repository.scan()),
                     dfs.read_lines("/out/L3_out"))
 

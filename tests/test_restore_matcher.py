@@ -123,15 +123,6 @@ class TestContainment:
         )
         assert find_containment(copy_plan, target) is None
 
-    def test_mapping_covers_all_entry_operators(self):
-        entry = physical(PROJECT_PV)
-        target = physical(Q1_TEXT)
-        match = find_containment(entry, target)
-        non_store_ops = [
-            op for op in entry.operators() if not isinstance(op, POStore)
-        ]
-        assert len(match.mapping) == len(non_store_ops)
-
     def test_group_keys_must_match(self):
         base = (
             "A = load '/d' as (u:chararray, t:int);"

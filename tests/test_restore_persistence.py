@@ -584,8 +584,9 @@ def churned(num_shards, seed, tail):
 
 
 def per_entry_reload(dfs, repository):
-    """The reference rebuild of ``SAVED`` into ``repository``; returns
-    the number of phase-1 and phase-2 records it replayed."""
+    """The reference rebuild of ``SAVED`` into ``repository``, one
+    insert per entry under its recorded sequence; returns the number of
+    phase-1 and phase-2 records it replayed."""
     manifest = json.loads(dfs.read_lines(SAVED)[0])
     sections, phase1, phase2 = [], [], []
     for section in manifest["sections"]:
@@ -603,8 +604,9 @@ def per_entry_reload(dfs, repository):
 
     def apply(record):
         if record["op"] == "insert":
-            by_key[record["key"]] = repository.insert(
-                entry_from_json(record["entry"]))
+            entry = entry_from_json(record["entry"])
+            entry._sequence = record["entry"]["sequence"]
+            by_key[record["key"]] = repository.insert(entry)
         elif record["op"] == "remove":
             repository.remove(by_key.pop(record["key"]))
         else:

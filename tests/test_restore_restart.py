@@ -12,9 +12,23 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from repro import PigSystem
+from repro.mapreduce import WorkflowExecutor
 from repro.pigmix.datagen import PigMixConfig, PigMixData
 from repro.pigmix.queries import query_text
+from repro.restore import AggressiveHeuristic, ReStore
+
+from tests.helpers import (
+    compile_query,
+    make_cost_model,
+    make_dfs,
+    Q1_TEXT,
+    Q2_TEXT,
+    seed_page_views,
+    seed_users,
+)
 
 #: submitted by the first process, which then closes its manager
 BEFORE = ["L3", "L2"]
@@ -97,3 +111,125 @@ class TestRestart:
                 submit_all(system, manager, BEFORE + AFTER[:2])
             runs.append(dfs_contents(system.dfs))
         assert runs[0] == runs[1]
+
+
+PAGE_VIEWS = """
+A = load '/data/page_views' as (user:chararray, timestamp:int,
+    est_revenue:double, page_info:chararray, page_links:chararray);
+"""
+#: two identical filters joined to each other: one fingerprint, twice
+SELF_JOIN = PAGE_VIEWS + """
+B = filter A by timestamp > 20000;
+C = filter A by timestamp > 20000;
+D = join B by user, C by user;
+store D into '/out/self_join';
+"""
+#: reads the filter the self-join materializes, and nothing else of it
+FILTER_GROUP = PAGE_VIEWS + """
+B = filter A by timestamp > 20000;
+G = group B by user;
+H = foreach G generate group, COUNT(B);
+store H into '/out/filter_group';
+"""
+#: reads the projection Q1 materializes, and nothing else of Q1
+PROJECT_GROUP = PAGE_VIEWS + """
+B = foreach A generate user, est_revenue;
+C = group B by user;
+D = foreach C generate group, COUNT(B);
+store D into '/out/project_group';
+"""
+
+
+def seeded_dfs():
+    dfs = make_dfs()
+    seed_page_views(dfs)
+    seed_users(dfs, include=range(6))
+    return dfs
+
+
+def baseline_output(text, out_path):
+    """``text``'s output on a fresh, identical cluster without reuse."""
+    dfs = seeded_dfs()
+    WorkflowExecutor(dfs, make_cost_model()).execute(
+        compile_query(text, "baseline", dfs))
+    return dfs.read_lines(out_path)
+
+
+def manager_on(dfs, **kwargs):
+    return ReStore(dfs, make_cost_model(), heuristic=AggressiveHeuristic(),
+                   **kwargs)
+
+
+def materialized(dfs):
+    return dfs.list_files(ReStore.MATERIALIZED_PREFIX)
+
+
+class TestMaterializedPaths:
+    @pytest.mark.parametrize("ingest", ["inline", "async"])
+    def test_sub_job_entries_are_named_by_their_fingerprint(self, ingest):
+        dfs = seeded_dfs()
+        with manager_on(dfs, ingest=ingest) as manager:
+            for index, text in enumerate((Q1_TEXT, Q2_TEXT, PROJECT_GROUP)):
+                manager.submit(compile_query(text, f"q{index}", dfs))
+            manager.flush()
+            sub_jobs = [entry for entry in manager.repository
+                        if entry.origin == "sub-job"]
+        assert sub_jobs
+        for entry in sub_jobs:
+            assert entry.output_path == \
+                f"{ReStore.MATERIALIZED_PREFIX}/{entry.fingerprint}"
+
+    def test_missing_file_is_materialized_again_at_its_own_path(self):
+        dfs = seeded_dfs()
+        manager = manager_on(dfs)
+        manager.submit(compile_query(Q1_TEXT, "q1", dfs))
+        [projection] = [entry for entry in manager.repository
+                        if entry.origin == "sub-job"
+                        and entry.output_path in materialized(dfs)
+                        and "/data/page_views" in entry.input_versions]
+        dfs.delete(projection.output_path)
+
+        manager.submit(compile_query(PROJECT_GROUP, "again", dfs))
+        report = manager.last_report
+        assert report.match_counters.skipped_missing_output == 1
+        assert report.injected_stores[0][2] == projection.output_path
+        # The re-registration is a duplicate at the entry's own path:
+        # the submit's discards spare the file and the entry stays.
+        assert dfs.exists(projection.output_path)
+        assert manager.repository.entry(projection.entry_id) is projection
+
+        manager.submit(compile_query(PROJECT_GROUP, "reuse", dfs))
+        assert manager.last_report.rewrites
+        assert dfs.read_lines("/out/project_group") == \
+            baseline_output(PROJECT_GROUP, "/out/project_group")
+
+    def test_equal_operators_in_one_job_share_one_file(self):
+        dfs = seeded_dfs()
+        manager = manager_on(dfs)
+        manager.submit(compile_query(SELF_JOIN, "self-join", dfs))
+        paths = [path for _, kind, path in manager.last_report.injected_stores
+                 if kind == "filter"]
+        assert len(paths) == 2 and paths[0] == paths[1]
+        assert materialized(dfs) == [paths[0]]
+        assert [entry.output_path for entry in manager.repository
+                if entry.origin == "sub-job"] == [paths[0]]
+        assert dfs.read_lines("/out/self_join") == \
+            baseline_output(SELF_JOIN, "/out/self_join")
+
+        manager.submit(compile_query(FILTER_GROUP, "filter-group", dfs))
+        assert manager.last_report.rewrites
+        assert dfs.read_lines("/out/filter_group") == \
+            baseline_output(FILTER_GROUP, "/out/filter_group")
+
+    def test_two_managers_on_one_dfs_write_one_file(self):
+        dfs = seeded_dfs()
+        manager_on(dfs).submit(compile_query(Q1_TEXT, "first", dfs))
+        first = {path: dfs.status(path) for path in materialized(dfs)}
+        manager_on(dfs).submit(compile_query(Q1_TEXT, "second", dfs))
+        second = {path: dfs.status(path) for path in materialized(dfs)}
+        assert first and set(second) == set(first)
+        # The second manager rewrote each file with the same bytes: the
+        # content-stable DFS kept its version.
+        for path, status in first.items():
+            assert second[path].version == status.version
+            assert second[path].size_bytes == status.size_bytes

@@ -1,6 +1,5 @@
 """Unit tests for plan rewriting surgery and sub-job Store injection."""
 
-import itertools
 
 import pytest
 
@@ -159,13 +158,9 @@ class _OnlyFilters(SubJobHeuristic):
 
 
 class TestEnumerator:
-    def _paths(self):
-        counter = itertools.count(1)
-        return lambda: f"/restore/test/m{next(counter)}"
-
     def test_injects_split_and_store(self):
         _, job = job_for(Q1_TEXT)
-        candidates = enumerate_and_inject(job, AggressiveHeuristic(), self._paths())
+        candidates = enumerate_and_inject(job, AggressiveHeuristic())
         assert len(candidates) == 2  # the two projections (join feeds Store)
         for candidate in candidates:
             assert candidate.store.injected
@@ -184,7 +179,7 @@ class TestEnumerator:
             "store E into '/o';"
         )
         _, job = job_for(text)
-        candidates = enumerate_and_inject(job, NoHeuristic(), self._paths())
+        candidates = enumerate_and_inject(job, NoHeuristic())
         by_kind = {c.operator.kind: c for c in candidates}
         assert by_kind["foreach"].store.stage in ("map", "reduce")
         # The group's store runs on the reduce side.
@@ -198,13 +193,13 @@ class TestEnumerator:
             "store B into '/o';"
         )
         _, job = job_for(text)
-        candidates = enumerate_and_inject(job, _OnlyFilters(), self._paths())
+        candidates = enumerate_and_inject(job, _OnlyFilters())
         assert candidates == []
 
     def test_injected_ops_not_reinjected(self):
         _, job = job_for(Q1_TEXT)
-        first = enumerate_and_inject(job, AggressiveHeuristic(), self._paths())
-        second = enumerate_and_inject(job, AggressiveHeuristic(), self._paths())
+        first = enumerate_and_inject(job, AggressiveHeuristic())
+        second = enumerate_and_inject(job, AggressiveHeuristic())
         assert len(first) == 2
         assert second == []  # consumers now read the injected splits
 
@@ -217,7 +212,7 @@ class TestEnumerator:
             "store D into '/o';"
         )
         _, job = job_for(text)
-        candidates = enumerate_and_inject(job, _OnlyFilters(), self._paths())
+        candidates = enumerate_and_inject(job, _OnlyFilters())
         assert [c.operator.kind for c in candidates] == ["filter"]
 
     def test_heuristic_membership_table(self):

@@ -420,7 +420,10 @@ class TestWorkerProcesses:
     def test_shard_worker_state_unit(self):
         # The worker's in-process core, driven without multiprocessing.
         state = ShardWorkerState()
-        entries = [_entry(index, f"/data/d{index % 2}") for index in range(4)]
+        # Admitted first: the front-end repository gives each its id.
+        front = Repository()
+        entries = [front.insert(_entry(index, f"/data/d{index % 2}"))
+                   for index in range(4)]
         state.apply([("add", entry.entry_id, entry_to_json(entry))
                      for entry in entries])
         assert len(state) == 4

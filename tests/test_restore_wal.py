@@ -4,6 +4,7 @@ crash-safe replay (PR 4, segmented in PR 5)."""
 
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro.restore import (
 from repro.restore.persistence import (
     CATCHALL_LABEL,
     DELTA_MANIFEST_VERSION,
+    log_key,
     MANIFEST_KEY,
     order_log_prefix,
     segment_file_path,
@@ -799,18 +801,18 @@ class TestOrderDeltaManifests:
         delta = records_after[-1]
         assert "full" not in delta
         assert delta["removed"] == []
-        new_key = log.stable_keys()[inserted.entry_id]
+        new_key = log_key(inserted)
         assert [item[0] for item in delta["inserted"]] == [new_key]
         # The reconstructed lineage equals the live scan order exactly.
         assert [key for key, _ in recorded_order_of(dfs)] == \
-            [log.stable_keys()[e.entry_id] for e in live.scan()]
+            [log_key(e) for e in live.scan()]
         reloaded = load_repository(dfs)
         assert entry_fingerprints(reloaded) == entry_fingerprints(live)
 
     def test_removal_expressed_as_delta(self):
         dfs, live, log = self._sharded_state()
         victim = live.scan()[3]
-        victim_key = log.stable_keys()[victim.entry_id]
+        victim_key = log_key(victim)
         target = live.shard_id_of(victim)
         live.remove(victim)
         log.compact([shard_label(target)])
@@ -1360,6 +1362,79 @@ class TestResume:
         log.compact(shards=[shard_label(reloaded.shard_id_of(added))])
         assert entry_fingerprints(load_repository(dfs)) == \
             entry_fingerprints(reloaded)
+
+    def test_removed_top_sequence_is_not_reissued_after_a_reload(self):
+        dfs = DistributedFileSystem()
+        live = Repository()
+        log = RepositoryLog(dfs).attach(live)
+        for index in range(3):
+            live.insert(fabricated_entry(index))
+        log.compact()
+        top = live.insert(fabricated_entry(3))
+        live.remove(top)
+        log.flush()
+        reloaded = load_repository(dfs)
+        RepositoryLog(dfs).attach(reloaded)
+        assert reloaded.insert(fabricated_entry(4))._sequence > top._sequence
+
+    def test_keys_not_derived_from_sequences_load_and_heal(self):
+        """A file keyed apart from the entries' sequences (as a
+        per-log key allocator wrote them) loads, and attach rewrites it
+        under the derived keys, which later records then name."""
+        dfs = DistributedFileSystem()
+        live = ShardedRepository(num_shards=2)
+        log = RepositoryLog(dfs).attach(live)
+        entries = [live.insert(fabricated_entry(i)) for i in range(6)]
+        log.compact()
+        live.remove(entries[1])
+        live.record_use(entries[2], tick=3)
+        live.insert(fabricated_entry(6))
+        log.close()
+        for file in dfs.list_files(prefix=f"{SNAPSHOT}."):
+            dfs.write_lines(file, [
+                re.sub(r'"k(\d+)"', lambda m: f'"k{int(m[1]) + 100}"', line)
+                for line in dfs.read_lines(file)], overwrite=True)
+
+        reloaded = load_repository(dfs)
+        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
+        # Every entry record is counted, the removed entry's included.
+        assert reloaded.loader_report.foreign_keys == len(live) + 1
+        resumed = RepositoryLog(dfs).attach(reloaded)
+        sections = [json.loads(line)
+                    for file in dfs.list_files(prefix=f"{SNAPSHOT}.sec-")
+                    for line in dfs.read_lines(file)]
+        assert sorted(record["key"] for record in sections) == \
+            sorted(log_key(entry) for entry in reloaded)
+        assert all(segment_lines(dfs, file) == []
+                   for file in segment_files(dfs))
+        reloaded.remove(reloaded.scan()[0])
+        resumed.flush()
+        again = load_repository(dfs)
+        assert again.loader_report.foreign_keys == 0
+        assert entry_fingerprints(again) == entry_fingerprints(reloaded)
+
+    def test_a_sequence_recorded_twice_is_replaced_and_healed(self):
+        """Two entry records under one sequence (a process that
+        numbered entries afresh on every reload could write them): the
+        second entry gets a new sequence, and attach rewrites the file."""
+        dfs = DistributedFileSystem()
+        live = Repository()
+        log = RepositoryLog(dfs).attach(live)
+        for index in range(3):
+            live.insert(fabricated_entry(index))
+        log.close()
+        *head, last = dfs.read_lines(SEG)
+        record = json.loads(last)
+        record["entry"]["sequence"] = 0
+        dfs.write_lines(SEG, head + [json.dumps(record, sort_keys=True)],
+                        overwrite=True)
+
+        reloaded = load_repository(dfs)
+        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
+        assert len({entry.entry_id for entry in reloaded}) == 3
+        assert reloaded.loader_report.foreign_keys == 1
+        RepositoryLog(dfs).attach(reloaded)
+        assert load_repository(dfs).loader_report.foreign_keys == 0
 
     def test_attach_into_different_shard_count_heals(self):
         """A v4 file loaded into an explicit target with a different
