@@ -384,3 +384,48 @@ def reference_grouped_partitions(keyed_rows, num_partitions):
             current[1].setdefault(branch, []).append(row)
         partitions.append(groups)
     return partitions
+
+
+def probe_order(repository, candidates):
+    """The paper's Section 3 order of ``candidates``, computed from the
+    entry set alone: priority-greedy Kahn over the candidates plus their
+    transitive subsumption ancestors (``_edges_in``), keeping only the
+    candidates.
+
+    The set is closed under ancestors, so every blocker of a member is a
+    member and nothing outside the set can change its ready set: its
+    greedy order is the whole repository's greedy order restricted to
+    it. The oracle a probe's candidate tuple is checked against; it
+    reads only the edge sets and the entries' stats."""
+    by_id = repository._by_id
+    edges_in = repository._edges_in
+    closure = set()
+    frontier = [entry.entry_id for entry in candidates]
+    while frontier:
+        entry_id = frontier.pop()
+        if entry_id not in closure:
+            closure.add(entry_id)
+            frontier.extend(edges_in[entry_id])
+
+    def priority(entry_id):
+        entry = by_id[entry_id]
+        return (-entry.stats.reduction_ratio,
+                -entry.stats.producing_job_time,
+                entry._sequence)
+
+    blockers = {entry_id: len(edges_in[entry_id]) for entry_id in closure}
+    ready = sorted((entry_id for entry_id, count in blockers.items()
+                    if count == 0), key=priority)
+    ordered = []
+    while ready:
+        entry_id = ready.pop(0)
+        ordered.append(entry_id)
+        for dependent_id in repository._edges_out[entry_id]:
+            if dependent_id in blockers:
+                blockers[dependent_id] -= 1
+                if blockers[dependent_id] == 0:
+                    ready.append(dependent_id)
+                    ready.sort(key=priority)
+    wanted = {entry.entry_id for entry in candidates}
+    return tuple(by_id[entry_id] for entry_id in ordered
+                 if entry_id in wanted)

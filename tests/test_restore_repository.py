@@ -6,11 +6,14 @@ from repro.common.errors import RepositoryError
 from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
 from repro.physical import logical_to_physical
+from repro.physical.operators import POLoad, POStore
+from repro.physical.plan import PhysicalPlan
 from repro.piglatin import parse_query
 from repro.restore import Repository, RepositoryEntry
+from repro.restore.persistence import SkeletonOp
 from repro.restore.stats import EntryStats
 
-from tests.helpers import Q1_TEXT, Q2_TEXT
+from tests.helpers import probe_order, Q1_TEXT, Q2_TEXT
 
 
 def plan_of(text):
@@ -95,6 +98,46 @@ class TestOrdering:
         repo.insert(fast)
         repo.insert(slow)
         assert repo.scan()[0] is slow  # longer producing time preferred
+
+
+def _filter(signature):
+    return SkeletonOp("filter", signature, None, [POLoad("/data/t", None, 0)])
+
+
+class TestRemovalWindow:
+    """An ancestor ``p`` with the worst key blocks ``c1``, which has the
+    best key; ``c2`` sits between them and nothing relates it to the
+    other two. A probe sees ``c1`` and ``c2``."""
+
+    def _repository(self):
+        repo = Repository()
+        c1 = repo.insert(RepositoryEntry(
+            PhysicalPlan([POStore(_filter("FILTER[x]"), "/s/c1")]), "/s/c1",
+            EntryStats(1000, 10, 5.0)))
+        p = repo.insert(RepositoryEntry(
+            PhysicalPlan([POStore(SkeletonOp("foreach", "FOREACH[w]", None,
+                                             [_filter("FILTER[x]")]),
+                                  "/s/p")]), "/s/p",
+            EntryStats(1000, 1000, 1.0)))
+        c2 = repo.insert(RepositoryEntry(
+            PhysicalPlan([POStore(_filter("FILTER[y]"), "/s/c2")]), "/s/c2",
+            EntryStats(1000, 100, 5.0)))
+        probe = PhysicalPlan([POStore(_filter("FILTER[x]"), "/q/x"),
+                              POStore(_filter("FILTER[y]"), "/q/y")])
+        return repo, (c1, p, c2), probe
+
+    def test_blocked_candidate_scans_after_its_ancestor(self):
+        repo, (c1, p, c2), probe = self._repository()
+        assert repo.scan() == (c2, p, c1)
+        assert repo.match_candidates(probe) == (c2, c1)
+        assert probe_order(repo, (c1, c2)) == (c2, c1)
+
+    def test_removing_the_ancestor_keeps_the_order_until_an_insert(self):
+        repo, (c1, p, c2), probe = self._repository()
+        repo.remove(p)
+        assert repo.scan() == (c2, c1)
+        assert repo.match_candidates(probe) == (c2, c1)
+        assert probe_order(repo, (c1, c2)) == (c1, c2)
 
 
 class TestLookupAndRemoval:
