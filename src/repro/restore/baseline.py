@@ -19,7 +19,11 @@ It exists for two reasons:
   reports in Figs. 11/14.
 
 Do not "improve" this module: its value is that it stays exactly what the
-seed did. It reuses :class:`repro.restore.RepositoryEntry` — entries are
+seed did, with one deliberate exception. The seed's ``remove`` kept the
+previous order minus the removed entry, which is not the paper's order
+of the remaining set when the entry held a dependent back; ``remove``
+re-sorts, so the oracle is the Section 3 order of the *current* entry
+set after every operation. It reuses :class:`repro.restore.RepositoryEntry` — entries are
 plain records and identical in both implementations, and both name an
 admitted entry after its insertion sequence.
 """
@@ -125,11 +129,13 @@ class LinearScanRepository:
     # Removal --------------------------------------------------------------------
 
     def remove(self, entry, dfs=None):
-        """Drop ``entry``; delete its file when ReStore owns it."""
+        """Drop ``entry`` and re-sort the rest; delete its file when
+        ReStore owns it."""
         try:
             self._entries.remove(entry)
         except ValueError as exc:
             raise RepositoryError(f"{entry!r} is not in the repository") from exc
+        self._reorder()
         if dfs is not None and entry.owns_file:
             dfs.delete_if_exists(entry.output_path)
 

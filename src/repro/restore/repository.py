@@ -567,9 +567,11 @@ class Repository:
         self._order = None
         # The order stays greedy unless the entry blocked somebody: its
         # dependents may now be ready earlier.
+        freed = set(self._edges_out.get(entry_id, ()))
         if self._dirty is not None:
-            self._dirty.discard(entry_id)
-            self._dirty.update(self._edges_out.get(entry_id, ()))
+            freed |= self._dirty
+            freed.discard(entry_id)
+            self._dirty = set()
         del self._by_id[entry_id]
         for site in entry.digest.sites:
             ids = self._by_site[site]
@@ -585,6 +587,10 @@ class Repository:
             self._edges_in.get(other_id, set()).discard(entry_id)
         for other_id in self._edges_in.pop(entry_id, ()):
             self._edges_out.get(other_id, set()).discard(entry_id)
+        if freed:
+            ids = self._closure(freed)
+            rest = [kept for kept in self._entries if kept.entry_id not in ids]
+            self._entries = _merge(rest, self._greedy_order(ids))
         self._notify("remove", entry)
         self._post_remove(entry)
         if dfs is not None and entry.owns_file:

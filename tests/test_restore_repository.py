@@ -9,7 +9,7 @@ from repro.physical import logical_to_physical
 from repro.physical.operators import POLoad, POStore
 from repro.physical.plan import PhysicalPlan
 from repro.piglatin import parse_query
-from repro.restore import Repository, RepositoryEntry
+from repro.restore import LinearScanRepository, Repository, RepositoryEntry
 from repro.restore.persistence import SkeletonOp
 from repro.restore.stats import EntryStats
 
@@ -109,8 +109,11 @@ class TestRemovalWindow:
     best key; ``c2`` sits between them and nothing relates it to the
     other two. A probe sees ``c1`` and ``c2``."""
 
-    def _repository(self):
-        repo = Repository()
+    PROBE = PhysicalPlan([POStore(_filter("FILTER[x]"), "/q/x"),
+                          POStore(_filter("FILTER[y]"), "/q/y")])
+
+    @staticmethod
+    def _inserted(repo):
         c1 = repo.insert(RepositoryEntry(
             PhysicalPlan([POStore(_filter("FILTER[x]"), "/s/c1")]), "/s/c1",
             EntryStats(1000, 10, 5.0)))
@@ -122,22 +125,29 @@ class TestRemovalWindow:
         c2 = repo.insert(RepositoryEntry(
             PhysicalPlan([POStore(_filter("FILTER[y]"), "/s/c2")]), "/s/c2",
             EntryStats(1000, 100, 5.0)))
-        probe = PhysicalPlan([POStore(_filter("FILTER[x]"), "/q/x"),
-                              POStore(_filter("FILTER[y]"), "/q/y")])
-        return repo, (c1, p, c2), probe
+        return c1, p, c2
 
     def test_blocked_candidate_scans_after_its_ancestor(self):
-        repo, (c1, p, c2), probe = self._repository()
+        repo = Repository()
+        c1, p, c2 = self._inserted(repo)
         assert repo.scan() == (c2, p, c1)
-        assert repo.match_candidates(probe) == (c2, c1)
+        assert repo.match_candidates(self.PROBE) == (c2, c1)
         assert probe_order(repo, (c1, c2)) == (c2, c1)
 
-    def test_removing_the_ancestor_keeps_the_order_until_an_insert(self):
-        repo, (c1, p, c2), probe = self._repository()
+    def test_removing_the_ancestor_frees_its_dependent_at_once(self):
+        repo = Repository()
+        c1, p, c2 = self._inserted(repo)
         repo.remove(p)
-        assert repo.scan() == (c2, c1)
-        assert repo.match_candidates(probe) == (c2, c1)
+        assert repo.scan() == (c1, c2)
+        assert repo.match_candidates(self.PROBE) == (c1, c2)
         assert probe_order(repo, (c1, c2)) == (c1, c2)
+
+    def test_seed_oracle_re_sorts_on_removal(self):
+        seed = LinearScanRepository()
+        c1, p, c2 = self._inserted(seed)
+        assert seed.scan() == [c2, p, c1]
+        seed.remove(p)
+        assert seed.scan() == [c1, c2]
 
 
 class TestLookupAndRemoval:
