@@ -14,12 +14,11 @@ docs/ARCHITECTURE.md):
   ``save_repository`` — one full compaction, O(repository) — vs the
   append-only ``RepositoryLog`` checkpoint (O(delta)) at 1000 entries under a steady stream of
   small deltas — with the replayed state verified bit-identical;
-* **segmented persistence** (PR 5, order-delta manifests in PR 6):
-  dirty-only compaction vs whole-repository compaction at 1000 entries
-  across 8 shards with mutations confined to one shard — only the dirty
-  shard's snapshot section is rewritten, only its segment truncated,
-  and only a scan-order *delta* appended (O(dirty shards), bar ≥3x),
-  replay verified bit-identical;
+* **segmented persistence** (PR 5): dirty-only compaction vs
+  whole-repository compaction at 1000 entries across 8 shards with
+  mutations confined to one shard — only the dirty shard's snapshot
+  section and the manifest are rewritten and only its segment
+  truncated (O(dirty shards), bar ≥3x), replay verified bit-identical;
 * **worker-process service** (PR 6): the 8-shard workload with each
   partition promoted to a worker process behind the routing front-end,
   probed one plan at a time — candidate sequences bit-identical to the
@@ -212,7 +211,7 @@ def _bulk_load_naive(naive, entries):
         entry._sequence = sequence
     naive._entries = list(entries)
     naive._sequence = len(entries)
-    naive._reorder()
+    naive._resort()
 
 
 def _run_matcher_pass(repository, probe):
@@ -617,27 +616,13 @@ def test_segmented_compaction_is_dirty_only(benchmark, record_experiment):
             [(e.output_path, e.stats.use_count, e.stats.last_used_tick)
              for e in twin.scan()]
 
-    # v5 order-delta manifests: the dirty-only compaction's manifest
-    # write is O(dirty shards) — the global order is NOT re-embedded or
-    # rewritten. Use-stamps change no scan position, so the appended
-    # delta record is empty, however many entries the repository holds;
-    # the full arm's rebase re-records all _SEGMENTED_SIZE pairs.
+    # No file records the scan order (a function of the entries): the
+    # dirty-only compaction wrote one section file and the manifest.
     manifest = json.loads(
         dirty_dfs.read_lines(DEFAULT_REPOSITORY_PATH)[0])
-    assert "order" not in manifest
-    order_records = [json.loads(line)
-                     for line in dirty_dfs.read_lines(manifest["order_log"])]
-    delta = order_records[-1]
-    assert "full" not in delta
-    assert delta["removed"] == [] and delta["inserted"] == []
-    full_manifest = json.loads(
-        full_dfs.read_lines(DEFAULT_REPOSITORY_PATH)[0])
-    [full_record] = [json.loads(line) for line in
-                     full_dfs.read_lines(full_manifest["order_log"])]
-    assert len(full_record["full"]) == _SEGMENTED_SIZE
-    delta_bytes = len(json.dumps(delta))
-    full_bytes = len(json.dumps(full_record))
-    assert delta_bytes * 10 < full_bytes  # O(changes), not O(repository)
+    assert not {"order", "order_log", "order_gen"} & set(manifest)
+    assert dirty_dfs.list_files(
+        prefix=f"{DEFAULT_REPOSITORY_PATH}.order") == []
 
     speedup = timings["full"] / max(timings["dirty_only"], 1e-9)
     record_experiment(ExperimentResult(
@@ -652,7 +637,7 @@ def test_segmented_compaction_is_dirty_only(benchmark, record_experiment):
              "seconds": round(timings["full"], 6),
              "sections_rewritten": _SEGMENTED_SHARDS,
              "speedup": 1.0},
-            {"arm": "dirty-only (v5 order-delta RepositoryLog)",
+            {"arm": "dirty-only (v5 RepositoryLog)",
              "seconds": round(timings["dirty_only"], 6),
              "sections_rewritten": 1,
              "speedup": round(speedup, 1)},

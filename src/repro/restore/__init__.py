@@ -26,13 +26,14 @@ test:
 operation              seed (linear scan)     indexed
 =====================  =====================  ==========================
 ``find_equivalent``    O(n·C) full scan       O(C) fingerprint bucket
-``insert``             O(n²) cached subsume   O(m·C + n); Kahn over the
-                       checks + Kahn rerun    touched components only,
-                                              merged into the rest
+``insert``             O(n²) cached subsume   O(m·C): edges to the
+                       checks + Kahn rerun    offered entries, no sort
 matcher pass           O(n·C)                 O(m·C): only entries that
-                                              can be contained
-``remove``             O(n), leaks the        O(n): prunes the edges
-                       subsumption cache      and indexes
+                                              can be contained, ordered
+                                              by Kahn over them and
+                                              their ancestors
+``remove``             O(n), leaks the        O(edges + bucket): prunes
+                       subsumption cache      the edges and indexes
 =====================  =====================  ==========================
 
 C is a lookup of the entry's frontier fingerprint in a digest of the
@@ -40,7 +41,7 @@ other plan, confirmed exactly on a hit (:mod:`repro.restore.matcher`);
 the repository runs it the other way round, from a plan's sites to the
 entries filed under them. The contract
 is that indexing changes *nothing* observable: ``scan()`` yields the exact
-order the seed's reorder produced and every match/rewrite/registration
+order the seed's Kahn pass produces and every match/rewrite/registration
 decision is bit-identical. The seed implementation is frozen as
 :class:`repro.restore.baseline.LinearScanRepository`, and the property
 suite (``tests/test_property_restore.py``) checks order- and
@@ -59,7 +60,8 @@ route to.
 
 The matcher tries those candidates in one order, the paper's Section 3
 scan order: subsuming plans first, then higher input/output ratio, then
-longer producing-job time.
+longer producing-job time. The order is a function of the entry set, so
+the repository keeps none: a probe orders its few candidates on demand.
 
 Persistence has one durable format and one writer
 (:mod:`repro.restore.wal`), which keeps the repository durable without
@@ -89,8 +91,8 @@ while ``find_equivalent``, ordering, statistics, and every
 durable write stay with the coordinator — decisions bit-identical to
 the serial path. A crashed worker is respawned and re-seeded from its
 partition's own section + segment files when a
-:class:`~repro.restore.wal.RepositoryLog` is attached (which the
-order-delta manifests keep O(partition)), or from the front-end's
+:class:`~repro.restore.wal.RepositoryLog` is attached (O(partition)),
+or from the front-end's
 in-memory members otherwise; ``tests/faultinject.py`` gives the test
 suite deterministic, seed-reproducible mid-stream kills.
 

@@ -72,7 +72,7 @@ class LinearScanRepository:
         entry.entry_id = f"e{entry._sequence}"
         self._sequence += 1
         self._entries.append(entry)
-        self._reorder()
+        self._resort()
         return entry
 
     def _subsumes(self, a, b):
@@ -83,7 +83,7 @@ class LinearScanRepository:
             self._subsumption_cache[key] = cached
         return cached
 
-    def _reorder(self):
+    def _resort(self):
         """Kahn's algorithm over subsumption edges, metric-prioritized."""
         entries = self._entries
         blockers = {entry.entry_id: 0 for entry in entries}
@@ -135,7 +135,7 @@ class LinearScanRepository:
             self._entries.remove(entry)
         except ValueError as exc:
             raise RepositoryError(f"{entry!r} is not in the repository") from exc
-        self._reorder()
+        self._resort()
         if dfs is not None and entry.owns_file:
             dfs.delete_if_exists(entry.output_path)
 

@@ -27,17 +27,14 @@ grammar both sides share and the loader:
   one descriptor per partition pointing at that shard's immutable,
   generation-suffixed snapshot **section file** and its append-only
   **segment file**, with a per-section ``base_seq`` watermark;
-* a section line wraps an entry record with its log ``key`` and global
-  scan ``position``; a segment line is one mutation (insert / remove /
-  use-stamp) tagged with a monotonic sequence number. The writer derives
-  the key from the entry's insertion sequence (:func:`log_key`); the
-  loader treats keys as opaque strings;
-* the global scan order lives in an append-only **order log**
-  (``order_log``/``order_gen``): full order records on (re)base,
-  per-compaction **deltas** (keys removed, keys spliced in at recorded
-  positions) otherwise. The loader replays it up to the manifest's
-  ``order_gen`` — later records are orphans from a crashed compaction
-  and are skipped, counted, and healed on the next attach.
+* a section line wraps an entry record with its log ``key``, one line
+  per entry in sequence order; a segment line is one mutation (insert /
+  remove / use-stamp) tagged with a monotonic sequence number. The
+  writer derives the key from the entry's insertion sequence
+  (:func:`log_key`); the loader treats keys as opaque strings;
+* no file records the scan order: it is a function of the entries
+  (:mod:`repro.restore.repository`), and each entry record carries the
+  sequence that breaks its ties.
 
 ``load_repository`` refuses anything but that manifest with one
 :class:`~repro.common.errors.RepositoryError`, and attaches a
@@ -194,9 +191,9 @@ def entry_to_json(entry):
         # The insertion sequence is the entry's identity (its id and
         # log key) and the scan order's final tie-break. It must
         # round-trip: a subsumption-edge-constrained scan order can
-        # invert metric-tied entries relative to insertion order, so a
-        # post-reload recompute with other sequences would break those
-        # ties differently than the live repository.
+        # invert metric-tied entries relative to insertion order, so an
+        # order computed with other sequences would break those ties
+        # differently than the live repository.
         "sequence": entry._sequence,
         "output_path": entry.output_path,
         "input_versions": entry.input_versions,
@@ -260,10 +257,8 @@ DEFAULT_REPOSITORY_PATH = "/restore/repository.jsonl"
 
 #: manifest marker key; its value is the format version
 MANIFEST_KEY = "restore-manifest"
-#: the one supported format version (the name is its distinguishing
-#: trait: the scan order lives in an order log of full records and
-#: deltas, so a dirty-shard compaction never writes the full order)
-DELTA_MANIFEST_VERSION = 5
+#: the one supported format version
+MANIFEST_VERSION = 5
 
 #: section/segment file name of the catch-all partition (and of a plain
 #: repository, whose single partition is the catch-all)
@@ -298,84 +293,6 @@ def segment_file_path(log_base, label):
     """The append-only segment file of one partition, derived from
     the manifest's ``log`` base path (default ``<path>.log``)."""
     return f"{log_base}.{label}"
-
-
-def order_log_path(path, generation):
-    """The order-log file: generation-suffixed like section files, so
-    a rebase writes a *new* file and re-points the manifest instead of
-    rewriting the referenced one in place (a crash in between leaves the
-    old manifest's order log intact)."""
-    return f"{path}.order.g{generation}"
-
-
-def order_log_prefix(path):
-    """Every order-log file of ``path`` starts with this prefix —
-    compaction garbage-collects unreferenced generations under it."""
-    return f"{path}.order.g"
-
-
-def encode_order_delta(old_order, new_order):
-    """The order-delta between two recorded scan orders, or None.
-
-    Both orders are ``[[key, sequence], ...]``. The delta says which
-    keys left and where new keys were spliced in
-    (``[key, sequence, position]`` with ``position`` indexing the *new*
-    order, ascending); it is only expressible when the surviving
-    entries kept their relative order and tie-break sequences — the
-    overwhelmingly common case, since scan-order recomputation preserves
-    the relative order of untouched entries. When survivors moved (e.g.
-    a use-stamp re-ranked entries under a non-greedy history) the writer
-    falls back to a full order record, signalled here by None.
-    """
-    new_keys = {key for key, _ in new_order}
-    old_keys = {key for key, _ in old_order}
-    old_survivors = [(key, seq) for key, seq in old_order if key in new_keys]
-    new_survivors = [(key, seq) for key, seq in new_order if key in old_keys]
-    if old_survivors != new_survivors:
-        return None
-    removed = [key for key, _ in old_order if key not in new_keys]
-    inserted = [[key, seq, position]
-                for position, (key, seq) in enumerate(new_order)
-                if key not in old_keys]
-    return {"removed": removed, "inserted": inserted}
-
-
-def apply_order_delta(order, record):
-    """Apply one order-delta record to a reconstructed order.
-
-    Removals first, then splices at their recorded positions in
-    ascending order — each position indexes the final order, and because
-    earlier splices land at strictly smaller positions, inserting
-    sequentially reproduces it exactly. A record of any other shape
-    raises :class:`~repro.common.errors.RepositoryError`.
-    """
-    removed = record.get("removed", [])
-    if not (isinstance(removed, list)
-            and all(isinstance(key, str) for key in removed)):
-        raise RepositoryError("'removed' is not a list of keys")
-    inserted = record.get("inserted", [])
-    _check_order_items(inserted, "inserted", ("key", "sequence", "position"))
-    removed = set(removed)
-    result = [[key, seq] for key, seq in order if key not in removed]
-    for key, seq, position in inserted:
-        if not 0 <= position <= len(result):
-            raise RepositoryError(
-                f"splice position {position} outside the reconstructed "
-                f"order (length {len(result)})")
-        result.insert(position, [key, seq])
-    return result
-
-
-def _check_order_items(items, name, fields):
-    """RepositoryError unless ``items`` is a list of lists with one value
-    per name in ``fields``: a key string, then integers."""
-    if not (isinstance(items, list) and all(
-            isinstance(item, list) and len(item) == len(fields)
-            and isinstance(item[0], str)
-            and all(type(value) is int for value in item[1:])
-            for item in items)):
-        raise RepositoryError(
-            f"{name!r} is not a list of [{', '.join(fields)}] items")
 
 
 class LoaderReport:
@@ -425,19 +342,6 @@ class LoaderReport:
         self.num_shards = None
         self.section_state = {}        # label -> section descriptor
         self.segment_records = {}      # label -> complete records
-        #: order resume state: the order-log file the manifest points at,
-        #: its authoritative generation, the reconstructed recorded
-        #: order at that generation ([[key, seq], ...]), how many
-        #: applicable records the log held (the writer's rebase
-        #: counter), and how many records were *orphaned* — complete
-        #: records above ``order_gen``, left by a compaction that
-        #: crashed before its manifest swap. Orphans are never applied;
-        #: a re-attaching RepositoryLog heals them with a full rebase.
-        self.order_log_path = None
-        self.order_gen = 0
-        self.order_records = 0
-        self.orphan_order_records = 0
-        self.recorded_order = None
         #: entry_id -> (use_count, last_used_tick) of every entry the
         #: file loaded — lets a re-attaching RepositoryLog detect
         #: inserts, removals and use-stamps applied between load and
@@ -461,7 +365,6 @@ class LoaderReport:
             "dangling_records": self.dangling_records,
             "torn_tail_dropped": self.torn_tail_dropped,
             "orphaned_log_records": self.orphaned_log_records,
-            "orphan_order_records": self.orphan_order_records,
             "fingerprint_mismatches": self.fingerprint_mismatches,
             "last_seq": self.last_seq,
         }
@@ -514,19 +417,18 @@ def load_repository(dfs, path=DEFAULT_REPOSITORY_PATH, repository=None):
     load keys). A first line that is not a version-5 manifest raises
     :class:`~repro.common.errors.RepositoryError`.
 
-    Entries the recorded scan order covers are staged (indexed, never
-    sorted: the order is pinned next); a load into a pre-populated
-    target cannot pin, so it inserts. Each distinct schema record is
-    decoded once per load.
+    Entries are inserted, which sorts nothing: the scan order is computed
+    from the loaded entries when asked for. Each distinct schema record
+    is decoded once per load.
 
     The cyclic garbage collector is suspended for the duration of the
     load (and put back as it was): a reload allocates tens of thousands
     of objects that all stay alive, so every collection it triggers
     walks a growing heap and frees nothing — and whether a full pass
     happened to land inside the load moved its time by a quarter from
-    one run to the next. It still pays after staging: ``hot_probe``'s
-    739-entry reload (seed 7, 2 vCPU, CPython 3.11.7, median of 9) takes
-    0.056 s with the collector off, 0.066 s with it on. The switch is
+    one run to the next. ``hot_probe``'s 739-entry reload (seed 7,
+    2 vCPU, CPython 3.11.7, median of 9) took 0.056 s with the collector
+    off, 0.066 s with it on. The switch is
     the interpreter's, not this thread's: other threads (such as ingest)
     also run uncollected until the load returns, and cyclic garbage
     already on the heap stays there under the loaded repository until
@@ -587,13 +489,13 @@ def _supported_manifest(path, first_line):
         if not (isinstance(manifest, dict) and MANIFEST_KEY in manifest):
             found = ("a first line that is not a manifest (the shape of a "
                      "pre-manifest, version-1 file)")
-        elif manifest[MANIFEST_KEY] != DELTA_MANIFEST_VERSION:
+        elif manifest[MANIFEST_KEY] != MANIFEST_VERSION:
             found = f"format version {manifest[MANIFEST_KEY]!r}"
         else:
             return manifest
     raise RepositoryError(
         f"cannot load the repository at {path!r}: found {found}; the only "
-        f"supported format is version {DELTA_MANIFEST_VERSION}")
+        f"supported format is version {MANIFEST_VERSION}")
 
 
 def _warn_unbrickable(message):
@@ -606,18 +508,18 @@ def _warn_unbrickable(message):
         warnings.warn(message, RuntimeWarning, stacklevel=4)
 
 
-def _admit(record, insert, by_key, taken, report, memo):
-    """Insert (or stage) the entry a section or insert record carries,
-    under the sequence it was recorded with. A sequence that a loaded
-    entry holds already (``taken``) — possible only in a file whose keys
-    were not derived from sequences — is left to the repository to
-    replace. A record whose key or sequence the entry does not keep is
-    counted in ``report.foreign_keys``."""
+def _admit(record, repository, by_key, taken, report, memo):
+    """Insert the entry a section or insert record carries, under the
+    sequence it was recorded with. A sequence that a loaded entry holds
+    already (``taken``) — possible only in a file whose keys were not
+    derived from sequences — is left to the repository to replace. A
+    record whose key or sequence the entry does not keep is counted in
+    ``report.foreign_keys``."""
     entry = entry_from_json(record["entry"], report, memo)
     sequence = record["entry"].get("sequence")
     if type(sequence) is int and sequence not in taken:
         entry._sequence = sequence
-    insert(entry)
+    repository.insert(entry)
     taken.add(entry._sequence)
     if entry._sequence != sequence or record.get("key") != log_key(entry):
         report.foreign_keys += 1
@@ -625,11 +527,10 @@ def _admit(record, insert, by_key, taken, report, memo):
         by_key[record["key"]] = entry
 
 
-def _apply_log_record(record, repository, insert, by_key, taken, report,
-                      memo):
+def _apply_log_record(record, repository, by_key, taken, report, memo):
     op = record["op"]
     if op == "insert":
-        _admit(record, insert, by_key, taken, report, memo)
+        _admit(record, repository, by_key, taken, report, memo)
         report.replayed_records += 1
     elif op == "remove":
         if record.get("key") is None:
@@ -666,38 +567,30 @@ def _apply_log_record(record, repository, insert, by_key, taken, report,
         report.dangling_records += 1
 
 
-# --- The loader: sections, segments, order log -----------------------------------
+# --- The loader: sections, then segments ------------------------------------------
 
 
 def _load_segmented(dfs, manifest, body, repository, report):
     """Rebuild a repository from per-shard section + segment files.
 
-    The recorded global scan order is reconstructed from the sibling
-    order log (``order_log``/``order_gen`` — see :func:`_read_order_log`
-    for the replay rule). Reconstruction runs in two phases around that
-    recorded order (valid at the manifest's ``last_seq``):
-
-    1. stage every section entry, then replay each segment's records
-       with ``base_seq < seq <= last_seq`` merged across segments in
-       global sequence order — this rebuilds exactly the entry set that
-       was live when the manifest was written — and pin the scan order
-       to the manifest's recorded one;
-    2. replay the remaining records (``seq > last_seq``) in sequence
-       order.
-
-    Records at or below a section's ``base_seq`` watermark are *stale*
-    (a crash between that shard's section rewrite and its segment
-    truncation leaves them behind); each segment independently tolerates
-    a torn final line. Segments can therefore be read in any order — the
-    per-record sequence numbers, not file order, define the replay.
+    Every section entry is inserted (in recorded sequence order), then
+    every segment record above its section's ``base_seq`` watermark is
+    replayed, merged across segments in global sequence order. Records
+    at or below the watermark are *stale* (a crash between that shard's
+    section rewrite and its segment truncation leaves them behind); each
+    segment independently tolerates a torn final line. Segments can
+    therefore be read in any order — the per-record sequence numbers,
+    not file order, define the replay.
 
     Every entry keeps the insertion sequence it was recorded with, so
     its id and log key are the ones the writing process used, and the
     repository's counter resumes above every sequence the files name —
     removed entries' included: a record that names a removed entry's key
-    must never act on a new entry at a later reload.
+    must never act on a new entry at a later reload. Manifest keys this
+    loader does not know (such as the scan-order log an older writer
+    pointed at) are ignored.
     """
-    report.format_version = DELTA_MANIFEST_VERSION
+    report.format_version = MANIFEST_VERSION
     report.log_path = manifest.get("log")
     report.num_shards = manifest.get("num_shards", 0)
     if body:
@@ -707,11 +600,6 @@ def _load_segmented(dfs, manifest, body, repository, report):
     if repository is None:
         repository = (ShardedRepository(num_shards=report.num_shards)
                       if report.num_shards >= 1 else Repository())
-    # A partial load into a pre-populated explicit target cannot adopt
-    # the manifest's global order (it is not a permutation of the
-    # union), so order pinning is skipped there.
-    preexisting = len(repository)
-    order_seq = manifest.get("last_seq", 0)
     # Sections: the compacted state of each partition, immutable files.
     section_records = []
     for section in manifest.get("sections", ()):
@@ -733,9 +621,9 @@ def _load_segmented(dfs, manifest, body, repository, report):
             "segment": section.get("segment"),
         }
     # Segments: parse each independently (torn tails are per-file),
-    # classify every record against its section's watermark and the
-    # manifest's order watermark, then merge by global sequence number.
-    phase1, phase2 = [], []
+    # drop the records at or below its section's watermark, then merge
+    # by global sequence number.
+    records = []
     sequences = [record["entry"].get("sequence") for record in section_records]
     for label in sorted(report.section_state):
         state = report.section_state[label]
@@ -743,51 +631,29 @@ def _load_segmented(dfs, manifest, body, repository, report):
         lines = (dfs.read_lines(segment)
                  if segment is not None and dfs.exists(segment) else [])
         report.log_records += len(lines)
-        records = _parse_segment(lines, segment, report)
-        report.segment_records[label] = len(records)
-        for record in records:
+        parsed = _parse_segment(lines, segment, report)
+        report.segment_records[label] = len(parsed)
+        for record in parsed:
             if record["seq"] <= state["base_seq"]:
                 report.stale_records += 1
                 continue
             if record["op"] == "insert":
                 sequences.append(record["entry"].get("sequence"))
-            if record["seq"] <= order_seq:
-                phase1.append(record)
-            else:
-                phase2.append(record)
-    order = _read_order_log(dfs, manifest.get("order_log"),
-                            manifest.get("order_gen", 0), report)
-    sequences.extend(sequence for _, sequence in order)
+            records.append(record)
     repository._sequence = max(
         [repository._sequence] + [sequence + 1 for sequence in sequences
                                   if type(sequence) is int])
-    # Phase 1: the repository as the manifest saw it. The insertion
-    # order here is only a deterministic staging order (recorded
-    # insertion sequence, a total key) — for a normal load the scan
-    # order is pinned from the manifest below, so the entries are
-    # staged, never sorted; for a partial load into a pre-populated
-    # target, where pinning is skipped, they are inserted, reproducing
-    # the original insertion history as closely as the file allows.
     by_key = {}
     memo = {}   # schema records decoded by this load
     taken = {entry._sequence for entry in repository}
-    insert = repository.insert if preexisting else repository._stage
     section_records.sort(key=lambda record:
                          record["entry"].get("sequence") or 0)
     for record in section_records:
-        _admit(record, insert, by_key, taken, report, memo)
-    phase1.sort(key=lambda record: record["seq"])
-    for record in phase1:
-        _apply_log_record(record, repository, insert, by_key, taken,
-                          report, memo)
-    _force_recorded_order(repository, order, by_key,
-                          partial=preexisting > 0)
-    # Phase 2: everything appended since the manifest was written.
-    phase2.sort(key=lambda record: record["seq"])
-    report.last_seq = order_seq
-    for record in phase2:
-        _apply_log_record(record, repository, repository.insert, by_key,
-                          taken, report, memo)
+        _admit(record, repository, by_key, taken, report, memo)
+    records.sort(key=lambda record: record["seq"])
+    report.last_seq = manifest.get("last_seq", 0)
+    for record in records:
+        _apply_log_record(record, repository, by_key, taken, report, memo)
         report.last_seq = max(report.last_seq, record["seq"])
     report.use_stats = {
         entry.entry_id: (entry.stats.use_count, entry.stats.last_used_tick)
@@ -815,111 +681,3 @@ def _parse_segment(lines, segment, report):
                 f"record at line {index} is not the final line")
         records.append(record)
     return records
-
-
-def _read_order_log(dfs, order_log, order_gen, report):
-    """Reconstruct a manifest's recorded scan order from its order
-    log, applying the replay rule:
-
-    * records are JSONL, each carrying its writing compaction's ``gen``:
-      either a **full** order (``{"gen", "full": [[key, seq], ...]}`` —
-      written on rebase) or a **delta** against the previous record's
-      reconstruction (``{"gen", "removed", "inserted"}``);
-    * a torn final line (a crash mid-append) is dropped, like a torn
-      segment tail;
-    * records with ``gen > order_gen`` are **orphans** — appended by a
-      compaction that crashed before its manifest swap made them
-      authoritative — and are *skipped*, never applied (they describe an
-      order the manifest's sections do not match); the count lands on
-      ``report.orphan_order_records`` so attach() can heal with a
-      rebase;
-    * the reconstruction is the latest applicable full record with every
-      later applicable delta applied in file order; an applied record of
-      any other shape (an item of the wrong width, a key that is not a
-      string, a sequence or position that is not an integer) is
-      corruption, reported with the file and line.
-    """
-    report.order_log_path = order_log
-    report.order_gen = order_gen
-    lines = (dfs.read_lines(order_log)
-             if order_log is not None and dfs.exists(order_log) else [])
-    records = []
-    last = len(lines) - 1
-    for index, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            record = None
-        if not (isinstance(record, dict)
-                and isinstance(record.get("gen"), int)
-                and ("full" in record or "removed" in record
-                     or "inserted" in record)):
-            if index == last:
-                report.torn_tail_dropped += 1
-                break
-            raise RepositoryError(
-                f"corrupt repository order log {order_log!r}: unreadable "
-                f"record at line {index} is not the final line")
-        records.append((index, record))
-    applicable = [(index, record) for index, record in records
-                  if record["gen"] <= order_gen]
-    report.orphan_order_records = len(records) - len(applicable)
-    report.order_records = len(applicable)
-    base = None
-    for position, (_, record) in enumerate(applicable):
-        if "full" in record:
-            base = position
-    if base is None:
-        if applicable:
-            raise RepositoryError(
-                f"corrupt repository order log {order_log!r}: delta "
-                f"record(s) at or below generation {order_gen} with no "
-                f"full base record")
-        report.recorded_order = []
-        return []
-    order = []
-    for index, record in applicable[base:]:
-        try:
-            if "full" in record:
-                _check_order_items(record["full"], "full",
-                                   ("key", "sequence"))
-                order = [list(pair) for pair in record["full"]]
-            else:
-                order = apply_order_delta(order, record)
-        except RepositoryError as exc:
-            raise RepositoryError(
-                f"corrupt repository order log {order_log!r}: record at "
-                f"line {index}: {exc}") from None
-    report.recorded_order = [list(pair) for pair in order]
-    return order
-
-
-def _force_recorded_order(repository, order, by_key, partial=False):
-    """Pin the phase-1 state to the manifest's recorded scan order.
-
-    ``order`` is ``[[key, sequence], ...]`` over every entry live when
-    the manifest was written; after phase 1 the repository must hold
-    exactly that set (the compaction protocol flushes every record at or
-    below ``last_seq`` before the manifest lands), so a mismatch means
-    the durable files are corrupt, not merely stale. ``partial`` marks a
-    load into a pre-populated explicit target: the recorded order is
-    not a permutation of the union, so pinning is skipped (key
-    resolution is still checked: the keys come from this file alone).
-    """
-    entries = []
-    for key, _ in order:
-        entry = by_key.get(key)
-        if entry is None:
-            raise RepositoryError(
-                f"corrupt repository manifest: scan order references "
-                f"key {key!r}, which no section or segment defines")
-        entries.append(entry)
-    if partial:
-        return
-    if len(entries) != len(repository):
-        raise RepositoryError(
-            f"corrupt repository manifest: scan order lists "
-            f"{len(entries)} entr(ies), sections+segments rebuilt "
-            f"{len(repository)}")
-    if entries:
-        repository.force_scan_order(entries)

@@ -4,19 +4,17 @@ Each record holds (paper Section 2.2): the physical plan of the job that
 produced the output, the output's filename in the DFS, and statistics
 about the producing job and about reuse frequency.
 
-The entries are kept **partially ordered** so that a sequential scan finds
-the best match first (paper Section 3):
+The matcher tries entries in the paper's Section 3 order:
 
 1. a plan that subsumes another (contains all its operators) comes first;
 2. otherwise, higher input/output size ratio first, then longer producing
    job execution time first.
 
-The scan order is the *priority-greedy topological order* of the strict
+That order is the *priority-greedy topological order* of the strict
 subsumption DAG: repeatedly emit the ready entry with the best rule-2
-metrics (ties broken by insertion sequence, so the order is a pure
-function of the entry set). The seed implementation re-derived it from
-scratch with O(n^2) containment tests per insert; this version maintains
-it incrementally on two dicts keyed by Merkle fingerprint
+metrics, ties broken by insertion sequence. It is a pure function of the
+entry set, so the repository keeps no order at all. It keeps the DAG's
+edges and two dicts keyed by Merkle fingerprint
 (:mod:`repro.restore.matcher`): the *buckets* file every entry under its
 frontier fingerprint, and the *site index* files every entry under each
 of its plan's site fingerprints. An entry ``b`` can only be contained in
@@ -26,33 +24,21 @@ a plan whose digest has ``b``'s frontier fingerprint among its sites, so:
   confirmation of the bucket) instead of a full scan;
 * on ``insert``, only the buckets of the new entry's sites (what it may
   contain) and the site index under its fingerprint (what may contain
-  it) get a subsumption test, and only the subsumption components the
-  insert touches are re-sorted (below);
+  it) get a subsumption test;
 * ``match_candidates`` gives the matcher the buckets of the job digest's
-  sites, in scan order — exactly the entries that can match, so the
+  sites, ordered on demand — exactly the entries that can match, so the
   first match is the seed's full scan's;
 * ``remove`` prunes the edge sets, the buckets and the site index, so
   eviction-heavy retention policies no longer leak.
 
-Why a component-local re-sort is exact: the ready set of one weakly
-connected component of the DAG changes only when that component emits,
-so the greedy order of the whole DAG is the *compare-heads merge* of the
-greedy orders of its components — repeatedly emit the lower key among
-the components' current heads (keys are total: the sequence is unique).
-The same holds for any union of components, so an insert re-sorts the
-components of the new entry (and of any dirty entries) with Kahn's
-algorithm and merges that sequence into the rest of the list, whose
-relative order is already greedy. An isolated entry is the
-one-element case of the merge.
-
-Removal keeps the seed's rule of never reordering: the scan order
-becomes "previous order minus the removed entry". That is still greedy
-when the entry blocked nobody (no out-edges); otherwise its dependents
-may now be ready earlier, so they are marked *dirty* and their
-components are re-sorted by the next insert — which then yields exactly
-the seed's full re-sort. After :meth:`Repository.force_scan_order` the
-whole repository is dirty: the next insert runs one full pass; the
-loader stages entries in that state (:meth:`Repository._stage`).
+Why a probe can order its few candidates alone: take the candidates plus
+their transitive subsumption ancestors. Every blocker of a member is a
+member, so nothing outside the set ever changes its ready set, and its
+greedy order is the whole repository's order restricted to it.
+:meth:`Repository._in_scan_order` runs Kahn's algorithm over that
+closure (2-4 entries on the benchmark streams); ``scan()`` runs it over
+every entry. A removal needs no work on the order: the next probe sees
+the paper's order of the entries that are left.
 
 Containment tests run on each entry's cached
 :class:`~repro.restore.matcher.PlanDigest`: two dict lookups per
@@ -63,6 +49,7 @@ the property suite asserts order- and decision-equivalence against it.
 """
 
 import heapq
+from operator import attrgetter
 
 from repro.common.errors import RepositoryError
 from repro.restore.matcher import contains, PlanDigest
@@ -142,48 +129,23 @@ def _priority(entry):
             entry._sequence)
 
 
-def _merge(rest, component):
-    """Compare-heads merge of two greedy orders: repeatedly emit
-    whichever current head has the lower priority key."""
-    merged = []
-    start = 0
-    end = len(rest)
-    for entry in component:
-        key = entry._scan_key
-        stop = start
-        while stop < end and rest[stop]._scan_key < key:
-            stop += 1
-        merged += rest[start:stop]
-        merged.append(entry)
-        start = stop
-    merged += rest[start:]
-    return merged
-
-
 class Repository:
-    """Ordered collection of :class:`RepositoryEntry`.
+    """Collection of :class:`RepositoryEntry`, in insertion order.
 
-    ``scan()`` yields entries in match-priority order; ``insert`` keeps the
-    partial order; ``find_equivalent`` deduplicates re-registrations of the
+    ``scan()`` yields entries in match-priority order, computed on
+    demand; ``find_equivalent`` deduplicates re-registrations of the
     same computation; ``match_candidates`` narrows a matcher pass to the
     entries filed under the job's site fingerprints.
     """
 
     def __init__(self):
-        self._entries = []
+        self._by_id = {}              # entry_id -> entry, insertion order
         self._order = None            # cached immutable scan() snapshot
-        self._rank = None             # entry_id -> scan position
-        self._rank_for = None         # the scan() snapshot _rank was built from
-        self._by_id = {}
         self._sequence = 0
         self._buckets = {}            # fingerprint -> [entries, insert order]
         self._by_site = {}            # site fingerprint -> {entry ids}
         self._edges_out = {}          # a subsumes b: edges_out[a] ∋ b (ids)
         self._edges_in = {}
-        # Ids of the entries whose components may be out of greedy
-        # order: dependents of removed entries (see remove). None means
-        # every entry, the state force_scan_order leaves.
-        self._dirty = set()
         # Change-event channel: callables invoked as listener(op, entry)
         # with op in {"insert", "remove", "use"} after each mutation.
         # This is what incremental persistence (repro.restore.wal)
@@ -234,12 +196,12 @@ class Repository:
 
     def shard_members(self, shard_id):
         """The entries owned by partition ``shard_id`` (unordered — the
-        segmented snapshot writer re-sorts by scan rank). The unsharded
+        segmented snapshot writer sorts by sequence). The unsharded
         repository owns everything in its single ``None`` partition."""
         if shard_id is not None:
             raise RepositoryError(
                 f"an unsharded repository has no shard {shard_id!r}")
-        return tuple(self._entries)
+        return tuple(self._by_id.values())
 
     def close(self):
         """Release any resources the repository holds. The plain
@@ -249,20 +211,21 @@ class Repository:
         repository flavor uniformly."""
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._by_id)
 
     def __iter__(self):
-        return iter(self._entries)
+        """The entries in insertion order (not scan order)."""
+        return iter(self._by_id.values())
 
     def scan(self):
-        """Entries in the order the matcher must try them.
+        """Every entry in the order the matcher must try them.
 
         Returns an immutable snapshot; the same tuple object is handed
-        out until an insert or removal changes the order, so rescan loops
-        no longer allocate a fresh list per pass.
+        out until an insert or removal changes the entry set, so rescan
+        loops no longer allocate a fresh list per pass.
         """
         if self._order is None:
-            self._order = tuple(self._entries)
+            self._order = tuple(self._greedy_order(self._by_id))
         return self._order
 
     def match_candidates(self, plan, digest=None):
@@ -271,9 +234,8 @@ class Repository:
         An entry is contained in ``plan`` only if its frontier
         fingerprint is one of the sites of ``plan``'s
         :class:`~repro.restore.matcher.PlanDigest`, so the candidates are
-        the buckets of those sites, in global scan order — the paper's
-        Section 3 priority order restricted to the entries that can
-        match. Pass ``digest`` when the caller already holds it (the
+        the buckets of those sites, in the paper's Section 3 priority
+        order restricted to the entries that can match. Pass ``digest`` when the caller already holds it (the
         manager's scan pass does).
         """
         return self._filtered_candidates(
@@ -290,29 +252,36 @@ class Repository:
         """The lookup half of :meth:`match_candidates`: the entries filed
         under ``digest``'s site fingerprints, in scan order."""
         buckets = self._buckets
-        found = [entry for fingerprint in digest.sites
-                 for entry in buckets.get(fingerprint, ())]
-        if len(found) > 1:
-            rank = self.scan_rank()
-            found.sort(key=lambda entry: rank[entry.entry_id])
-        return tuple(found)
+        return self._in_scan_order([
+            entry for fingerprint in digest.sites
+            for entry in buckets.get(fingerprint, ())])
 
-    def scan_rank(self):
-        """entry_id -> position in the global scan order (cached per
-        scan snapshot; invalidated automatically on insert/remove)."""
-        order = self.scan()
-        if self._rank_for is not order:
-            self._rank = {entry.entry_id: position
-                          for position, entry in enumerate(order)}
-            self._rank_for = order
-        return self._rank
+    def _in_scan_order(self, entries):
+        """``entries`` in scan order: the greedy order of their ancestor
+        closure, restricted to them (the module docstring says why that
+        is the whole repository's order)."""
+        edges_in = self._edges_in
+        if len(entries) < 2 or not any(edges_in[entry.entry_id]
+                                       for entry in entries):
+            # No ancestors: the closure is the entries themselves and no
+            # edge joins them, so Kahn's order is the priority order.
+            return tuple(sorted(entries, key=attrgetter("_scan_key")))
+        closure = {entry.entry_id for entry in entries}
+        frontier = list(closure)
+        while frontier:
+            for ancestor_id in edges_in[frontier.pop()]:
+                if ancestor_id not in closure:
+                    closure.add(ancestor_id)
+                    frontier.append(ancestor_id)
+        return tuple(entry for entry in self._greedy_order(closure)
+                     if entry in entries)
 
     def subsumption_edges_among(self, entry_ids):
         """Strict-subsumption edges restricted to ``entry_ids``:
         ``{a: {b, ...}}`` where entry ``a``'s plan strictly contains
         entry ``b``'s — the paper's rule 1 relation (a container is
         tried before everything it subsumes) that the scan order is
-        built from, exposed for the edge oracles that check it."""
+        computed from, exposed for the edge oracles that check it."""
         ids = set(entry_ids)
         return {entry_id: self._edges_out.get(entry_id, _NO_EDGES) & ids
                 for entry_id in ids}
@@ -325,62 +294,39 @@ class Repository:
             raise RepositoryError(f"no entry {entry_id!r}") from None
 
     def total_stored_bytes(self):
-        return sum(entry.stats.output_bytes for entry in self._entries)
+        return sum(entry.stats.output_bytes for entry in self)
 
     # Insertion ------------------------------------------------------------
 
     def insert(self, entry):
-        """Insert keeping the partial order.
+        """Admit ``entry``: give it its sequence, id and priority key,
+        record its subsumption edges and file it in every index.
 
         Rule 1 (subsumption) is a hard constraint: a plan that contains
         another's operators scans first. Containment is transitive, so the
         strict-subsumption relation is a DAG; the scan order is its
         topological order, with rule 2's metrics (input/output ratio, then
         producing-job time — higher first) breaking ties among entries no
-        constraint relates.
-
-        Subsumption edges are discovered only against entries a
-        fingerprint lookup offers; then :meth:`_reorder` re-sorts the new
-        entry's component (plus any dirty ones) and merges it into the
-        rest of the order.
-        """
-        self._index(entry)
-        self._reorder(entry)
-        return self._announce(entry)
-
-    def _stage(self, entry):
-        """:meth:`insert` for a loader that pins the recorded order next:
-        the same indexing, hook and event, but the entry is appended and
-        the whole repository left dirty instead of re-sorted."""
-        self._index(entry)
-        self._entries.append(entry)
-        self._dirty = None
-        return self._announce(entry)
-
-    def _index(self, entry):
-        """Give ``entry`` its sequence, id and priority key, discover its
-        subsumption edges and file it in every index.
+        constraint relates. Edges are discovered only against entries a
+        fingerprint lookup offers; nothing is sorted here.
 
         A fresh entry gets the next sequence. One that carries a
         sequence already (the loader sets the recorded one) keeps it;
         either way the counter moves past it, so no sequence is ever
-        handed out twice."""
+        handed out twice.
+        """
         if entry._sequence is None:
             entry._sequence = self._sequence
         self._sequence = max(self._sequence, entry._sequence + 1)
-        entry.entry_id = f"e{entry._sequence}"
+        entry.entry_id = entry_id = f"e{entry._sequence}"
         entry._scan_key = _priority(entry)
         self._discover_edges(entry)
-
-        entry_id = entry.entry_id
         self._by_id[entry_id] = entry
         self._buckets.setdefault(entry.fingerprint, []).append(entry)
         for site in entry.digest.sites:
             self._by_site.setdefault(site, set()).add(entry_id)
         self._edges_out.setdefault(entry_id, set())
         self._edges_in.setdefault(entry_id, set())
-
-    def _announce(self, entry):
         self._order = None
         self._post_insert(entry)
         self._notify("insert", entry)
@@ -424,45 +370,11 @@ class Repository:
         return (contains(b.digest, a.digest)
                 and not contains(a.digest, b.digest))
 
-    def _reorder(self, entry):
-        """Place the just-indexed ``entry`` so the scan order is the
-        greedy order of the whole repository again.
-
-        Re-sorts the components of ``entry`` and of the dirty entries
-        (every entry when the dirty set is None) and compare-heads-merges
-        the result into the rest of the list, which keeps its relative
-        order (the module docstring says why that is exact).
-        """
-        dirty = self._dirty
-        if dirty is None:
-            ids = set(self._by_id)
-        else:
-            dirty.add(entry.entry_id)
-            ids = self._closure(dirty)
-        self._dirty = set()
-        rest = self._entries
-        if len(ids) > 1:
-            rest = [kept for kept in rest if kept.entry_id not in ids]
-        self._entries = _merge(rest, self._greedy_order(ids))
-
-    def _closure(self, seed_ids):
-        """``seed_ids`` plus every entry weakly connected to one of them:
-        the union of their subsumption components."""
-        closure = set(seed_ids)
-        frontier = list(closure)
-        while frontier:
-            entry_id = frontier.pop()
-            for neighbours in (self._edges_out[entry_id],
-                               self._edges_in[entry_id]):
-                for other_id in neighbours:
-                    if other_id not in closure:
-                        closure.add(other_id)
-                        frontier.append(other_id)
-        return closure
-
     def _greedy_order(self, ids):
         """Priority-greedy topological order of the entries ``ids``, a
-        union of whole components (no edge leaves it).
+        set closed under ``_edges_in`` (every blocker of a member is a
+        member), so a member's in-degree is exact; out-edges that leave
+        the set are skipped.
 
         Kahn's algorithm with a heap: the priority key is total (the
         insertion sequence is unique), so "sort the ready list, pop the
@@ -482,49 +394,15 @@ class Repository:
             _, entry_id = heapq.heappop(ready)
             ordered.append(by_id[entry_id])
             for dependent_id in self._edges_out[entry_id]:
-                blockers[dependent_id] -= 1
-                if blockers[dependent_id] == 0:
+                count = blockers.get(dependent_id)
+                if count == 1:
                     heapq.heappush(ready, (by_id[dependent_id]._scan_key,
                                            dependent_id))
-        if len(ordered) != len(ids):
+                if count is not None:
+                    blockers[dependent_id] = count - 1
+        if len(ordered) != len(blockers):
             raise RepositoryError("subsumption relation is cyclic (bug)")
         return ordered
-
-    def force_scan_order(self, entries):
-        """Adopt ``entries`` — a permutation of the current contents — as
-        the scan order.
-
-        Persistence loaders need this for exact state reconstruction: a
-        live repository's order after a removal is "previous order minus
-        the removed entry" (matching the seed), which is *not*
-        necessarily the greedy order of the remaining set — so reloading
-        by sequential insert, which re-normalizes greedily, can diverge
-        from the order the file recorded. The saved positions are
-        authoritative; the whole repository is marked dirty so the next
-        insert re-sorts everything, exactly as the live repository's
-        order would come out. The loader stages its entries (never
-        sorted, :meth:`_stage`) under their recorded sequences before
-        calling this; every cached priority key is re-derived here, on
-        both paths.
-        """
-        for entry in self._entries:
-            entry._scan_key = _priority(entry)
-        self._dirty = None
-        entries = list(entries)
-        if [e.entry_id for e in entries] == [e.entry_id for e in self._entries]:
-            return
-        # Identity, not id-string, and an exact length: a list that
-        # duplicates one entry while dropping another (or that carries
-        # look-alike objects sharing ids with the repository's own
-        # instances) must not desynchronize _entries from _by_id.
-        if (len(entries) != len(self._entries)
-                or {id(entry) for entry in entries}
-                != {id(entry) for entry in self._entries}):
-            raise RepositoryError(
-                "force_scan_order requires a permutation of the "
-                "repository's current entries")
-        self._entries = entries
-        self._order = None
 
     def find_equivalent(self, plan):
         """An entry computing exactly ``plan`` (mutual containment), if any.
@@ -541,13 +419,12 @@ class Repository:
         # bit-identical — an empty repository answers None instead of
         # raising.
         candidates = (self._buckets.get(probe.fingerprint, ())
-                      if len(plan.stores()) == 1 else self._entries)
+                      if len(plan.stores()) == 1 else self)
         matches = [entry for entry in candidates
                    if contains(entry.digest, probe)
                    and contains(probe, entry.digest)]
         if len(matches) > 1:
-            rank = self.scan_rank()
-            return min(matches, key=lambda entry: rank[entry.entry_id])
+            return self._in_scan_order(matches)[0]
         return matches[0] if matches else None
 
     # Removal --------------------------------------------------------------------
@@ -559,20 +436,11 @@ class Repository:
         seed left subsumption pairs behind to grow without bound under
         eviction-heavy retention policies).
         """
-        try:
-            self._entries.remove(entry)
-        except ValueError as exc:
-            raise RepositoryError(f"{entry!r} is not in the repository") from exc
         entry_id = entry.entry_id
-        self._order = None
-        # The order stays greedy unless the entry blocked somebody: its
-        # dependents may now be ready earlier.
-        freed = set(self._edges_out.get(entry_id, ()))
-        if self._dirty is not None:
-            freed |= self._dirty
-            freed.discard(entry_id)
-            self._dirty = set()
+        if self._by_id.get(entry_id) is not entry:
+            raise RepositoryError(f"{entry!r} is not in the repository")
         del self._by_id[entry_id]
+        self._order = None
         for site in entry.digest.sites:
             ids = self._by_site[site]
             ids.discard(entry_id)
@@ -587,16 +455,12 @@ class Repository:
             self._edges_in.get(other_id, set()).discard(entry_id)
         for other_id in self._edges_in.pop(entry_id, ()):
             self._edges_out.get(other_id, set()).discard(entry_id)
-        if freed:
-            ids = self._closure(freed)
-            rest = [kept for kept in self._entries if kept.entry_id not in ids]
-            self._entries = _merge(rest, self._greedy_order(ids))
         self._notify("remove", entry)
         self._post_remove(entry)
         if dfs is not None and entry.owns_file:
             dfs.delete_if_exists(entry.output_path)
 
     def describe(self):
-        lines = [f"Repository: {len(self._entries)} entr(ies)"]
-        lines.extend(f"- {entry.describe()}" for entry in self._entries)
+        lines = [f"Repository: {len(self)} entr(ies)"]
+        lines.extend(f"- {entry.describe()}" for entry in self.scan())
         return "\n".join(lines)

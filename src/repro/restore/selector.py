@@ -66,14 +66,15 @@ class HeuristicRetentionPolicy(RetentionPolicy):
     # Eviction -------------------------------------------------------------
 
     def sweep(self, repository, dfs, clock):
-        """Batched eviction to a fixpoint, in one pass over the scan order.
+        """Batched eviction to a fixpoint, in one pass over the entries.
 
         The seed restarted a full scan after every single removal
         (evicting an entry deletes its owned file, which can invalidate
         entries that read it — Rule 4 cascades). Both eviction conditions
         are monotone in the set of deleted files, so the fixpoint can be
         reached in rounds instead: evict *everything* currently evictable
-        in one pass over the scan order, then re-check only the entries
+        in one pass over the entries (in the repository's iteration
+        order: insertion order), then re-check only the entries
         whose ``input_versions`` mention a just-deleted path — exactly
         the set whose Rule 4 check can have changed (Rule 3 expiry is
         time-invariant within one sweep, so round 1 settled it for
@@ -85,12 +86,12 @@ class HeuristicRetentionPolicy(RetentionPolicy):
         comparison against a horizon; Rule 4 reads each input path's
         version once per sweep (a memo whose entry is dropped when the
         sweep deletes that path); later rounds find their candidates in
-        a path -> readers index over round 1's scan order, so they visit
-        only the readers of the deleted paths, still in scan order.
+        a path -> readers index over round 1's entries, so they visit
+        only the readers of the deleted paths, still in that order.
         """
         horizon = clock.now() - self.window_ticks
         versions = {}
-        order = repository.scan()
+        order = tuple(repository)
         doomed = [entry for entry in order
                   if max(entry.stats.last_used_tick,
                          entry.stats.created_tick) < horizon  # Rule 3

@@ -31,7 +31,7 @@ dispatch or response wait — queues never block indefinitely — and is
 :class:`~repro.restore.wal.RepositoryLog`, the fresh worker replays the
 dead partition's durable state (its section + segment files plus the
 log's pending records — one partition's files only, which is what the
-per-shard segmentation and the v5 order-delta manifests bought);
+per-shard segmentation bought);
 otherwise it re-seeds from the front-end's in-memory members. Either
 way the front-end's scan order, per-shard statistics, and match
 decisions are unaffected — workers hold replicas, the coordinator holds
@@ -104,8 +104,8 @@ class ShardWorkerState:
 
     def probe(self, job_loads):
         """Ids of the local candidates for a job reading ``job_loads``
-        (insertion order; the front-end re-sorts the merge into global
-        scan order)."""
+        (insertion order; the front-end orders the answer by scan
+        order)."""
         candidate_ids = self._load_index.candidate_ids(job_loads)
         if not candidate_ids:
             return []

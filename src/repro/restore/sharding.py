@@ -237,8 +237,8 @@ class ShardedRepository(Repository):
 
     def shard_members(self, shard_id):
         """The entries owned by partition ``shard_id``
-        (insertion-ordered; the segmented snapshot writer re-sorts by
-        scan rank). O(shard), not O(repository) — what keeps a
+        (insertion-ordered; the segmented snapshot writer sorts by
+        sequence). O(shard), not O(repository) — what keeps a
         dirty-shard section rewrite proportional to the shard."""
         for shard in self.partitions():
             if shard.shard_id == shard_id:
@@ -299,7 +299,7 @@ class ShardedRepository(Repository):
         if self._pool is None:
             candidates = super()._filtered_candidates(digest)
         else:
-            candidates = self._merge_pool_answer(
+            candidates = self._resolve_pool_answer(
                 self._pool.match_probe(shard_ids, job_loads), digest)
         for entry in candidates:
             self._shard_of[entry.entry_id].stats.candidates_returned += 1
@@ -318,17 +318,14 @@ class ShardedRepository(Repository):
         return (self._catchall if shard_id == CATCHALL_SHARD
                 else self._shards[shard_id])
 
-    def _merge_pool_answer(self, answers, digest):
+    def _resolve_pool_answer(self, answers, digest):
         """Resolve one pool probe's ``{shard_id: [entry ids]}`` answer to
-        the entries filed under ``digest``'s sites, in global scan order
-        — the inherited lookup's sequence."""
+        the entries filed under ``digest``'s sites, in scan order — the
+        inherited lookup's sequence."""
         sites = digest.sites
-        entries = (self._by_id[key] for keys in answers.values()
-                   for key in keys)
-        rank = self.scan_rank()
-        return tuple(sorted(
-            (entry for entry in entries if entry.fingerprint in sites),
-            key=lambda entry: rank[entry.entry_id]))
+        return self._in_scan_order([
+            self._by_id[key] for keys in answers.values() for key in keys
+            if self._by_id[key].fingerprint in sites])
 
     @property
     def worker_pool(self):

@@ -21,10 +21,10 @@ steady-state *compaction* cost O(dirty shards):
 * when one shard's segment outgrows its slice of the repository
   (``segment records / shard entries > compact_ratio``), :meth:`compact`
   amortizes it away **for that shard only**: the dirty shard's snapshot
-  *section file* is rewritten (a fresh immutable generation), an
-  O(changes) **order-delta** record is appended to the order log
-  (never the full global order), the manifest is re-pointed, and just
-  that shard's segment is truncated. Clean shards' sections are reused
+  *section file* is rewritten (a fresh immutable generation), the
+  manifest is re-pointed, and just that shard's segment is truncated.
+  No file records the scan order, a function of the entries. Clean
+  shards' sections are reused
   at the file level — a mutation burst confined to one of N shards
   compacts in O(n/N), not O(n).
 
@@ -57,28 +57,16 @@ import threading
 from repro.common.errors import RepositoryError
 from repro.restore.persistence import (
     DEFAULT_REPOSITORY_PATH,
-    DELTA_MANIFEST_VERSION,
-    encode_order_delta,
+    MANIFEST_VERSION,
     entry_to_json,
     log_key,
     MANIFEST_KEY,
-    order_log_path,
-    order_log_prefix,
     read_manifest_line,
     section_file_path,
     section_file_prefix,
     segment_file_path,
     shard_label,
 )
-
-#: rebase threshold: once this many order records accumulate in the
-#: current order log, the next compaction rewrites it as a single full
-#: record (a fresh generation-named file) instead of appending another
-#: delta — bounding both the file and the reload's replay chain. The
-#: occasional O(repository) rebase write amortizes to O(1) per
-#: compaction.
-ORDER_REBASE_RECORDS = 64
-
 
 class RepositoryLog:
     """Segmented append-only change log + dirty-only compaction.
@@ -112,9 +100,7 @@ class RepositoryLog:
     #: elsewhere. ``*_locked`` methods assert "caller holds the mutex".
     GUARDED_BY = {"_seq": "_mutex", "_pending": "_mutex",
                   "_segment_records": "_mutex", "_sections": "_mutex",
-                  "_order_log": "_mutex",
-                  "_last_recorded_order": "_mutex",
-                  "_order_records": "_mutex", "_generation": "_mutex",
+                  "_generation": "_mutex",
                   "snapshot_reads": "_mutex"}
 
     def __init__(self, dfs, path=DEFAULT_REPOSITORY_PATH, log_path=None,
@@ -141,12 +127,6 @@ class RepositoryLog:
         self._pending = {}           # label -> serialized records not on DFS
         self._segment_records = {}   # label -> complete records in its segment
         self._sections = {}          # label -> manifest section descriptor
-        # Order-log state: the file the current manifest points at,
-        # the scan order as last made durable there (the delta base),
-        # and how many records the file holds (the rebase trigger).
-        self._order_log = None
-        self._last_recorded_order = None
-        self._order_records = 0
         # Section-file generation counter. Strictly monotonic and
         # *decoupled from the sequence counter*: a healing or repeated
         # compaction can run at an unchanged seq, and naming files by
@@ -165,13 +145,12 @@ class RepositoryLog:
 
         A repository freshly rebuilt by ``load_repository`` from this
         manifest resumes seamlessly: sequence numbers, per-segment
-        record counts, the clean sections' file pointers, and the order
-        log's delta base continue from the loader's replay state.
-        Anything else — a live repository, a reload whose files had
-        crash damage (torn tails, stale records, orphan order records),
-        or one whose keys are not derived from sequences (a file written
-        before they were) — is checkpointed immediately: attach writes a
-        fresh full snapshot (every section, a rebased order log) and
+        record counts and the clean sections' file pointers continue
+        from the loader's replay state. Anything else — a live
+        repository, a reload whose files had crash damage (torn tails,
+        stale records), or one whose keys are not derived from sequences
+        (a file written before they were) — is checkpointed immediately:
+        attach writes a fresh full snapshot (every section) and
         truncates every segment.
         """
         if self.repository is not None:
@@ -235,13 +214,10 @@ class RepositoryLog:
         self._pending = {}
         self._segment_records = {}
         self._sections = {}
-        self._order_log = None
-        self._last_recorded_order = None
-        self._order_records = 0
         report = getattr(repository, "loader_report", None)
         resumable = (
             report is not None
-            and report.format_version == DELTA_MANIFEST_VERSION
+            and report.format_version == MANIFEST_VERSION
             and report.snapshot_path == self.path
             and report.log_path == self.log_path
             and getattr(report, "dfs", None) is self.dfs
@@ -279,27 +255,11 @@ class RepositoryLog:
                  and report.foreign_keys == 0
                  and report.torn_tail_dropped == 0
                  and report.stale_records == 0
-                 and report.dangling_records == 0
-                 # Orphan order records (a compaction crashed between
-                 # its order-log append and its manifest swap) sit in
-                 # the file this log would keep appending to; resuming
-                 # over them would interleave live generations with the
-                 # dead one's. Heal with a rebase instead.
-                 and report.orphan_order_records == 0)
+                 and report.dangling_records == 0)
         if clean:
             self._segment_records = dict(report.segment_records)
             self._sections = {label: dict(state)
                               for label, state in report.section_state.items()}
-            self._order_log = report.order_log_path
-            self._last_recorded_order = [
-                list(pair) for pair in report.recorded_order or ()]
-            self._order_records = report.order_records
-            # Delta records carry generations above the file's name
-            # (they are appended between rebases): the counter must
-            # clear the manifest's authoritative generation too, or a
-            # fresh compaction could reuse a generation already present
-            # in the order log.
-            self._generation = max(self._generation, report.order_gen + 1)
         else:
             # The healing compaction must not hand out watermarks below
             # sequence numbers already durable at this path: if the
@@ -313,13 +273,12 @@ class RepositoryLog:
             self.compact()
 
     def _seed_generation_locked(self):
-        """Start the generation counter above every section and
-        order-log generation on disk, referenced or orphaned."""
+        """Start the generation counter above every section generation
+        on disk, referenced or orphaned."""
         self._generation = 1 + max(
-            (_section_generation(file)
-             for prefix in (section_file_prefix(self.path),
-                            order_log_prefix(self.path))
-             for file in self.dfs.list_files(prefix=prefix)), default=-1)
+            (_section_generation(file) for file in
+             self.dfs.list_files(prefix=section_file_prefix(self.path))),
+            default=-1)
 
     def _save_unattached(self, repository):
         """:func:`save_repository`'s standalone path: one full
@@ -360,7 +319,7 @@ class RepositoryLog:
         records = 0
         top = 0
         manifest = read_manifest_line(self.dfs, self.path)
-        if (manifest or {}).get(MANIFEST_KEY) == DELTA_MANIFEST_VERSION:
+        if (manifest or {}).get(MANIFEST_KEY) == MANIFEST_VERSION:
             records += manifest.get(
                 "entries", self.dfs.status(self.path).num_lines)
             if isinstance(manifest.get("last_seq"), int):
@@ -402,8 +361,8 @@ class RepositoryLog:
             self.detach()
 
     def _require_attached(self, operation):
-        """Checkpointing needs the live repository (shard sizes, members,
-        scan order); fail with a clean error instead of the bare
+        """Checkpointing needs the live repository (shard sizes and
+        members); fail with a clean error instead of the bare
         AttributeError an unattached ``self.repository`` would raise."""
         if self.repository is None:
             raise RepositoryError(
@@ -621,26 +580,20 @@ class RepositoryLog:
         1. clean shards' pending records are flushed first, so every
            record at or below the new manifest's ``last_seq`` is durable
            before the manifest references that sequence number;
-        2. each compacted shard's entries are rewritten into a **new**
-           generation-suffixed section file — never in place, so a crash
-           here leaves the old manifest's files intact (the new ones are
-           unreferenced garbage, collected by the next compaction);
-        3. the scan-order record lands in the order log — an O(changes)
-           delta appended to the current file for a dirty-only
-           compaction, a full record in a fresh generation-named file on
-           rebase — a crash here leaves an orphan record/file the loader
-           skips;
-        4. the manifest swap makes the new sections (and, via
-           ``order_gen``, the new order record) authoritative;
-        5. only then are the compacted shards' segments truncated — a
-           crash between 4 and 5 leaves records at or below the new
+        2. each compacted shard's entries are rewritten, in sequence
+           order, into a **new** generation-suffixed section file —
+           never in place, so a crash here leaves the old manifest's
+           files intact (the new ones are unreferenced garbage, collected
+           by the next compaction);
+        3. the manifest swap makes the new sections authoritative;
+        4. only then are the compacted shards' segments truncated — a
+           crash between 3 and 4 leaves records at or below the new
            sections' ``base_seq``, skipped as stale on replay;
-        6. superseded section and order-log generations are deleted.
+        5. superseded section generations are deleted, and so are the
+           scan-order files (``<path>.order.g<gen>``) an older writer
+           kept: nothing reads them.
 
-        The cost is O(entries of the compacted shards) serialization
-        plus an O(changes since the last compaction) scan-order record
-        (a delta appended to the order log; full compactions rebase
-        the order log to a single full record).
+        The cost is O(entries of the compacted shards) serialization.
         """
         self._require_attached("compact")
         with self._mutex:
@@ -671,20 +624,18 @@ class RepositoryLog:
         # the referenced section files must never be rewritten in place.
         generation = self._generation
         self._generation += 1
-        rank = repository.scan_rank()
         sections = {}
         for label in sorted(labels):
             if label not in targets:
                 sections[label] = self._sections[label]
                 continue
             members = sorted(repository.shard_members(labels[label]),
-                             key=lambda entry: rank[entry.entry_id])
+                             key=lambda entry: entry._sequence)
             file = None
             if members:
                 file = section_file_path(self.path, label, generation)
                 self.dfs.write_lines(file, [
-                    json.dumps({"position": rank[entry.entry_id],
-                                "key": log_key(entry),
+                    json.dumps({"key": log_key(entry),
                                 "entry": entry_to_json(entry)},
                                sort_keys=True)
                     for entry in members], overwrite=True)
@@ -692,40 +643,11 @@ class RepositoryLog:
                                "entries": len(members),
                                "base_seq": watermark,
                                "segment": self._segment_path(label)}
-        order = [[log_key(entry), entry._sequence]
-                 for entry in repository.scan()]
-        # The scan-order record: a delta against the last durable order
-        # when only dirty shards compacted (O(changes) appended to the
-        # current order log), a full record in a *fresh* generation-named
-        # file otherwise — full compactions, unexpressible deltas
-        # (survivors moved), and periodic rebases that bound the replay
-        # chain. Appended/written *before* the manifest swap: a crash in
-        # between leaves an orphan record (gen above the manifest's
-        # order_gen) that the loader skips and the next attach heals.
-        delta = None
-        if (set(targets) != set(labels)
-                and self._order_log is not None
-                and self._last_recorded_order is not None
-                and self._order_records < ORDER_REBASE_RECORDS):
-            delta = encode_order_delta(self._last_recorded_order, order)
-        if delta is not None:
-            order_log = self._order_log
-            self.dfs.append_lines(order_log, [json.dumps(
-                {"gen": generation, **delta}, sort_keys=True)])
-            order_records = self._order_records + 1
-        else:
-            order_log = order_log_path(self.path, generation)
-            self.dfs.write_lines(order_log, [json.dumps(
-                {"gen": generation, "full": order}, sort_keys=True)],
-                overwrite=True)
-            order_records = 1
-        header = {MANIFEST_KEY: DELTA_MANIFEST_VERSION,
+        header = {MANIFEST_KEY: MANIFEST_VERSION,
                   "num_shards": getattr(repository, "num_shards", 0),
                   "entries": len(repository),
                   "last_seq": watermark,
                   "log": self.log_path,
-                  "order_log": order_log,
-                  "order_gen": generation,
                   "sections": [sections[label] for label in sorted(sections)]}
         self.dfs.write_lines(self.path, [json.dumps(header, sort_keys=True)],
                              overwrite=True)
@@ -741,17 +663,13 @@ class RepositoryLog:
             self._pending.pop(label, None)
             self._segment_records[label] = 0
         self._sections = sections
-        self._order_log = order_log
-        self._last_recorded_order = order
-        self._order_records = order_records
         referenced = {state["file"] for state in sections.values()
                       if state["file"] is not None}
         for old in self.dfs.list_files(prefix=section_file_prefix(self.path)):
             if old not in referenced:
                 self.dfs.delete_if_exists(old)
-        for old in self.dfs.list_files(prefix=order_log_prefix(self.path)):
-            if old != order_log:
-                self.dfs.delete_if_exists(old)
+        for old in self.dfs.list_files(prefix=f"{self.path}.order.g"):
+            self.dfs.delete_if_exists(old)
         return sorted(targets)
 
     def describe(self):
@@ -774,8 +692,8 @@ class RepositoryLog:
 
 def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH):
     """Persist the repository through the DFS: the authoritative full
-    save, one full compaction (every section, a rebased order log,
-    every segment truncated) in :meth:`RepositoryLog.compact`'s crash
+    save, one full compaction (every section rewritten, every segment
+    truncated) in :meth:`RepositoryLog.compact`'s crash
     ordering. Returns the manifest's file status.
 
     When the repository's attached :class:`RepositoryLog` owns ``path``
@@ -802,7 +720,7 @@ def save_repository(repository, dfs, path=DEFAULT_REPOSITORY_PATH):
 
 def _require_event_channel(repository):
     """Both durable paths drive the indexed repository's primitives
-    (change events, shard sizes and members, scan rank); the frozen
+    (change events, shard sizes and members); the frozen
     seed baseline has none of them."""
     if not hasattr(repository, "add_listener"):
         raise RepositoryError(

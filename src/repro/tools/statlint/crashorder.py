@@ -2,9 +2,9 @@
 destroy.
 
 docs/PERSISTENCE.md's crash-ordering table states the rule in prose:
-every segment/order-log truncation and section GC happens *after* the
-manifest swap that stops referencing the old data, and the manifest
-swap itself happens *after* the section/order-log writes it points to —
+every segment truncation and section GC happens *after* the manifest
+swap that stops referencing the old data, and the manifest swap itself
+happens *after* the section writes it points to —
 so a crash between any two steps leaves a loadable tree. This checker
 enforces that write order statically, per function, in the persistence
 modules (files named ``wal.py`` or ``persistence.py``; the rules are
@@ -15,17 +15,16 @@ Events are DFS calls (``write_lines``, ``append_lines``, ``delete``,
 ``delete_if_exists``) collected in source pre-order — a linear
 approximation of the CFG that matches this codebase's straight-line
 persistence functions. Targets are classified: the **manifest** is
-``self.path`` or a parameter named ``path``; **section/order-log/
-segment** files are variables assigned from the path helpers
-(``section_file_path``, ``order_log_path``, ``segment_file_path``,
-``self._segment_path``). A ``write_lines(target, [])`` is a
+``self.path`` or a parameter named ``path``; **section/segment** files
+are variables assigned from the path helpers (``section_file_path``,
+``segment_file_path``, ``self._segment_path``). A ``write_lines(target, [])`` is a
 truncation.
 
 Rules, within one function:
 
 * R1 *truncate-after-publish* — a truncation or delete that precedes a
   manifest write destroys data the old manifest still references;
-* R2 *publish-after-content* — a section/order-log/segment write after
+* R2 *publish-after-content* — a section/segment write after
   the manifest write means the new manifest references files that do
   not exist yet;
 * R3 *atomic-manifest* — deleting the manifest in a function that also
@@ -40,7 +39,6 @@ import ast
 from repro.tools.statlint.core import register
 
 _PATH_HELPERS = {"section_file_path": "section",
-                 "order_log_path": "order log",
                  "segment_file_path": "segment",
                  "_segment_path": "segment"}
 _DFS_CALLS = {"write_lines", "append_lines", "delete", "delete_if_exists"}

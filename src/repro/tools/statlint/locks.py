@@ -159,8 +159,7 @@ class LockOrdering:
     #: out to change-event listeners (``RepositoryLog._on_event`` takes
     #: ``_mutex`` there). The listener list is runtime state the AST
     #: cannot see, so these call names imply a ``_on_event`` call.
-    NOTIFY_CALLS = {"insert", "_stage", "remove",
-                    "record_use", "force_scan_order"}
+    NOTIFY_CALLS = {"insert", "remove", "record_use"}
     LOCK_FACTORIES = {"Lock": False, "RLock": True}
 
     def run(self, project):

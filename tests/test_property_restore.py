@@ -343,6 +343,11 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
                     candidates = [e.output_path
                                   for e in repo.match_candidates(probe)]
                     assert candidates == matchable, (context, name)
+                    # What a decision reads: the candidate tuple is the
+                    # seed's scan restricted to those candidates.
+                    assert candidates == [
+                        e.output_path for e in seed.scan()
+                        if e.output_path in set(candidates)], (context, name)
                     assert _first_match_path(repo.match_candidates(probe),
                                              probe) == expected_first, \
                         (context, name)
@@ -365,16 +370,18 @@ def test_property_repositories_equivalent_to_seed(plan_pool):
 
 # --- Removal-heavy scan-order arm ------------------------------------------------
 #
-# An insert re-sorts only the subsumption components it touches plus the
-# ones removals left dirty, and merges them into the rest of the order.
-# These streams aim at what that depends on: metric ties (only the
-# insertion sequence breaks them), bursts of removals between inserts,
-# containers removed before the entries they subsume (which frees
-# dependents), and reloads through a RepositoryLog mid-stream (the order
-# is pinned and every cached key re-derived). The scan order must equal
-# the seed's, and the subsumption edges the brute-force oracle's, after
-# every single operation. CI's fuzz job runs the arm at ten times
-# tier-1's examples (``--hypothesis-profile=repository-fuzz``).
+# The scan order is computed on demand from the entries and their
+# subsumption edges, and a probe orders its few candidates over their
+# ancestor closure alone. These streams aim at what that depends on:
+# metric ties (only the insertion sequence breaks them), bursts of
+# removals between inserts, containers removed before the entries they
+# subsume (which frees dependents), and reloads through a RepositoryLog
+# mid-stream (every entry re-inserted under its recorded sequence). The
+# scan order must equal the seed's, every probe's candidate tuple the
+# seed's scan restricted to those candidates, and the subsumption edges
+# the brute-force oracle's, after every single operation. CI's fuzz job
+# runs the arm at ten times tier-1's examples
+# (``--hypothesis-profile=repository-fuzz``).
 
 if settings.get_current_profile_name() == "repository-fuzz":
     ORDER_BUDGET = settings()
@@ -388,6 +395,18 @@ _TIED_STATS = [(1000, 10, 5.0), (1000, 10, 5.0), (1000, 10, 5.0),
 
 def _scan_paths(repository):
     return [entry.output_path for entry in repository.scan()]
+
+
+def _assert_candidates_in_seed_order(live, seed, probes, context):
+    """Every probe's candidate tuple is the seed's scan restricted to
+    those candidates."""
+    seed_order = _scan_paths(seed)
+    for index, (probe, digest) in enumerate(probes):
+        candidates = [entry.output_path
+                      for entry in live.match_candidates(probe, digest)]
+        chosen = set(candidates)
+        assert candidates == [path for path in seed_order
+                              if path in chosen], (context, index)
 
 
 def _reload_through_log(dfs, log, live, data):
@@ -417,6 +436,9 @@ def test_property_removal_heavy_order_matches_seed(plan_pool, data):
     log = RepositoryLog(dfs).attach(live)
     seed = LinearScanRepository()
     seed_entries = {}  # output_path -> the seed's twin entry
+    probes = [(plan, PlanDigest(plan)) for plan in (
+        _pool_plan(plan_pool, index, version)
+        for index in range(len(plan_pool)) for version in (0, 1))]
     steps = data.draw(st.integers(60, 120), label="steps")
     for step in range(steps):
         action = data.draw(st.sampled_from(
@@ -453,10 +475,12 @@ def test_property_removal_heavy_order_matches_seed(plan_pool, data):
                                  if entry.output_path == path))
                 seed.remove(seed_entries.pop(path))
                 assert _scan_paths(live) == _scan_paths(seed), step
+                _assert_candidates_in_seed_order(live, seed, probes, step)
                 _assert_edges_exact(live, step)
         else:
             live, log = _reload_through_log(dfs, log, live, data)
         assert _scan_paths(live) == _scan_paths(seed), step
+        _assert_candidates_in_seed_order(live, seed, probes, step)
         _assert_edges_exact(live, step)
     log.detach()
 
@@ -757,8 +781,8 @@ def _assert_reload_matches_live(dfs, live, plan_pool, rng, context):
     if isinstance(live, ShardedRepository):
         assert reloaded.num_shards == live.num_shards, context
         # Shard membership must match; within-shard iteration order is
-        # insertion order, which is not observable (probes re-sort into
-        # the global scan order) and legitimately differs after replay.
+        # insertion order, which is not observable (probes order their
+        # candidates by scan order) and legitimately differs after replay.
         assert [sorted(e.output_path for e in shard)
                 for shard in reloaded.partitions()] == \
             [sorted(e.output_path for e in shard)

@@ -142,9 +142,8 @@ class TestLoadIndex:
 
 class TestRepositoryIndexIntegration:
     def test_insert_after_remove_matches_full_reorder(self):
-        # After a removal the stored order is no longer the greedy order
-        # of the remaining set, so the next insert must re-sort the
-        # components of the removed entry's dependents too.
+        # A removal frees the removed entry's dependents; the order
+        # after the next insert covers exactly the remaining set.
         repo = Repository()
         blocked = entry(BASE, output="/stored/low")
         blocked.stats.producing_job_time = 1.0

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import repro.restore.repository as repository_module
 from repro import PigSystem
 from repro.common import LogicalClock
 from repro.common.errors import RepositoryError
@@ -25,8 +24,6 @@ from repro.restore import (
 )
 from repro.restore.matcher import contains, find_containment
 from repro.restore.persistence import (
-    _force_recorded_order,
-    _read_order_log,
     entry_from_json,
     entry_to_json,
     LoaderReport,
@@ -479,13 +476,12 @@ class TestLoadSuspendsTheCollector:
         assert gc.isenabled()
 
 
-# --- Staged reload: the loader against a per-entry rebuild ---------------------
+# --- Reload: the loader against a per-entry rebuild ----------------------------
 #
-# The reference rebuilds the manifest's entry set with one ``insert`` per
-# section entry and phase-1 record, pins the recorded order with
-# ``_force_recorded_order`` and replays phase 2 with ``insert``. The
-# loader must leave every piece of repository state exactly as that
-# reference does, and both must then behave alike.
+# The reference rebuilds the repository with one ``insert`` per section
+# entry and replays every segment record above its section's watermark
+# in sequence order. The loader must leave every piece of repository
+# state exactly as that reference does, and both must then behave alike.
 
 _ROW = Schema([Field("a", DataType.INT), Field("b", DataType.CHARARRAY)])
 _GROUPED = Schema([Field("g", DataType.INT), Field("rows", DataType.BAG, _ROW)])
@@ -540,9 +536,9 @@ def _remove_path(repository, path):
 def churned(num_shards, seed, tail):
     """A repository churned through a RepositoryLog: inserts, removals,
     use-stamps, dirty-shard and full compactions. ``tail`` leaves
-    records past the last compaction (phase 2 of a reload); without it
-    the stream ends on a dirty-shard compaction, so the other shards'
-    segment records are all phase 1."""
+    records above the manifest's ``last_seq``; without it the stream
+    ends on a dirty-shard compaction, so the other shards' segment
+    records all sit at or below it."""
     rng = random.Random(seed)
     dfs = DistributedFileSystem()
     for source in _SOURCES:
@@ -586,20 +582,18 @@ def churned(num_shards, seed, tail):
 def per_entry_reload(dfs, repository):
     """The reference rebuild of ``SAVED`` into ``repository``, one
     insert per entry under its recorded sequence; returns the number of
-    phase-1 and phase-2 records it replayed."""
+    segment records it replayed at or below the manifest's ``last_seq``
+    and above it."""
     manifest = json.loads(dfs.read_lines(SAVED)[0])
-    sections, phase1, phase2 = [], [], []
+    sections, records = [], []
     for section in manifest["sections"]:
         if section.get("file") and dfs.exists(section["file"]):
             sections += [json.loads(line)
                          for line in dfs.read_lines(section["file"])]
         if section.get("segment") and dfs.exists(section["segment"]):
-            for line in dfs.read_lines(section["segment"]):
-                record = json.loads(line)
-                if record["seq"] <= section.get("base_seq", 0):
-                    continue
-                (phase1 if record["seq"] <= manifest["last_seq"]
-                 else phase2).append(record)
+            records += [record for record in map(
+                json.loads, dfs.read_lines(section["segment"]))
+                if record["seq"] > section.get("base_seq", 0)]
     by_key = {}
 
     def apply(record):
@@ -617,14 +611,10 @@ def per_entry_reload(dfs, repository):
     sections.sort(key=lambda record: record["entry"].get("sequence") or 0)
     for record in sections:
         apply({"op": "insert", "key": record["key"], "entry": record["entry"]})
-    for record in sorted(phase1, key=lambda record: record["seq"]):
+    for record in sorted(records, key=lambda record: record["seq"]):
         apply(record)
-    order = _read_order_log(dfs, manifest["order_log"], manifest["order_gen"],
-                            LoaderReport(SAVED, dfs))
-    _force_recorded_order(repository, order, by_key)
-    for record in sorted(phase2, key=lambda record: record["seq"]):
-        apply(record)
-    return len(phase1), len(phase2)
+    below = sum(record["seq"] <= manifest["last_seq"] for record in records)
+    return below, len(records) - below
 
 
 def _listened(repository):
@@ -658,8 +648,6 @@ def repository_state(repository):
         "shards": {shard_id: [entry.output_path
                               for entry in repository.shard_members(shard_id)]
                    for shard_id in repository.shard_sizes()},
-        "dirty": (None if repository._dirty is None
-                  else paths(repository._dirty)),
     }
 
 
@@ -674,10 +662,10 @@ class TestStagedReload:
     def test_reload_matches_per_entry_rebuild(self, num_shards, seed):
         dfs, live = churned(num_shards, seed, tail=True)
         reference, reference_events = _listened(_empty_like(num_shards))
-        phase1, phase2 = per_entry_reload(dfs, reference)
-        assert phase2 > 0
+        below, above = per_entry_reload(dfs, reference)
+        assert above > 0
         if num_shards:
-            assert phase1 > 0
+            assert below > 0
         loaded = load_repository(dfs)
         assert type(loaded) is type(reference)
         assert loaded.loader_report.dangling_records == 0
@@ -728,9 +716,9 @@ def _schema_records(data, found):
 
 
 class TestColdReloadCost:
-    """A cold reload with no phase-2 record pins the recorded order over
-    staged entries: no Kahn pass and no merge ever run, and each
-    distinct schema record is decoded into one Schema."""
+    """A cold reload sorts nothing: no Kahn pass runs (the scan order is
+    computed when asked for), and each distinct schema record is decoded
+    into one Schema."""
 
     @pytest.mark.parametrize("num_shards", [0, 4], ids=["plain", "sharded"])
     def test_no_resort_and_one_schema_per_record(self, num_shards,
@@ -742,9 +730,8 @@ class TestColdReloadCost:
                 entry = json.loads(line).get("entry")
                 for record in (entry["plan"] if entry else ()):
                     _schema_records(record["schema"], distinct)
-        calls = {"greedy": 0, "merge": 0, "schema": 0}
+        calls = {"greedy": 0, "schema": 0}
         greedy_order = Repository._greedy_order
-        merge = repository_module._merge
         schema_init = Schema.__init__
 
         def counted(name, function):
@@ -755,16 +742,14 @@ class TestColdReloadCost:
 
         monkeypatch.setattr(Repository, "_greedy_order",
                             counted("greedy", greedy_order))
-        monkeypatch.setattr(repository_module, "_merge",
-                            counted("merge", merge))
         monkeypatch.setattr(Schema, "__init__",
                             counted("schema", schema_init))
         loaded = load_repository(dfs)
         report = loaded.loader_report
         assert report.last_seq == json.loads(
-            dfs.read_lines(SAVED)[0])["last_seq"]   # no phase-2 record
+            dfs.read_lines(SAVED)[0])["last_seq"]
         if num_shards:
-            assert report.replayed_records > 0      # phase-1 records
+            assert report.replayed_records > 0
         assert len(loaded) == len(live) > 50
-        assert calls["greedy"] == calls["merge"] == 0
+        assert calls["greedy"] == 0
         assert 0 < calls["schema"] <= len(distinct)

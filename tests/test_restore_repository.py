@@ -265,11 +265,12 @@ class TestIndexMaintenance:
             sibling = repo.insert(
                 entry(FILTERED, output=f"/stored/f{round_index}"))
             assert kept.entry_id in repo._edges_out[container.entry_id]
-            repo.match_candidates(plan_of(Q1_TEXT))  # fills the rank cache
+            repo.match_candidates(plan_of(Q1_TEXT))
+            repo.scan()  # fills the snapshot cache
             for dropped in (container, sibling):
                 assert mentions(vars(repo), dropped)
                 repo.remove(dropped)
-                repo.scan_rank()  # per-snapshot cache, rebuilt on next use
+                repo.scan()  # the snapshot, rebuilt without the entry
                 assert not mentions(vars(repo), dropped)
         assert repo.scan() == (kept,)
         assert mentions(vars(repo), kept)

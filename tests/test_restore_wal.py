@@ -25,10 +25,9 @@ from repro.restore import (
 )
 from repro.restore.persistence import (
     CATCHALL_LABEL,
-    DELTA_MANIFEST_VERSION,
+    MANIFEST_VERSION,
     log_key,
     MANIFEST_KEY,
-    order_log_prefix,
     segment_file_path,
     shard_label,
     SkeletonOp,
@@ -76,31 +75,6 @@ def segment_lines(dfs, path=SEG):
     records were subsumed by compaction before any flush) reading as
     empty — same as a truncated one."""
     return dfs.read_lines(path) if dfs.exists(path) else []
-
-
-def order_log_of(dfs, path=SNAPSHOT):
-    """``(order_log_path, parsed records)`` of the manifest's v5 order
-    log."""
-    manifest = manifest_of(dfs, path)
-    order_log = manifest["order_log"]
-    return order_log, [json.loads(line) for line in dfs.read_lines(order_log)]
-
-
-def recorded_order_of(dfs, path=SNAPSHOT):
-    """The recorded global scan order reconstructed from the v5 order
-    log (full base + deltas), as the loader would see it."""
-    from repro.restore.persistence import apply_order_delta
-    manifest = manifest_of(dfs, path)
-    _, records = order_log_of(dfs, path)
-    order = []
-    for record in records:
-        if record["gen"] > manifest["order_gen"]:
-            continue
-        if "full" in record:
-            order = [list(pair) for pair in record["full"]]
-        else:
-            order = apply_order_delta(order, record)
-    return order
 
 
 def all_segment_records(dfs, base=LOG_BASE):
@@ -204,21 +178,19 @@ class TestRepositoryLogBasics:
         repo.insert(fabricated_entry(0))
         log = RepositoryLog(dfs).attach(repo)
         manifest = manifest_of(dfs)
-        assert manifest[MANIFEST_KEY] == DELTA_MANIFEST_VERSION
+        assert manifest[MANIFEST_KEY] == MANIFEST_VERSION
         assert manifest["log"] == LOG_BASE
         assert manifest["num_shards"] == 0
         assert manifest["entries"] == 1
-        # One catch-all section + segment slot; the global scan order
-        # lives in the order log as [key, sequence] pairs — the v5
-        # manifest no longer embeds it.
+        # One catch-all section + segment slot, and no record of the
+        # scan order: it is a function of the entries.
         [section] = manifest["sections"]
         assert section["shard"] is None
         assert section["segment"] == SEG
-        assert "order" not in manifest
-        order_log, records = order_log_of(dfs)
-        assert manifest["order_log"] == order_log
-        assert records == [{"gen": manifest["order_gen"],
-                            "full": [["k0", 0]]}]
+        assert not {"order", "order_log", "order_gen"} & set(manifest)
+        assert [json.loads(line)["key"]
+                for line in dfs.read_lines(section["file"])] == ["k0"]
+        assert dfs.list_files(prefix=f"{SNAPSHOT}.order") == []
         assert log.segment_path(None) == SEG
 
     def test_flush_appends_one_record_per_mutation(self):
@@ -772,118 +744,6 @@ class TestSnapshotCompactionBarrier:
             live.close()
 
 
-class TestOrderDeltaManifests:
-    """The v5 enabler: dirty-only compaction records a scan-order
-    *delta* in the order log instead of rewriting the full global order
-    — the manifest write cost is O(dirty shards), and the last
-    cross-shard write is gone."""
-
-    def _sharded_state(self, num_entries=24, num_shards=4):
-        dfs = DistributedFileSystem()
-        live = ShardedRepository(num_shards=num_shards)
-        for index in range(num_entries):
-            live.insert(fabricated_entry(index, pool=num_entries // 2))
-        log = RepositoryLog(dfs).attach(live)  # initial full compaction
-        return dfs, live, log
-
-    def test_dirty_compaction_appends_one_delta_record(self):
-        dfs, live, log = self._sharded_state()
-        path_before, records_before = order_log_of(dfs)
-        assert len(records_before) == 1 and "full" in records_before[0]
-        inserted = live.insert(fabricated_entry(100, pool=2))
-        target = live.shard_id_of(inserted)
-        log.compact([shard_label(target)])
-        path_after, records_after = order_log_of(dfs)
-        # Same file, one appended record: the full order (24 entries)
-        # was NOT rewritten — the delta names only the one change.
-        assert path_after == path_before
-        assert len(records_after) == 2
-        delta = records_after[-1]
-        assert "full" not in delta
-        assert delta["removed"] == []
-        new_key = log_key(inserted)
-        assert [item[0] for item in delta["inserted"]] == [new_key]
-        # The reconstructed lineage equals the live scan order exactly.
-        assert [key for key, _ in recorded_order_of(dfs)] == \
-            [log_key(e) for e in live.scan()]
-        reloaded = load_repository(dfs)
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-
-    def test_removal_expressed_as_delta(self):
-        dfs, live, log = self._sharded_state()
-        victim = live.scan()[3]
-        victim_key = log_key(victim)
-        target = live.shard_id_of(victim)
-        live.remove(victim)
-        log.compact([shard_label(target)])
-        _, records = order_log_of(dfs)
-        delta = records[-1]
-        assert delta["removed"] == [victim_key]
-        assert delta["inserted"] == []
-        reloaded = load_repository(dfs)
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-
-    def test_full_compaction_rebases_into_fresh_order_log(self):
-        dfs, live, log = self._sharded_state()
-        path_before, _ = order_log_of(dfs)
-        live.insert(fabricated_entry(101, pool=2))
-        log.compact()  # all partitions: a rebase, not a delta
-        path_after, records = order_log_of(dfs)
-        assert path_after != path_before
-        assert not dfs.exists(path_before)  # superseded file collected
-        assert dfs.list_files(prefix=order_log_prefix(SNAPSHOT)) \
-            == [path_after]
-        assert len(records) == 1 and "full" in records[0]
-        assert len(records[0]["full"]) == len(live)
-
-    def test_rebase_after_record_limit(self, monkeypatch):
-        monkeypatch.setattr("repro.restore.wal.ORDER_REBASE_RECORDS", 2)
-        dfs, live, log = self._sharded_state()
-        paths = []
-        for index in range(4):
-            entry = live.insert(fabricated_entry(200 + index, pool=2))
-            log.compact([shard_label(live.shard_id_of(entry))])
-            paths.append(order_log_of(dfs)[0])
-        # Records 2 and 4 hit the cap and rebased into fresh files; the
-        # lineage never grows unboundedly.
-        assert paths[0] != paths[1]
-        assert paths[1] == paths[2]
-        assert paths[2] != paths[3]
-        _, records = order_log_of(dfs)
-        assert "full" in records[0]
-        assert len(records) <= 2
-        reloaded = load_repository(dfs)
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-
-    def test_orphan_order_records_ignored_and_healed(self):
-        dfs, live, log = self._sharded_state(num_entries=6)
-        order_log, _ = order_log_of(dfs)
-        manifest = manifest_of(dfs)
-        # Crash window: an order record hit the disk but the manifest
-        # swap never happened. Its generation is above the manifest's.
-        dfs.append_lines(order_log, [json.dumps(
-            {"gen": manifest["order_gen"] + 5,
-             "removed": ["k0"], "inserted": []})])
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.orphan_order_records == 1
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-        # Attach treats the orphan as crash damage: the healing
-        # compaction rebases into a clean lineage.
-        healed_log = RepositoryLog(dfs).attach(reloaded)
-        _, records = order_log_of(dfs)
-        assert len(records) == 1 and "full" in records[0]
-        assert load_repository(dfs).loader_report.orphan_order_records == 0
-        healed_log.close()
-
-    def test_torn_order_log_tail_dropped(self):
-        dfs, live, log = self._sharded_state(num_entries=6)
-        order_log, _ = order_log_of(dfs)
-        dfs.append_lines(order_log, ['{"gen": 99, "remo'])  # torn write
-        reloaded = load_repository(dfs)
-        assert reloaded.loader_report.torn_tail_dropped >= 1
-        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
-
-
 class TestReplay:
     def _mutate(self, repo, log):
         entries = [repo.insert(fabricated_entry(i)) for i in range(6)]
@@ -925,7 +785,7 @@ class TestReplay:
         assert type(reloaded) is type(live)
         assert entry_fingerprints(reloaded) == entry_fingerprints(live)
         report = reloaded.loader_report
-        assert report.format_version == DELTA_MANIFEST_VERSION
+        assert report.format_version == MANIFEST_VERSION
         assert report.replayed_records == report.log_records == 9
         assert report.torn_tail_dropped == 0
 
@@ -1038,27 +898,12 @@ class TestReplay:
         assert [e.output_path for e in reloaded.scan()] == \
             [e.output_path for e in live.scan()]
 
-    def test_force_scan_order_rejects_non_permutations(self):
-        repo = Repository()
-        a = repo.insert(fabricated_entry(0))
-        b = repo.insert(fabricated_entry(1))
-        with pytest.raises(RepositoryError):
-            repo.force_scan_order([a, a, b])  # duplicate
-        with pytest.raises(RepositoryError):
-            repo.force_scan_order([a])  # missing
-        with pytest.raises(RepositoryError):
-            repo.force_scan_order([a, a])  # duplicate shadowing b
-        repo.force_scan_order([b, a])  # a genuine permutation is fine
-        assert [e.output_path for e in repo.scan()] == \
-            [b.output_path, a.output_path]
-
     def test_insert_after_reload_orders_tied_entries_like_live(self):
-        """The loader stages section entries before the segment records
-        of uncompacted shards, then re-pins each entry's recorded
-        tie-break sequence: a priority key cached at the staging insert
-        is stale by then. With every metric tied, only the sequence
-        orders the entries, so the full re-sort the next insert runs
-        must see the recorded sequences."""
+        """The loader inserts section entries before the segment records
+        of uncompacted shards, each under its recorded tie-break
+        sequence. With every metric tied, only the sequence orders the
+        entries, so the order after the next insert must see the
+        recorded sequences."""
         def tied_entry(index):
             load = POLoad(f"/data/d{index % 4}", None, 0)
             chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
@@ -1081,17 +926,6 @@ class TestReplay:
         reloaded.insert(tied_entry(99))
         assert [e.output_path for e in reloaded.scan()] == \
             [e.output_path for e in live.scan()]
-
-    def test_force_scan_order_rederives_keys_when_order_matches(self):
-        # The early return (recorded order == current order) must still
-        # pick up re-pinned sequences and mark the order for a full pass.
-        repo = Repository()
-        entries = [repo.insert(fabricated_entry(i)) for i in range(3)]
-        for entry, sequence in zip(entries, (7, 4, 9)):
-            entry._sequence = sequence
-        repo.force_scan_order(repo.scan())
-        assert [entry._scan_key[-1] for entry in entries] == [7, 4, 9]
-        assert repo._dirty is None
 
     def test_compaction_mid_stream(self):
         """Mutations → compaction → more mutations → reload: replay
@@ -1220,48 +1054,6 @@ class TestReplay:
                         overwrite=True)
         with pytest.raises(RepositoryError, match="truncated"):
             load_repository(dfs)
-
-    def test_recorded_order_referencing_unknown_key_rejected(self):
-        dfs = DistributedFileSystem()
-        live = Repository()
-        log = RepositoryLog(dfs).attach(live)
-        live.insert(fabricated_entry(0))
-        log.compact()
-        manifest = manifest_of(dfs)
-        order_log = manifest["order_log"]
-        dfs.write_lines(order_log, [json.dumps(
-            {"gen": manifest["order_gen"], "full": [["k999", 0]]})],
-            overwrite=True)
-        with pytest.raises(RepositoryError, match="scan order references"):
-            load_repository(dfs)
-
-    @pytest.mark.parametrize("record", [
-        {"removed": [], "inserted": [["k9", 9]]},
-        {"removed": [], "inserted": [["k9", 9, "0"]]},
-        {"full": [["k0"]]},
-        {"full": 7},
-        {"full": [["k0", "zero"], ["k1", 1]]},
-    ], ids=["two-field-splice", "text-position", "one-field-pair",
-            "scalar-full", "text-sequence"])
-    def test_malformed_order_record_rejected(self, record):
-        """A malformed record in the order log the manifest points at is
-        corruption: one RepositoryError naming the file and the line."""
-        dfs = DistributedFileSystem()
-        live = Repository()
-        log = RepositoryLog(dfs).attach(live)
-        live.insert(fabricated_entry(0))
-        live.insert(fabricated_entry(1))
-        log.compact()
-        order_log, records = order_log_of(dfs)
-        record = dict(record, gen=manifest_of(dfs)["order_gen"])
-        dfs.write_lines(order_log, [json.dumps(line)
-                                    for line in [*records, record]],
-                        overwrite=True)
-        with pytest.raises(RepositoryError) as raised:
-            load_repository(dfs)
-        assert repr(order_log) in str(raised.value)
-        assert f"line {len(records)}" in str(raised.value)
-
 
 class TestResume:
     def test_reattach_resumes_sequence_and_keys(self):
@@ -1483,7 +1275,7 @@ class TestResume:
         dfs = DistributedFileSystem()
         live = make_repo()
         entries = [live.insert(fabricated_entry(i)) for i in range(6)]
-        live.remove(entries[2])  # a non-greedy order must round-trip too
+        live.remove(entries[2])  # removed sequences must stay retired too
         save_repository(live, dfs)
         assert getattr(live, "persistence_log", None) is None
         assert live._listeners == []
@@ -1502,11 +1294,83 @@ class TestResume:
         assert entry_fingerprints(again) == entry_fingerprints(reloaded)
 
 
+def with_order_log(dfs, order, path=SNAPSHOT):
+    """Rewrite the files a compaction just wrote into the shape an older
+    writer left, when the scan order had a file of its own: the manifest
+    names ``order_log`` / ``order_gen``, every section line carries the
+    entry's scan ``position``, ``<path>.order.g<gen>`` holds a full order
+    record followed by a delta from a compaction that crashed before its
+    manifest swap, and an older generation's order file is left behind.
+    ``order`` is the scan order at that compaction."""
+    manifest = manifest_of(dfs, path)
+    generation = max(int(section["file"].rpartition(".g")[2])
+                     for section in manifest["sections"] if section["file"])
+    pairs = [[log_key(entry), entry._sequence] for entry in order]
+    position = {key: index for index, (key, _) in enumerate(pairs)}
+    for section in manifest["sections"]:
+        if section["file"]:
+            records = [json.loads(line)
+                       for line in dfs.read_lines(section["file"])]
+            dfs.write_lines(section["file"], [
+                json.dumps({"position": position[record["key"]], **record},
+                           sort_keys=True)
+                for record in sorted(records,
+                                     key=lambda r: position[r["key"]])],
+                overwrite=True)
+    order_file = f"{path}.order.g{generation}"
+    dfs.write_lines(order_file, [
+        json.dumps({"gen": generation, "full": pairs}, sort_keys=True),
+        json.dumps({"gen": generation + 1, "removed": [pairs[0][0]],
+                    "inserted": []}, sort_keys=True)])
+    dfs.write_lines(f"{path}.order.g{generation - 1}", [
+        json.dumps({"gen": generation - 1, "full": pairs[1:]},
+                   sort_keys=True)])
+    manifest.update(order_log=order_file, order_gen=generation)
+    dfs.write_lines(path, [json.dumps(manifest, sort_keys=True)],
+                    overwrite=True)
+
+
 class TestMigration:
     def _entries(self, repo, count=5):
         for index in range(count):
             repo.insert(fabricated_entry(index))
         return repo
+
+    def test_files_with_an_order_log_load_and_lose_it(self):
+        """A repository saved while the scan order still had a file of
+        its own loads the same entries in the same order; the keys,
+        fields and files of that order are ignored, and the first
+        compaction (a dirty-shard one) deletes every order file."""
+        dfs = DistributedFileSystem()
+        live = ShardedRepository(num_shards=2)
+        log = RepositoryLog(dfs).attach(live)
+        entries = [live.insert(fabricated_entry(index, pool=3))
+                   for index in range(8)]
+        live.remove(entries[3])
+        live.record_use(entries[2], tick=3)
+        log.compact()
+        order = live.scan()
+        live.insert(fabricated_entry(8, pool=3))
+        live.remove(entries[5])
+        log.flush()
+        log.detach()
+        with_order_log(dfs, order)
+        assert len(dfs.list_files(prefix=f"{SNAPSHOT}.order.g")) == 2
+
+        reloaded = load_repository(dfs)
+        assert entry_fingerprints(reloaded) == entry_fingerprints(live)
+        assert [e.output_path for e in reloaded.scan()] == \
+            [e.output_path for e in live.scan()]
+        resumed = RepositoryLog(dfs).attach(reloaded)  # a clean resume
+        assert len(dfs.list_files(prefix=f"{SNAPSHOT}.order.g")) == 2
+        added = reloaded.insert(fabricated_entry(9, pool=3))
+        resumed.compact([shard_label(reloaded.shard_id_of(added))])
+        assert dfs.list_files(prefix=f"{SNAPSHOT}.order.g") == []
+        assert not {"order_log", "order_gen"} & set(manifest_of(dfs))
+        again = load_repository(dfs)
+        assert [e.output_path for e in again.scan()] == \
+            [e.output_path for e in reloaded.scan()]
+        resumed.close()
 
     def test_repeat_compaction_never_rewrites_sections_in_place(self):
         """Regression: a healing compaction can run at an *unchanged*
@@ -1547,9 +1411,8 @@ class TestMigration:
 
     def test_v4_partial_load_into_prepopulated_target(self):
         """Parity with the v1-v3 loaders: loading into a pre-populated
-        explicit target unions the entries and skips order pinning (the
-        recorded order is not a permutation of the union) instead of
-        failing as corrupt."""
+        explicit target unions the entries instead of failing as
+        corrupt."""
         dfs = DistributedFileSystem()
         live = Repository()
         log = RepositoryLog(dfs).attach(live)

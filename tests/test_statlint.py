@@ -504,13 +504,12 @@ class TestCrashOrdering:
             class Log:
                 def compact(self, root):
                     section = section_file_path(root, 1)
-                    order_log = order_log_path(root)
+                    superseded = section_file_path(root, 0)
                     segment = self._segment_path(0)
                     self.dfs.write_lines(section, ["s"], overwrite=True)
-                    self.dfs.write_lines(order_log, ["o"], overwrite=True)
                     self.dfs.write_lines(self.path, ["m"], overwrite=True)
                     self.dfs.write_lines(segment, [])
-                    self.dfs.delete_if_exists(order_log)
+                    self.dfs.delete_if_exists(superseded)
         ''', relpath="wal.py"))
         assert findings == []
 
