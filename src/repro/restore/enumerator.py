@@ -46,10 +46,13 @@ def enumerate_and_inject(job, heuristic):
 
     Operators are skipped when their output is already stored: the ones
     directly feeding a Store (the paper: "If P ... is a Store, the output
-    of J_P would already be stored"), plus Loads/Stores/Splits themselves
-    and anything ReStore previously injected.
+    of J_P would already be stored"), plus Loads/Stores/Splits themselves,
+    anything ReStore previously injected, and an operator whose
+    computation this pass already materializes (two equal operators in
+    one job share one Store).
     """
     candidates = []
+    injected = set()  # fingerprints this pass materializes
     # One walk fingerprints every operator that may be materialized (the
     # digest's sites); Splits are transparent to the hash, so injecting
     # them changes no fingerprint.
@@ -70,10 +73,14 @@ def enumerate_and_inject(job, heuristic):
                for consumer in consumers):
             # A previous enumeration already materializes this operator.
             continue
+        fingerprint = fingerprints[id(op)]
+        if fingerprint in injected:
+            continue
+        injected.add(fingerprint)
         split = POSplit(op, alias=op.alias)
         split.injected = True
         split.stage = op.stage
-        store = POStore(split, f"{MATERIALIZED_PREFIX}/{fingerprints[id(op)]}",
+        store = POStore(split, f"{MATERIALIZED_PREFIX}/{fingerprint}",
                         alias=op.alias)
         store.injected = True
         store.stage = op.stage

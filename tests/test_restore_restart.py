@@ -209,7 +209,7 @@ class TestMaterializedPaths:
         manager.submit(compile_query(SELF_JOIN, "self-join", dfs))
         paths = [path for _, kind, path in manager.last_report.injected_stores
                  if kind == "filter"]
-        assert len(paths) == 2 and paths[0] == paths[1]
+        assert len(paths) == 1
         assert materialized(dfs) == [paths[0]]
         assert [entry.output_path for entry in manager.repository
                 if entry.origin == "sub-job"] == [paths[0]]
