@@ -48,7 +48,6 @@ The frozen seed implementation lives in :mod:`repro.restore.baseline` and
 the property suite asserts order- and decision-equivalence against it.
 """
 
-import heapq
 from operator import attrgetter
 
 from repro.common.errors import RepositoryError
@@ -119,6 +118,7 @@ class RepositoryEntry:
 
 
 _NO_EDGES = frozenset()
+_SCAN_KEY = attrgetter("_scan_key")
 
 
 def _priority(entry):
@@ -260,21 +260,22 @@ class Repository:
         """``entries`` in scan order: the greedy order of their ancestor
         closure, restricted to them (the module docstring says why that
         is the whole repository's order)."""
+        if len(entries) < 2:
+            return tuple(entries)
         edges_in = self._edges_in
-        if len(entries) < 2 or not any(edges_in[entry.entry_id]
-                                       for entry in entries):
-            # No ancestors: the closure is the entries themselves and no
-            # edge joins them, so Kahn's order is the priority order.
-            return tuple(sorted(entries, key=attrgetter("_scan_key")))
-        closure = {entry.entry_id for entry in entries}
-        frontier = list(closure)
+        wanted = {entry.entry_id for entry in entries}
+        frontier = [entry_id for entry_id in wanted if edges_in[entry_id]]
+        if not frontier:
+            # No ancestors: no edge joins the entries either, so the
+            # greedy order is the priority order.
+            return tuple(sorted(entries, key=_SCAN_KEY))
+        closure = set(wanted)
         while frontier:
-            for ancestor_id in edges_in[frontier.pop()]:
-                if ancestor_id not in closure:
-                    closure.add(ancestor_id)
-                    frontier.append(ancestor_id)
+            ancestors = edges_in[frontier.pop()] - closure
+            closure |= ancestors
+            frontier.extend(ancestors)
         return tuple(entry for entry in self._greedy_order(closure)
-                     if entry in entries)
+                     if entry.entry_id in wanted)
 
     def subsumption_edges_among(self, entry_ids):
         """Strict-subsumption edges restricted to ``entry_ids``:
@@ -373,35 +374,27 @@ class Repository:
     def _greedy_order(self, ids):
         """Priority-greedy topological order of the entries ``ids``, a
         set closed under ``_edges_in`` (every blocker of a member is a
-        member), so a member's in-degree is exact; out-edges that leave
-        the set are skipped.
+        member).
 
-        Kahn's algorithm with a heap: the priority key is total (the
-        insertion sequence is unique), so "sort the ready list, pop the
-        head" — the seed's rule — and "pop the heap minimum" emit
-        identical orders.
+        Repeatedly emit the best-keyed entry whose blockers have all been
+        emitted — the seed's rule. The priority key is total (the
+        insertion sequence is unique), so the order is too. Candidate
+        sets hold a handful of entries, so a pass over the waiting list,
+        sorted once by key, beats keeping a heap of the ready ones.
         """
-        by_id = self._by_id
         edges_in = self._edges_in
-        # remove() prunes both edge directions, so every id in the edge
-        # sets is a live entry — no aliveness filtering needed here.
-        blockers = {entry_id: len(edges_in[entry_id]) for entry_id in ids}
-        ready = [(by_id[entry_id]._scan_key, entry_id)
-                 for entry_id, count in blockers.items() if count == 0]
-        heapq.heapify(ready)
+        waiting = sorted(map(self._by_id.__getitem__, ids), key=_SCAN_KEY)
+        emitted = set()
         ordered = []
-        while ready:
-            _, entry_id = heapq.heappop(ready)
-            ordered.append(by_id[entry_id])
-            for dependent_id in self._edges_out[entry_id]:
-                count = blockers.get(dependent_id)
-                if count == 1:
-                    heapq.heappush(ready, (by_id[dependent_id]._scan_key,
-                                           dependent_id))
-                if count is not None:
-                    blockers[dependent_id] = count - 1
-        if len(ordered) != len(blockers):
-            raise RepositoryError("subsumption relation is cyclic (bug)")
+        while waiting:
+            for index, entry in enumerate(waiting):
+                if edges_in[entry.entry_id] <= emitted:
+                    break
+            else:
+                raise RepositoryError("subsumption relation is cyclic (bug)")
+            del waiting[index]
+            ordered.append(entry)
+            emitted.add(entry.entry_id)
         return ordered
 
     def find_equivalent(self, plan):
