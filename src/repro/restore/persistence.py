@@ -655,6 +655,11 @@ def _load_segmented(dfs, manifest, body, repository, report):
     for record in records:
         _apply_log_record(record, repository, by_key, taken, report, memo)
         report.last_seq = max(report.last_seq, record["seq"])
+    # A live repository holds its entries in sequence order, the order it
+    # assigned them in, and iterates (and so sweeps) in it. Sections were
+    # read before segments, so restore that order.
+    repository._by_id = dict(sorted(repository._by_id.items(),
+                                    key=lambda item: item[1]._sequence))
     report.use_stats = {
         entry.entry_id: (entry.stats.use_count, entry.stats.last_used_tick)
         for entry in by_key.values()}

@@ -130,7 +130,7 @@ def _priority(entry):
 
 
 class Repository:
-    """Collection of :class:`RepositoryEntry`, in insertion order.
+    """Collection of :class:`RepositoryEntry`, in sequence order.
 
     ``scan()`` yields entries in match-priority order, computed on
     demand; ``find_equivalent`` deduplicates re-registrations of the
@@ -139,7 +139,9 @@ class Repository:
     """
 
     def __init__(self):
-        self._by_id = {}              # entry_id -> entry, insertion order
+        # entry_id -> entry, in sequence order: a live repository assigns
+        # sequences as it inserts, and the loader restores the order
+        self._by_id = {}
         self._order = None            # cached immutable scan() snapshot
         self._sequence = 0
         self._buckets = {}            # fingerprint -> [entries, insert order]
@@ -214,7 +216,7 @@ class Repository:
         return len(self._by_id)
 
     def __iter__(self):
-        """The entries in insertion order (not scan order)."""
+        """The entries in sequence order (not scan order)."""
         return iter(self._by_id.values())
 
     def scan(self):

@@ -74,7 +74,7 @@ class HeuristicRetentionPolicy(RetentionPolicy):
         are monotone in the set of deleted files, so the fixpoint can be
         reached in rounds instead: evict *everything* currently evictable
         in one pass over the entries (in the repository's iteration
-        order: insertion order), then re-check only the entries
+        order, sequence order), then re-check only the entries
         whose ``input_versions`` mention a just-deleted path — exactly
         the set whose Rule 4 check can have changed (Rule 3 expiry is
         time-invariant within one sweep, so round 1 settled it for

@@ -423,6 +423,10 @@ def _reload_through_log(dfs, log, live, data):
     else:
         log.compact()
     reloaded = load_repository(dfs)
+    # Iteration (the eviction sweep's order) is sequence order, however
+    # the entries are split between sections and segments.
+    assert [entry.output_path for entry in reloaded] == \
+        [entry.output_path for entry in live]
     return reloaded, RepositoryLog(dfs).attach(reloaded)
 
 

@@ -613,6 +613,9 @@ def per_entry_reload(dfs, repository):
         apply({"op": "insert", "key": record["key"], "entry": record["entry"]})
     for record in sorted(records, key=lambda record: record["seq"]):
         apply(record)
+    # Iteration follows sequence order, as in the live repository.
+    repository._by_id = dict(sorted(repository._by_id.items(),
+                                    key=lambda item: item[1]._sequence))
     below = sum(record["seq"] <= manifest["last_seq"] for record in records)
     return below, len(records) - below
 
@@ -671,6 +674,8 @@ class TestStagedReload:
         assert loaded.loader_report.dangling_records == 0
         assert [entry.output_path for entry in loaded.scan()] == \
             [entry.output_path for entry in live.scan()]
+        assert [entry.output_path for entry in loaded] == \
+            [entry.output_path for entry in live]
         assert repository_state(loaded) == repository_state(reference)
         # The same load into an empty explicit target fires the same
         # change events, each after the entry joined its shard.

@@ -78,10 +78,10 @@ class TestSweep:
         assert policy.sweep(repo, dfs, LogicalClock(1)) == [old_a, old_c]
         assert _paths(repo.scan()) == ["/stored/b"]
 
-    def test_cascade_evicts_in_insertion_order(self):
+    def test_cascade_evicts_in_sequence_order(self):
         # The idle entry's deleted output invalidates three readers; the
         # cascade round removes them in the repository's iteration
-        # order, insertion order (not scan order, which output size
+        # order, sequence order (not scan order, which output size
         # decides).
         repo = Repository()
         dfs = _dfs_with("/data/d0", "/stored/up", "/data/d9")
