@@ -23,9 +23,10 @@ seed did, with one deliberate exception. The seed's ``remove`` kept the
 previous order minus the removed entry, which is not the paper's order
 of the remaining set when the entry held a dependent back; ``remove``
 re-sorts, so the oracle is the Section 3 order of the *current* entry
-set after every operation. It reuses :class:`repro.restore.RepositoryEntry` — entries are
-plain records and identical in both implementations, and both name an
-admitted entry after its insertion sequence.
+set after every operation. It reuses
+:class:`repro.restore.RepositoryEntry` — entries are plain records and
+identical in both implementations, and both name an admitted entry after
+its insertion sequence.
 """
 
 from repro.common.errors import RepositoryError

@@ -567,7 +567,7 @@ def _apply_log_record(record, repository, by_key, taken, report, memo):
         report.dangling_records += 1
 
 
-# --- The loader: sections, then segments ------------------------------------------
+# --- The loader: sections, then segments -------------------------------------
 
 
 def _load_segmented(dfs, manifest, body, repository, report):

@@ -237,8 +237,8 @@ class Repository:
         fingerprint is one of the sites of ``plan``'s
         :class:`~repro.restore.matcher.PlanDigest`, so the candidates are
         the buckets of those sites, in the paper's Section 3 priority
-        order restricted to the entries that can match. Pass ``digest`` when the caller already holds it (the
-        manager's scan pass does).
+        order restricted to the entries that can match. Pass ``digest``
+        when the caller already holds it (the manager's scan pass does).
         """
         return self._filtered_candidates(
             digest if digest is not None else PlanDigest(plan))

@@ -323,9 +323,10 @@ class ShardedRepository(Repository):
         the entries filed under ``digest``'s sites, in scan order — the
         inherited lookup's sequence."""
         sites = digest.sites
-        return self._in_scan_order([
-            self._by_id[key] for keys in answers.values() for key in keys
-            if self._by_id[key].fingerprint in sites])
+        entries = (self._by_id[key] for keys in answers.values()
+                   for key in keys)
+        return self._in_scan_order(
+            [entry for entry in entries if entry.fingerprint in sites])
 
     @property
     def worker_pool(self):

@@ -17,8 +17,8 @@ approximation of the CFG that matches this codebase's straight-line
 persistence functions. Targets are classified: the **manifest** is
 ``self.path`` or a parameter named ``path``; **section/segment** files
 are variables assigned from the path helpers (``section_file_path``,
-``segment_file_path``, ``self._segment_path``). A ``write_lines(target, [])`` is a
-truncation.
+``segment_file_path``, ``self._segment_path``). A
+``write_lines(target, [])`` is a truncation.
 
 Rules, within one function:
 
