@@ -1,5 +1,6 @@
 """The DFS facade: namespace, block placement, replication, versions."""
 
+import threading
 import zlib
 
 from repro.common.errors import DfsError
@@ -47,7 +48,17 @@ class DistributedFileSystem:
     ``clock`` (a :class:`repro.common.LogicalClock`) stamps creation and
     modification ticks; without one, ticks stay at zero and only versions
     distinguish rewrites.
+
+    One lock serializes every change to the namespace and the datanodes
+    (block ids included) and every walk over the namespace: async ingest
+    writes repository files from its registrar thread while the submit
+    thread's engine writes outputs. Lookups and reads take no lock: a
+    writer publishes a new file with one dictionary assignment and
+    extends an appended file's lines before its blocks.
     """
+
+    GUARDED_BY = {"_deleted_versions": "_namespace_lock",
+                  "_next_block_id": "_namespace_lock"}
 
     def __init__(
         self,
@@ -74,6 +85,16 @@ class DistributedFileSystem:
         self._deleted_versions = {}
         self._clock = clock
         self._next_block_id = 0
+        self._namespace_lock = threading.RLock()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_namespace_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._namespace_lock = threading.RLock()
 
     # Namespace operations -------------------------------------------------
 
@@ -85,20 +106,24 @@ class DistributedFileSystem:
 
     def list_files(self, prefix=""):
         """Paths under ``prefix`` in sorted order."""
-        return sorted(path for path in self._files if path.startswith(prefix))
+        with self._namespace_lock:
+            return sorted(path for path in self._files
+                          if path.startswith(prefix))
 
     def delete(self, path):
-        entry = self._files.pop(path, None)
-        if entry is None:
-            raise DfsError(f"cannot delete {path!r}: no such file")
-        self._deleted_versions[path] = entry.status.version
-        for block in entry.blocks:
-            for node_id in block.replicas:
-                self.datanodes[node_id].remove_block(block.block_id)
+        with self._namespace_lock:
+            entry = self._files.pop(path, None)
+            if entry is None:
+                raise DfsError(f"cannot delete {path!r}: no such file")
+            self._deleted_versions[path] = entry.status.version
+            for block in entry.blocks:
+                for node_id in block.replicas:
+                    self.datanodes[node_id].remove_block(block.block_id)
 
     def delete_if_exists(self, path):
-        if path in self._files:
-            self.delete(path)
+        with self._namespace_lock:
+            if path in self._files:
+                self.delete(path)
 
     # Read/write ------------------------------------------------------------
 
@@ -124,31 +149,34 @@ class DistributedFileSystem:
         if not path or not path.startswith("/"):
             raise DfsError(f"paths must be absolute, got {path!r}")
         lines = list(lines)
-        previous = self._files.get(path)
-        if previous is not None and not overwrite:
-            raise DfsError(f"{path!r} already exists (pass overwrite=True to replace)")
-        if previous is not None and previous.lines == lines:
-            return previous.status
-        if previous is not None:
-            version = previous.status.version + 1
-            created = previous.status.created_tick
-        else:
-            version = self._deleted_versions.get(path, 0) + 1
-            created = self._now()
-        blocks = self._place_blocks(path, lines)
-        size_bytes = sum(block.num_bytes for block in blocks)
-        status = FileStatus(path, size_bytes, len(lines), version, created, self._now())
-        if previous is not None:
-            # Swap: retire the replaced blocks without delete()'s
-            # tombstone — the path was never observably deleted, the
-            # version carries over from `previous` directly.
-            for block in previous.blocks:
-                for node_id in block.replicas:
-                    self.datanodes[node_id].remove_block(block.block_id)
-        else:
-            self._deleted_versions.pop(path, None)
-        self._files[path] = _FileEntry(status, lines, blocks)
-        return status
+        with self._namespace_lock:
+            previous = self._files.get(path)
+            if previous is not None and not overwrite:
+                raise DfsError(f"{path!r} already exists "
+                               f"(pass overwrite=True to replace)")
+            if previous is not None and previous.lines == lines:
+                return previous.status
+            if previous is not None:
+                version = previous.status.version + 1
+                created = previous.status.created_tick
+            else:
+                version = self._deleted_versions.get(path, 0) + 1
+                created = self._now()
+            blocks = self._place_blocks(path, lines)
+            size_bytes = sum(block.num_bytes for block in blocks)
+            status = FileStatus(path, size_bytes, len(lines), version,
+                                created, self._now())
+            if previous is not None:
+                # Swap: retire the replaced blocks without delete()'s
+                # tombstone — the path was never observably deleted, the
+                # version carries over from `previous` directly.
+                for block in previous.blocks:
+                    for node_id in block.replicas:
+                        self.datanodes[node_id].remove_block(block.block_id)
+            else:
+                self._deleted_versions.pop(path, None)
+            self._files[path] = _FileEntry(status, lines, blocks)
+            return status
 
     def append_lines(self, path, lines):
         """Append ``lines`` to ``path`` (creating it when absent); returns
@@ -163,30 +191,31 @@ class DistributedFileSystem:
         than rewriting the snapshot (see :mod:`repro.restore.wal`).
         """
         lines = list(lines)
-        previous = self._files.get(path)
-        if previous is None:
-            return self.write_lines(path, lines)
-        if not lines:
-            return previous.status
-        new_blocks = self._place_blocks(
-            path, lines, base_index=len(previous.blocks),
-            start_line=len(previous.lines))
-        old = previous.status
-        status = FileStatus(
-            path,
-            old.size_bytes + sum(block.num_bytes for block in new_blocks),
-            old.num_lines + len(lines),
-            old.version + 1,
-            old.created_tick,
-            self._now(),
-        )
-        # Extend in place: the read paths hand out copies/slices, so
-        # nobody aliases these lists, and copying them here would make
-        # every append O(file) — exactly what this method exists to avoid.
-        previous.lines.extend(lines)
-        previous.blocks.extend(new_blocks)
-        previous.status = status
-        return status
+        with self._namespace_lock:
+            previous = self._files.get(path)
+            if previous is None:
+                return self.write_lines(path, lines)
+            if not lines:
+                return previous.status
+            new_blocks = self._place_blocks(
+                path, lines, base_index=len(previous.blocks),
+                start_line=len(previous.lines))
+            old = previous.status
+            status = FileStatus(
+                path,
+                old.size_bytes + sum(block.num_bytes for block in new_blocks),
+                old.num_lines + len(lines),
+                old.version + 1,
+                old.created_tick,
+                self._now(),
+            )
+            # Extend in place: the read paths hand out copies/slices, so
+            # nobody aliases these lists, and copying them here would make
+            # every append O(file) — exactly what this method exists to avoid.
+            previous.lines.extend(lines)
+            previous.blocks.extend(new_blocks)
+            previous.status = status
+            return status
 
     def read_lines(self, path):
         """All lines of ``path`` (the whole-file read used by Load)."""
@@ -260,7 +289,7 @@ class DistributedFileSystem:
                 start_line + len(lines), current_bytes, base))
         return blocks
 
-    def _make_block(self, path, index, start_line, end_line, num_bytes, base):
+    def _make_block(self, path, index, start_line, end_line, num_bytes, base):  # statlint: holds=_namespace_lock
         replicas = [
             (base + index + offset) % len(self.datanodes) for offset in range(self.replication)
         ]

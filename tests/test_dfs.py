@@ -1,5 +1,8 @@
 """Unit + property tests for the simulated distributed file system."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -240,6 +243,47 @@ class TestNamespace:
         status = dfs.status("/f")
         assert status.size_bytes == 6
         assert status.num_lines == 2
+
+
+class TestConcurrentWriters:
+    """Async ingest writes repository files from its registrar thread
+    while the submit thread's engine writes outputs: two threads must
+    never take one block id, and a listing must not see the namespace
+    change under it."""
+
+    def test_two_writer_threads(self):
+        dfs = small_dfs(block_size=16)
+        errors = []
+
+        def writer(prefix, lists):
+            try:
+                for index in range(3000):
+                    dfs.write_lines(f"/{prefix}/{index}", [f"r{index}"])
+                    if lists:
+                        dfs.list_files(prefix=f"/{prefix}/")
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=args, daemon=True)
+                       for args in (("a", False), ("b", True))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        blocks = {}
+        for node in dfs.datanodes:
+            for block_id, block in node._blocks.items():
+                assert blocks.setdefault(block_id, block) is block
+        placed = [block.block_id for path in dfs.list_files()
+                  for block in dfs.blocks_of(path)]
+        assert len(placed) == len(set(placed)) == len(blocks) == 6000
 
 
 @given(st.lists(st.text(alphabet="abcdef", max_size=12), max_size=40), st.integers(8, 128))
