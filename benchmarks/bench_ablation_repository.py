@@ -184,9 +184,9 @@ _EQUIV_PROBES = 8
 
 def _fabricated_plan(index, pool_size, extra_op=None):
     load = POLoad(f"/data/d{index % pool_size}", None, 0)
-    chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
+    chain = SkeletonOp("filter", f"FILTER[a>{index}]", [load])
     if extra_op is not None:
-        chain = SkeletonOp("foreach", f"FOREACH[{extra_op}]", None, [chain])
+        chain = SkeletonOp("foreach", f"FOREACH[{extra_op}]", [chain])
     return PhysicalPlan([POStore(chain, f"/stored/s{index}")])
 
 

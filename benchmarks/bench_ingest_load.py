@@ -56,7 +56,7 @@ def _fabricated_record(index, report):
     unique filter predicate per record, load paths drawn from a small
     pool so the shard hash and leaf-load index both have real work."""
     load = POLoad(f"/data/d{index % _POOL}", None, 0)
-    chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
+    chain = SkeletonOp("filter", f"FILTER[a>{index}]", [load])
     plan = PhysicalPlan([POStore(chain, f"/stored/s{index}")])
     return RegistrationRecord(
         job_plan=plan, frontier_op=chain,

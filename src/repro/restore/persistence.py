@@ -5,11 +5,12 @@ any query ... for seven days"); this module saves/loads it through the
 DFS itself.
 
 Plan matching needs only operator **signatures and DAG structure** — not
-executable closures — so entries are serialized as *skeleton plans*: one
-record per operator carrying its kind, canonical signature, schema, and
-input edges. A reloaded repository matches and rewrites exactly like the
-original (rewriting takes its schema from the *input* plan's frontier, so
-skeletons never need to execute). Statistics, input versions, ownership,
+executable closures or schemas — so entries are serialized as *skeleton
+plans*: one record per operator carrying its kind, canonical signature
+and input edges, plus the output path on the Store's record. A reloaded
+repository matches and rewrites exactly like the original (rewriting
+takes its schema from the *input* plan's frontier, so skeletons never
+execute and carry no schema). Statistics, input versions, ownership,
 provenance, and the plan fingerprint round-trip too; Load records are
 rebuilt as real :class:`~repro.physical.operators.POLoad` operators (the
 path and version are recovered from the canonical signature) so a
@@ -48,8 +49,6 @@ import json
 import warnings
 
 from repro.common.errors import RepositoryError
-from repro.data.schema import Field, Schema
-from repro.data.types import DataType
 from repro.physical.operators import PhysOp, POLoad, POStore
 from repro.physical.plan import PhysicalPlan
 from repro.restore.index import parse_load_signature
@@ -59,10 +58,11 @@ from repro.restore.stats import EntryStats
 
 
 class SkeletonOp(PhysOp):
-    """A deserialized operator: fixed signature, no executable payload."""
+    """A deserialized operator: fixed signature, no executable payload
+    and no schema."""
 
-    def __init__(self, kind, signature, schema, inputs):
-        super().__init__(inputs, schema)
+    def __init__(self, kind, signature, inputs):
+        super().__init__(inputs, None)
         self.kind = kind
         self._signature = signature
 
@@ -70,77 +70,39 @@ class SkeletonOp(PhysOp):
         return self._signature
 
     def copy_with_inputs(self, inputs):
-        return self._carry(
-            SkeletonOp(self.kind, self._signature, self.schema, list(inputs))
-        )
-
-
-# --- Schema (de)serialization ---------------------------------------------------
-
-
-def schema_to_json(schema):
-    if schema is None:
-        return None
-    return [
-        {
-            "name": field.name,
-            "dtype": field.dtype.value,
-            "element": schema_to_json(field.element),
-        }
-        for field in schema.fields
-    ]
-
-
-def schema_from_json(data, memo=None):
-    """The :class:`Schema` of a :func:`schema_to_json` record. A load
-    passes one ``memo`` dict down, keyed on whole records (bag elements
-    included), so identical records share one immutable Schema."""
-    if data is None:
-        return None
-    memo = {} if memo is None else memo
-    key = _schema_key(data)
-    if key not in memo:
-        memo[key] = Schema([Field(item["name"], DataType(item["dtype"]),
-                                  schema_from_json(item["element"], memo))
-                            for item in data])
-    return memo[key]
-
-
-def _schema_key(data):
-    return None if data is None else tuple(
-        (item["name"], item["dtype"], _schema_key(item["element"]))
-        for item in data)
+        return self._carry(SkeletonOp(self.kind, self._signature, list(inputs)))
 
 
 # --- Plan (de)serialization -----------------------------------------------------
 
 
 def plan_to_json(plan):
-    """Topologically-ordered operator records with input indices."""
+    """Topologically-ordered operator records with input indices; only
+    the Store's record carries a ``store_path``."""
     operators = plan.operators()
     index = {id(op): position for position, op in enumerate(operators)}
     records = []
     for op in operators:
-        records.append(
-            {
-                "kind": op.kind,
-                "signature": op.signature(),
-                "schema": schema_to_json(op.schema),
-                "inputs": [index[id(parent)] for parent in op.inputs],
-                "store_path": op.path if isinstance(op, POStore) else None,
-            }
-        )
+        record = {"kind": op.kind, "signature": op.signature(),
+                  "inputs": [index[id(parent)] for parent in op.inputs]}
+        if isinstance(op, POStore):
+            record["store_path"] = op.path
+        records.append(record)
     return records
 
 
-def plan_from_json(records, memo=None):
+def plan_from_json(records):
+    """The skeleton plan of :func:`plan_to_json`'s records. Fields this
+    release does not write (an older writer's ``"schema"`` and
+    ``"store_path": null``) are ignored."""
     operators = []
     for record in records:
         inputs = [operators[i] for i in record["inputs"]]
-        if record["store_path"] is not None:
-            op = POStore(inputs[0], record["store_path"])
+        store_path = record.get("store_path")
+        if store_path is not None:
+            op = POStore(inputs[0], store_path)
         else:
-            op = _operator_from_record(record, inputs, memo)
+            op = _operator_from_record(record, inputs)
         operators.append(op)
     sinks = [op for op in operators if isinstance(op, POStore)]
     if len(sinks) != 1:
@@ -150,7 +112,7 @@ def plan_from_json(records, memo=None):
     return PhysicalPlan(sinks)
 
 
-def _operator_from_record(record, inputs, memo):
+def _operator_from_record(record, inputs):
     """Rebuild one non-Store operator.
 
     Loads come back as real POLoads (path/version recovered from the
@@ -158,13 +120,12 @@ def _operator_from_record(record, inputs, memo):
     reloaded entry exactly as it keyed the original; everything else is a
     signature-preserving skeleton.
     """
-    schema = schema_from_json(record["schema"], memo)
     if record["kind"] == "load" and not inputs:
         parsed = parse_load_signature(record["signature"])
         if parsed is not None:
             path, version = parsed
-            return POLoad(path, schema, version)
-    return SkeletonOp(record["kind"], record["signature"], schema, inputs)
+            return POLoad(path, None, version)
+    return SkeletonOp(record["kind"], record["signature"], inputs)
 
 
 # --- Repository (de)serialization ---------------------------------------------------
@@ -212,7 +173,7 @@ def entry_to_json(entry):
     }
 
 
-def entry_from_json(data, report=None, memo=None):
+def entry_from_json(data, report=None):
     raw = data["stats"]
     stats = EntryStats(
         raw["input_bytes"], raw["output_bytes"], raw["producing_job_time"],
@@ -222,7 +183,7 @@ def entry_from_json(data, report=None, memo=None):
     stats.last_used_tick = raw["last_used_tick"]
     stats.use_count = raw["use_count"]
     entry = RepositoryEntry(
-        plan_from_json(data["plan"], {} if memo is None else memo),
+        plan_from_json(data["plan"]),
         data["output_path"],
         stats,
         input_versions=data["input_versions"],
@@ -418,8 +379,7 @@ def load_repository(dfs, path=DEFAULT_REPOSITORY_PATH, repository=None):
     :class:`~repro.common.errors.RepositoryError`.
 
     Entries are inserted, which sorts nothing: the scan order is computed
-    from the loaded entries when asked for. Each distinct schema record
-    is decoded once per load.
+    from the loaded entries when asked for.
 
     The cyclic garbage collector is suspended for the duration of the
     load (and put back as it was): a reload allocates tens of thousands
@@ -427,8 +387,9 @@ def load_repository(dfs, path=DEFAULT_REPOSITORY_PATH, repository=None):
     walks a growing heap and frees nothing — and whether a full pass
     happened to land inside the load moved its time by a quarter from
     one run to the next. ``hot_probe``'s 739-entry reload (seed 7,
-    2 vCPU, CPython 3.11.7, median of 9) took 0.056 s with the collector
-    off, 0.066 s with it on. The switch is
+    2 vCPU, CPython 3.11.7, median of 9 in each of its 6 rounds) took
+    37-66 ms with the collector off and 42-77 ms with it on, less with
+    it off in every round. The switch is
     the interpreter's, not this thread's: other threads (such as ingest)
     also run uncollected until the load returns, and cyclic garbage
     already on the heap stays there under the loaded repository until
@@ -508,14 +469,14 @@ def _warn_unbrickable(message):
         warnings.warn(message, RuntimeWarning, stacklevel=4)
 
 
-def _admit(record, repository, by_key, taken, report, memo):
+def _admit(record, repository, by_key, taken, report):
     """Insert the entry a section or insert record carries, under the
     sequence it was recorded with. A sequence that a loaded entry holds
     already (``taken``) — possible only in a file whose keys were not
     derived from sequences — is left to the repository to replace. A
     record whose key or sequence the entry does not keep is counted in
     ``report.foreign_keys``."""
-    entry = entry_from_json(record["entry"], report, memo)
+    entry = entry_from_json(record["entry"], report)
     sequence = record["entry"].get("sequence")
     if type(sequence) is int and sequence not in taken:
         entry._sequence = sequence
@@ -527,10 +488,10 @@ def _admit(record, repository, by_key, taken, report, memo):
         by_key[record["key"]] = entry
 
 
-def _apply_log_record(record, repository, by_key, taken, report, memo):
+def _apply_log_record(record, repository, by_key, taken, report):
     op = record["op"]
     if op == "insert":
-        _admit(record, repository, by_key, taken, report, memo)
+        _admit(record, repository, by_key, taken, report)
         report.replayed_records += 1
     elif op == "remove":
         if record.get("key") is None:
@@ -644,16 +605,15 @@ def _load_segmented(dfs, manifest, body, repository, report):
         [repository._sequence] + [sequence + 1 for sequence in sequences
                                   if type(sequence) is int])
     by_key = {}
-    memo = {}   # schema records decoded by this load
     taken = {entry._sequence for entry in repository}
     section_records.sort(key=lambda record:
                          record["entry"].get("sequence") or 0)
     for record in section_records:
-        _admit(record, repository, by_key, taken, report, memo)
+        _admit(record, repository, by_key, taken, report)
     records.sort(key=lambda record: record["seq"])
     report.last_seq = manifest.get("last_seq", 0)
     for record in records:
-        _apply_log_record(record, repository, by_key, taken, report, memo)
+        _apply_log_record(record, repository, by_key, taken, report)
         report.last_seq = max(report.last_seq, record["seq"])
     # A live repository holds its entries in sequence order, the order it
     # assigned them in, and iterates (and so sweeps) in it. Sections were

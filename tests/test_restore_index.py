@@ -71,8 +71,8 @@ class TestLeafLoads:
         assert leaf_loads(skeleton) == leaf_loads(plan_of(TWO_LOADS))
 
     def test_unkeyable_load_returns_none(self):
-        weird = SkeletonOp("load", "LOAD-THING-WITHOUT-KEY", None, [])
-        inner = SkeletonOp("filter", "FILTER[x]", None, [weird])
+        weird = SkeletonOp("load", "LOAD-THING-WITHOUT-KEY", [])
+        inner = SkeletonOp("filter", "FILTER[x]", [weird])
         plan = PhysicalPlan([POStore(inner, "/stored/w")])
         assert leaf_loads(plan) is None
 
@@ -130,8 +130,8 @@ class TestLoadIndex:
         assert index._loads == {}
 
     def test_unkeyable_entries_are_always_candidates(self):
-        weird_load = SkeletonOp("load", "LOAD-WITHOUT-KEY", None, [])
-        inner = SkeletonOp("filter", "FILTER[x]", None, [weird_load])
+        weird_load = SkeletonOp("load", "LOAD-WITHOUT-KEY", [])
+        inner = SkeletonOp("filter", "FILTER[x]", [weird_load])
         plan = PhysicalPlan([POStore(inner, "/stored/w")])
         unkeyable = RepositoryEntry(plan, "/stored/w", EntryStats(10, 1, 1.0))
         index = LoadIndex()

@@ -192,14 +192,14 @@ def _random_nodes(rng, *, allow_splits=True):
         roll = rng.random()
         if roll < 0.15 and len(nodes) >= 2:
             left, right = rng.sample(nodes, 2)
-            node = SkeletonOp("join", f"JOIN[k{rng.randint(0, 1)}]", None,
+            node = SkeletonOp("join", f"JOIN[k{rng.randint(0, 1)}]",
                               [left, right])
         elif roll < 0.30 and allow_splits:
             node = POSplit(rng.choice(nodes))
         else:
             kind = rng.choice(_FUZZ_UNARY)
             node = SkeletonOp(kind, f"{kind.upper()}[t{rng.randint(0, 2)}]",
-                              None, [rng.choice(nodes)])
+                              [rng.choice(nodes)])
         nodes.append(node)
     return nodes
 
@@ -233,7 +233,7 @@ def _random_input_plan(rng, entry_plan):
         for _ in range(rng.randint(0, 3)):
             kind = rng.choice(_FUZZ_UNARY)
             node = SkeletonOp(kind, f"{kind.upper()}[t{rng.randint(0, 2)}]",
-                              None, [node])
+                              [node])
         sinks = [POStore(node, "/out/fuzz")]
         extra_nodes = None
     else:
@@ -281,11 +281,11 @@ class TestDifferentialFuzz:
         # without the Split (find_containment's match_frontier skips it;
         # the traversal used to demand a literal Split twin and said no).
         load = POLoad("/data/a", None, 0)
-        chain = SkeletonOp("filter", "FILTER[t0]", None, [load])
+        chain = SkeletonOp("filter", "FILTER[t0]", [load])
         entry = PhysicalPlan([POStore(POSplit(chain), "/stored/s")])
         target_chain = SkeletonOp(
-            "foreach", "FOREACH[x]", None,
-            [SkeletonOp("filter", "FILTER[t0]", None,
+            "foreach", "FOREACH[x]",
+            [SkeletonOp("filter", "FILTER[t0]",
                         [POLoad("/data/a", None, 0)])])
         target = PhysicalPlan([POStore(target_chain, "/out/p")])
         assert find_containment(entry, target) is not None
@@ -296,12 +296,12 @@ class TestDifferentialFuzz:
         # registration (clone_subgraph bypasses splits); both matchers
         # conservatively reject such an entry the same way.
         load = POLoad("/data/a", None, 0)
-        filt = SkeletonOp("filter", "FILTER[t0]", None, [load])
-        top = SkeletonOp("foreach", "FOREACH[x]", None, [POSplit(filt)])
+        filt = SkeletonOp("filter", "FILTER[t0]", [load])
+        top = SkeletonOp("foreach", "FOREACH[x]", [POSplit(filt)])
         entry = PhysicalPlan([POStore(top, "/stored/s")])
         target_chain = SkeletonOp(
-            "foreach", "FOREACH[x]", None,
-            [SkeletonOp("filter", "FILTER[t0]", None,
+            "foreach", "FOREACH[x]",
+            [SkeletonOp("filter", "FILTER[t0]",
                         [POLoad("/data/a", None, 0)])])
         target = PhysicalPlan([POStore(target_chain, "/out/p")])
         assert find_containment(entry, target) is None
@@ -318,14 +318,14 @@ class TestDifferentialFuzz:
         # frontier is the first in the plan's topological order, as the
         # operator-by-operator walk chose.
         def branch():
-            return SkeletonOp("filter", "FILTER[t0]", None,
+            return SkeletonOp("filter", "FILTER[t0]",
                               [POLoad("/data/a", None, 0)])
         entry = PhysicalPlan([POStore(branch(), "/stored/s")])
         first, second = branch(), branch()
         target = PhysicalPlan([
-            POStore(SkeletonOp("foreach", "FOREACH[x]", None, [first]),
+            POStore(SkeletonOp("foreach", "FOREACH[x]", [first]),
                     "/out/p1"),
-            POStore(SkeletonOp("distinct", "DISTINCT[y]", None, [second]),
+            POStore(SkeletonOp("distinct", "DISTINCT[y]", [second]),
                     "/out/p2")])
         assert PlanDigest(target).sites[operator_fingerprint(first)] == [
             first, second]
@@ -350,11 +350,11 @@ class TestDifferentialFuzz:
 
     def test_multi_store_input_plan_matches_in_either_branch(self):
         entry = PhysicalPlan([POStore(
-            SkeletonOp("filter", "FILTER[t1]", None,
+            SkeletonOp("filter", "FILTER[t1]",
                        [POLoad("/data/b", None, 0)]), "/stored/s")])
-        other = SkeletonOp("distinct", "DISTINCT[t0]", None,
+        other = SkeletonOp("distinct", "DISTINCT[t0]",
                            [POLoad("/data/a", None, 0)])
-        matching = SkeletonOp("filter", "FILTER[t1]", None,
+        matching = SkeletonOp("filter", "FILTER[t1]",
                               [POLoad("/data/b", None, 0)])
         target = PhysicalPlan([POStore(other, "/out/p1"),
                                POStore(matching, "/out/p2")])
@@ -366,12 +366,12 @@ class TestDifferentialFuzz:
         # find_containment enforces that loudly while Algorithm 1's
         # transcription simply traverses whatever it is given. The fuzz
         # generator therefore only emits single-Store entries.
-        shared = SkeletonOp("filter", "FILTER[t0]", None,
+        shared = SkeletonOp("filter", "FILTER[t0]",
                             [POLoad("/data/a", None, 0)])
         entry = PhysicalPlan([POStore(shared, "/stored/s1"),
                               POStore(shared, "/stored/s2")])
         target = PhysicalPlan([POStore(
-            SkeletonOp("filter", "FILTER[t0]", None,
+            SkeletonOp("filter", "FILTER[t0]",
                        [POLoad("/data/a", None, 0)]), "/out/p")])
         with pytest.raises(ValueError):
             find_containment(entry, target)
@@ -389,7 +389,7 @@ class TestDifferentialFuzz:
         # This is the one shape the agreement property excludes.
         entry = PhysicalPlan([POStore(POLoad("/data/a", None, 0), "/stored/s")])
         target = PhysicalPlan([POStore(
-            SkeletonOp("filter", "FILTER[t0]", None,
+            SkeletonOp("filter", "FILTER[t0]",
                        [POLoad("/data/a", None, 0)]), "/out/p")])
         assert find_containment(entry, target) is None
         assert pairwise_plan_traversal(target, entry)

@@ -12,6 +12,8 @@ from repro.data import DataType, Field, Schema
 from repro.dfs import DistributedFileSystem
 from repro.physical.operators import POLoad, POStore
 from repro.physical.plan import PhysicalPlan
+from repro.pigmix.datagen import PigMixConfig, PigMixData
+from repro.pigmix.queries import query_text
 from repro.restore import (
     HeuristicRetentionPolicy,
     leaf_loads,
@@ -30,8 +32,6 @@ from repro.restore.persistence import (
     MANIFEST_KEY,
     plan_from_json,
     plan_to_json,
-    schema_from_json,
-    schema_to_json,
     shard_label,
     SkeletonOp,
 )
@@ -57,21 +57,6 @@ def durable_files(dfs, path):
     return {file[len(path):]: [line.replace(path, "")
                                for line in dfs.read_lines(file)]
             for file in dfs.list_files(prefix=path)}
-
-
-class TestSchemaRoundtrip:
-    def test_scalar_schema(self):
-        schema = Schema([Field("a", DataType.INT), Field("b", DataType.CHARARRAY)])
-        assert schema_from_json(schema_to_json(schema)) == schema
-
-    def test_bag_schema(self):
-        element = Schema([Field("x", DataType.DOUBLE)])
-        schema = Schema([Field("g", DataType.CHARARRAY),
-                         Field("bag", DataType.BAG, element)])
-        assert schema_from_json(schema_to_json(schema)) == schema
-
-    def test_none_schema(self):
-        assert schema_from_json(schema_to_json(None)) is None
 
 
 class TestPlanRoundtrip:
@@ -484,10 +469,8 @@ class TestLoadSuspendsTheCollector:
 # state exactly as that reference does, and both must then behave alike.
 
 _ROW = Schema([Field("a", DataType.INT), Field("b", DataType.CHARARRAY)])
-_GROUPED = Schema([Field("g", DataType.INT), Field("rows", DataType.BAG, _ROW)])
 #: a deeper chain of one family strictly contains every shallower one
-_CHAIN = (("FILTER[a>{family}]", _ROW), ("PROJECT[{family}]", _ROW),
-          ("GROUP[{family}]", _GROUPED))
+_CHAIN = ("FILTER[a>{family}]", "PROJECT[{family}]", "GROUP[{family}]")
 #: (input_bytes, output_bytes, producing_job_time): mostly tied
 _TIED = [(1000, 10, 5.0), (1000, 10, 5.0), (2000, 10, 5.0), (1000, 100, 60.0)]
 _SOURCES = [f"/data/d{index}" for index in range(5)]
@@ -496,8 +479,8 @@ _SOURCES = [f"/data/d{index}" for index in range(5)]
 def chain_entry(family, depth, path, versions, stats, tick):
     source = _SOURCES[family % len(_SOURCES)]
     op = POLoad(source, _ROW, versions[source])
-    for signature, schema in _CHAIN[:depth]:
-        op = SkeletonOp("op", signature.format(family=family), schema, [op])
+    for signature in _CHAIN[:depth]:
+        op = SkeletonOp("op", signature.format(family=family), [op])
     return RepositoryEntry(
         PhysicalPlan([POStore(op, path)]), path,
         EntryStats(*stats, created_tick=tick),
@@ -710,45 +693,21 @@ class TestStagedReload:
                  for entry in reference.scan()], step
 
 
-def _schema_records(data, found):
-    """Collect every schema record of a plan record list, nested bag
-    element records included, as canonical JSON text."""
-    if data is None:
-        return
-    found.add(json.dumps(data, sort_keys=True))
-    for item in data:
-        _schema_records(item["element"], found)
-
-
 class TestColdReloadCost:
     """A cold reload sorts nothing: no Kahn pass runs (the scan order is
-    computed when asked for), and each distinct schema record is decoded
-    into one Schema."""
+    computed when asked for)."""
 
     @pytest.mark.parametrize("num_shards", [0, 4], ids=["plain", "sharded"])
-    def test_no_resort_and_one_schema_per_record(self, num_shards,
-                                                 monkeypatch):
+    def test_no_resort(self, num_shards, monkeypatch):
         dfs, live = churned(num_shards, 7, tail=False)
-        distinct = set()
-        for file in dfs.list_files(prefix=f"{SAVED}."):
-            for line in dfs.read_lines(file):
-                entry = json.loads(line).get("entry")
-                for record in (entry["plan"] if entry else ()):
-                    _schema_records(record["schema"], distinct)
-        calls = {"greedy": 0, "schema": 0}
+        calls = {"greedy": 0}
         greedy_order = Repository._greedy_order
-        schema_init = Schema.__init__
 
-        def counted(name, function):
-            def wrapper(*args):
-                calls[name] += 1
-                return function(*args)
-            return wrapper
+        def counted(*args):
+            calls["greedy"] += 1
+            return greedy_order(*args)
 
-        monkeypatch.setattr(Repository, "_greedy_order",
-                            counted("greedy", greedy_order))
-        monkeypatch.setattr(Schema, "__init__",
-                            counted("schema", schema_init))
+        monkeypatch.setattr(Repository, "_greedy_order", counted)
         loaded = load_repository(dfs)
         report = loaded.loader_report
         assert report.last_seq == json.loads(
@@ -757,4 +716,114 @@ class TestColdReloadCost:
             assert report.replayed_records > 0
         assert len(loaded) == len(live) > 50
         assert calls["greedy"] == 0
-        assert 0 < calls["schema"] <= len(distinct)
+
+
+# --- Schema-free records ---------------------------------------------------
+#
+# An entry record keeps each operator's kind, signature and input edges,
+# and the output path on the Store's record only. Files an older writer
+# left (every record with a ``"schema"`` list, every non-Store record
+# with ``"store_path": null``) load through the same loader.
+
+_LEGACY_ROW = [{"name": "a", "dtype": "int", "element": None},
+               {"name": "b", "dtype": "chararray", "element": None}]
+_LEGACY_GROUPED = [{"name": "g", "dtype": "int", "element": None},
+                   {"name": "rows", "dtype": "bag", "element": _LEGACY_ROW}]
+
+
+def legacy_plan(records):
+    """A :func:`chain_entry` plan as the older writer wrote it: every
+    record with its operator's schema, and a ``store_path`` on each."""
+    legacy = []
+    for record in records:
+        if record["kind"] == "store":
+            schema = legacy[record["inputs"][0]]["schema"]
+        elif record["signature"].startswith("GROUP["):
+            schema = _LEGACY_GROUPED
+        else:
+            schema = _LEGACY_ROW
+        legacy.append(dict(record, schema=schema,
+                           store_path=record.get("store_path")))
+    return legacy
+
+
+def rewrite_in_legacy_shape(dfs):
+    """Rewrite every entry record of the save at ``SAVED``, in sections
+    and segments, into the older writer's shape."""
+    rewritten = 0
+    for file in dfs.list_files(prefix=f"{SAVED}."):
+        records = [json.loads(line) for line in dfs.read_lines(file)]
+        for record in records:
+            if "entry" in record:
+                record["entry"]["plan"] = legacy_plan(record["entry"]["plan"])
+                rewritten += 1
+        dfs.write_lines(file, [json.dumps(record, sort_keys=True)
+                               for record in records], overwrite=True)
+    return rewritten
+
+
+def entry_records(repository):
+    return {entry.entry_id: json.dumps(entry_to_json(entry), sort_keys=True)
+            for entry in repository}
+
+
+def dropped_fields(dfs, prefix):
+    """Lines under ``prefix`` that still carry a field the writer no
+    longer writes."""
+    return [line for file in dfs.list_files(prefix=prefix)
+            for line in dfs.read_lines(file)
+            if '"schema"' in line or '"store_path": null' in line]
+
+
+class TestSchemaFreeRecords:
+    @pytest.mark.parametrize("num_shards", [0, 4], ids=["plain", "sharded"])
+    def test_older_records_load_alike_and_lose_the_fields(self, num_shards):
+        dfs, live = churned(num_shards, 7, tail=True)
+        assert dropped_fields(dfs, f"{SAVED}.") == []
+        current = load_repository(dfs)
+        sections = dfs.list_files(prefix=f"{SAVED}.sec-")
+        segment_inserts = sum(
+            '"op": "insert"' in line
+            for file in dfs.list_files(prefix=f"{SAVED}.log.")
+            for line in dfs.read_lines(file))
+        assert sections and segment_inserts
+        assert rewrite_in_legacy_shape(dfs) > segment_inserts
+
+        legacy = load_repository(dfs)
+        assert legacy.loader_report.fingerprint_mismatches == 0
+        assert entry_records(legacy) == entry_records(current)
+        assert [entry.fingerprint for entry in legacy] == \
+            [entry.fingerprint for entry in live]
+        assert [entry.output_path for entry in legacy.scan()] == \
+            [entry.output_path for entry in live.scan()]
+        assert repository_state(legacy) == repository_state(current)
+
+        log = RepositoryLog(dfs).attach(legacy)
+        log.compact()
+        log.close()
+        assert dropped_fields(dfs, f"{SAVED}.") == []
+        assert repository_state(load_repository(dfs)) == \
+            repository_state(current)
+
+    def test_reloaded_operators_carry_no_schema(self):
+        dfs, live = churned(0, 11, tail=True)
+        for entry in load_repository(dfs):
+            assert {op.schema for op in entry.plan.operators()} == {None}
+
+    def test_pigmix_section_bytes_per_entry(self):
+        """A field creeping back into the record turns this red: the
+        schema lists doubled it, the null ``store_path`` of every
+        non-Store operator adds about 60 bytes."""
+        system = PigSystem()
+        PigMixData(PigMixConfig(num_page_views=300, num_users=30,
+                                num_power_users=6)).install(system.dfs)
+        with system.restore(persistence=True) as manager:
+            for name in ["L2", "L3", "L4", "L5", "L6", "L7", "L8"]:
+                manager.submit(system.compile(query_text(name), name))
+            manager.persistence.compact()
+            entries = len(manager.repository)
+        sections = system.dfs.list_files(prefix=f"{SAVED}.sec-")
+        assert sum(system.dfs.status(file).num_lines
+                   for file in sections) == entries == 23
+        size = sum(system.dfs.file_size(file) for file in sections)
+        assert size / entries < 960

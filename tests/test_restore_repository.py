@@ -101,7 +101,7 @@ class TestOrdering:
 
 
 def _filter(signature):
-    return SkeletonOp("filter", signature, None, [POLoad("/data/t", None, 0)])
+    return SkeletonOp("filter", signature, [POLoad("/data/t", None, 0)])
 
 
 class TestRemovalWindow:
@@ -118,7 +118,7 @@ class TestRemovalWindow:
             PhysicalPlan([POStore(_filter("FILTER[x]"), "/s/c1")]), "/s/c1",
             EntryStats(1000, 10, 5.0)))
         p = repo.insert(RepositoryEntry(
-            PhysicalPlan([POStore(SkeletonOp("foreach", "FOREACH[w]", None,
+            PhysicalPlan([POStore(SkeletonOp("foreach", "FOREACH[w]",
                                              [_filter("FILTER[x]")]),
                                   "/s/p")]), "/s/p",
             EntryStats(1000, 1000, 1.0)))

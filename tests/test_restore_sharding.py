@@ -79,9 +79,9 @@ def test_tripped_hang_guard_leaves_a_dump_naming_the_test():
 def _chain_plan(index, path, extra_op=None):
     """Load -> Filter [-> ForEach] -> Store skeleton plan (cheap fixture)."""
     load = POLoad(path, None, 0)
-    chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
+    chain = SkeletonOp("filter", f"FILTER[a>{index}]", [load])
     if extra_op is not None:
-        chain = SkeletonOp("foreach", f"FOREACH[{extra_op}]", None, [chain])
+        chain = SkeletonOp("foreach", f"FOREACH[{extra_op}]", [chain])
     return PhysicalPlan([POStore(chain, f"/stored/s{index}")])
 
 
@@ -93,8 +93,8 @@ def _entry(index, path="/data/d0"):
 
 def _unkeyable_entry(index):
     """An entry whose leaf Load cannot be keyed (foreign signature)."""
-    load = SkeletonOp("load", f"FOREIGN[{index}]", None, [])
-    chain = SkeletonOp("filter", f"FILTER[u>{index}]", None, [load])
+    load = SkeletonOp("load", f"FOREIGN[{index}]", [])
+    chain = SkeletonOp("filter", f"FILTER[u>{index}]", [load])
     plan = PhysicalPlan([POStore(chain, f"/stored/u{index}")])
     stats = EntryStats(1000, 10, 1.0)
     return RepositoryEntry(plan, f"/stored/u{index}", stats)
@@ -202,7 +202,7 @@ class TestFanOut:
         # candidate.
         frontier = unkeyable.plan.stores()[0].inputs[0]
         container = PhysicalPlan([POStore(
-            SkeletonOp("foreach", "FOREACH[probe]", None, [frontier]),
+            SkeletonOp("foreach", "FOREACH[probe]", [frontier]),
             "/out/p")])
         assert repo.match_candidates(container) == (unkeyable,)
 
@@ -253,13 +253,13 @@ class TestFanOut:
         repo = ShardedRepository(num_shards=4)
         for index in range(6):
             repo.insert(_entry(index, path=f"/data/d{index % 2}"))
-        probe_load = SkeletonOp("load", "FOREIGN[p]", None, [])
-        probe_chain = SkeletonOp("filter", "FILTER[p]", None, [probe_load])
+        probe_load = SkeletonOp("load", "FOREIGN[p]", [])
+        probe_chain = SkeletonOp("filter", "FILTER[p]", [probe_load])
         stores = [POStore(probe_chain, "/out/p")]
         for index in (0, 3, 4):
             # Each contains entry ``index`` (a filter over its own Load).
             stores.append(POStore(SkeletonOp(
-                "foreach", "FOREACH[probe]", None,
+                "foreach", "FOREACH[probe]",
                 [_chain_plan(index, f"/data/d{index % 2}").stores()[0]
                  .inputs[0]]), f"/out/q{index}"))
         probe = PhysicalPlan(stores)
@@ -321,7 +321,7 @@ class TestWorkerProcesses:
             # Multi-load probe: fans out to several workers at once.
             load_a = POLoad("/data/d0", None, 0)
             load_b = POLoad("/data/d1", None, 0)
-            join = SkeletonOp("join", "JOIN[k]", None, [load_a, load_b])
+            join = SkeletonOp("join", "JOIN[k]", [load_a, load_b])
             probe = PhysicalPlan([POStore(join, "/out/j")])
             assert [e.output_path for e in procs.match_candidates(probe)] \
                 == [e.output_path for e in serial.match_candidates(probe)]
@@ -574,8 +574,8 @@ class TestShardStats:
         repo = ShardedRepository(num_shards=4)
         for index in range(4):
             repo.insert(_entry(index, path=f"/data/d{index}"))
-        probe_load = SkeletonOp("load", "FOREIGN[p]", None, [])
-        probe_chain = SkeletonOp("filter", "FILTER[p]", None, [probe_load])
+        probe_load = SkeletonOp("load", "FOREIGN[p]", [])
+        probe_chain = SkeletonOp("filter", "FILTER[p]", [probe_load])
         probe = PhysicalPlan([POStore(probe_chain, "/out/p")])
         repo.match_candidates(probe)  # full-scan fallback
         assert repo.merged_shard_stats()["probes"] == 1

@@ -46,7 +46,7 @@ SEG = f"{LOG_BASE}.{CATCHALL_LABEL}"
 def fabricated_entry(index, pool=4):
     """A cheap single-chain entry over a small pool of load paths."""
     load = POLoad(f"/data/d{index % pool}", None, 0)
-    chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
+    chain = SkeletonOp("filter", f"FILTER[a>{index}]", [load])
     plan = PhysicalPlan([POStore(chain, f"/stored/s{index}")])
     stats = EntryStats(
         input_bytes=1000 + (index % 7) * 500,
@@ -146,8 +146,8 @@ class TestChangeEventChannel:
         repo = ShardedRepository(num_shards=2)
         # A store of a bare chain with an unkeyable load signature goes
         # to the catch-all.
-        chain = SkeletonOp("filter", "FILTER[x]", None,
-                           [SkeletonOp("load", "opaque-load", None, [])])
+        chain = SkeletonOp("filter", "FILTER[x]",
+                           [SkeletonOp("load", "opaque-load", [])])
         plan = PhysicalPlan([POStore(chain, "/stored/odd")])
         entry = repo.insert(RepositoryEntry(plan, "/stored/odd",
                                             EntryStats(100, 10, 1.0)))
@@ -865,10 +865,10 @@ class TestReplay:
         sequences from scan positions, the next order recompute would
         break the tie differently than the live repository."""
         def chain_entry(signature, path, stats, wrap=None):
-            op = SkeletonOp("filter", signature, None,
+            op = SkeletonOp("filter", signature,
                             [POLoad("/data/t", None, 0)])
             if wrap is not None:
-                op = SkeletonOp("foreach", wrap, None, [op])
+                op = SkeletonOp("foreach", wrap, [op])
             return RepositoryEntry(PhysicalPlan([POStore(op, path)]), path,
                                    stats)
 
@@ -906,7 +906,7 @@ class TestReplay:
         recorded sequences."""
         def tied_entry(index):
             load = POLoad(f"/data/d{index % 4}", None, 0)
-            chain = SkeletonOp("filter", f"FILTER[a>{index}]", None, [load])
+            chain = SkeletonOp("filter", f"FILTER[a>{index}]", [load])
             plan = PhysicalPlan([POStore(chain, f"/stored/t{index}")])
             return RepositoryEntry(plan, f"/stored/t{index}",
                                    EntryStats(1000, 10, 5.0))

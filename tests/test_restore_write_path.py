@@ -31,7 +31,7 @@ def chain_entry(family, depth, path, source=None, version=1,
     source = source or f"/data/d{family % 5}"
     op = POLoad(source, None, version)
     for signature in _CHAIN[:depth]:
-        op = SkeletonOp("op", signature.format(family=family), None, [op])
+        op = SkeletonOp("op", signature.format(family=family), [op])
     return RepositoryEntry(
         PhysicalPlan([POStore(op, path)]), path,
         EntryStats(1000, output_bytes, 5.0, created_tick=created_tick),
