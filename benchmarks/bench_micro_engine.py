@@ -153,7 +153,7 @@ def test_engine_job(benchmark, engine, shape):
     runner = JobRunner(engine.dfs, engine.cost_model)
 
     def fresh_output():
-        # Rewriting identical content would skip the DFS's block placement.
+        # Rewriting identical content would skip sizing the output's lines.
         engine.dfs.delete_if_exists("/out/shape")
         return (job,), {}
 

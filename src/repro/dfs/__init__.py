@@ -1,16 +1,13 @@
-"""Simulated HDFS: a namenode namespace over block-granular datanodes.
+"""Simulated HDFS: a versioned namespace of line files.
 
 The simulation is faithful where ReStore's behaviour depends on it:
 
-* files are split into fixed-size blocks (input splits for map tasks),
-* every block is replicated ``replication`` times across datanodes, so a
-  write costs ``replication x`` the logical bytes (the paper's Store
-  overhead comes from exactly this),
+* every file has an exact size in bytes (the encoded size of its lines),
+  which the cost model turns into input splits for map tasks and into
+  the replicated Store overhead (its ``hdfs_block_bytes`` and
+  ``replication`` settings, not this package, own both);
 * files carry a version and modification tick — eviction Rule 4 ("evict if
   an input was deleted or modified") checks these.
-
-File *content* (text lines) is held by the namespace for simplicity; byte
-accounting per datanode is still exact.
 """
 
 from repro.dfs.filesystem import DistributedFileSystem, FileStatus

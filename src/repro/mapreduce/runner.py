@@ -82,8 +82,8 @@ class _JobExecution:
     def _run_store(self, store):
         rows = self._rows_of(store.inputs[0])
         lines = encode_rows(rows, store.schema)
-        # The DFS sizes every line to place its blocks; the status carries
-        # the sum (also when identical content made the write a no-op).
+        # The DFS sizes every line; the status carries the sum (also when
+        # identical content made the write a no-op).
         num_bytes = self.dfs.write_lines(
             store.path, lines, overwrite=True).size_bytes
         stats = self.stats

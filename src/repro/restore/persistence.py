@@ -349,16 +349,16 @@ def read_manifest_line(dfs, path):
     empty file, unparseable first line, or a first line that is not a
     manifest).
 
-    Reads only the file's first block — line 0 always lives there — so
-    sniffing the format of a large snapshot costs O(block), not O(file).
+    Reads only line 0, so sniffing the format of a large snapshot costs
+    O(line), not O(file).
     """
     if not dfs.exists(path):
         return None
-    lines = dfs.read_block_lines(path, 0)
-    if not lines:
+    line = dfs.read_first_line(path)
+    if line is None:
         return None
     try:
-        first = json.loads(lines[0])
+        first = json.loads(line)
     except ValueError:
         return None
     if isinstance(first, dict) and MANIFEST_KEY in first:

@@ -16,7 +16,7 @@ steady-state *compaction* cost O(dirty shards):
 * records are buffered per partition and :meth:`flush` appends each
   group to that shard's own **segment file** through
   :meth:`~repro.dfs.filesystem.DistributedFileSystem.append_lines`
-  (which places blocks only for the new lines), so the per-checkpoint
+  (which sizes only the new lines), so the per-checkpoint
   write is proportional to what changed since the last one;
 * when one shard's segment outgrows its slice of the repository
   (``segment records / shard entries > compact_ratio``), :meth:`compact`
@@ -529,7 +529,7 @@ class RepositoryLog:
 
     def flush(self):
         """Append pending change records to their segments; O(delta),
-        one tail-block append per touched partition."""
+        one append per touched partition."""
         with self._mutex:
             return self._flush_labels_locked(sorted(self._pending))
 

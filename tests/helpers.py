@@ -1,7 +1,7 @@
 """Shared fixtures/helpers for integration-style tests.
 
-Builds a tiny in-memory "cluster" (DFS + cost model) and provides the
-compile pipeline as one call, so tests read like user code.
+Builds a small cost model and provides the compile pipeline as one call,
+so tests read like user code.
 """
 
 import importlib.util
@@ -18,7 +18,6 @@ from repro.data import (
     render_value,
     Schema,
 )
-from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
 from repro.mapreduce import ClusterConfig, CostModel, CostModelConfig
 from repro.mapreduce.shuffle import partition_index
@@ -45,12 +44,6 @@ USERS_SCHEMA = Schema(
         Field("city", DataType.CHARARRAY),
     ]
 )
-
-
-def make_dfs(**kwargs):
-    defaults = dict(block_size=1 << 20, replication=3, num_datanodes=14)
-    defaults.update(kwargs)
-    return DistributedFileSystem(**defaults)
 
 
 def make_cost_model(scale=1.0):

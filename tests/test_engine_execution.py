@@ -3,13 +3,13 @@
 import pytest
 
 from repro.data import decode_row, DataType, Field, Schema
+from repro.dfs import DistributedFileSystem
 from repro.mapreduce import WorkflowExecutor
 from repro.mrcompiler import JobControl
 
 from tests.helpers import (
     compile_query,
     make_cost_model,
-    make_dfs,
     Q1_TEXT,
     Q2_TEXT,
     seed_page_views,
@@ -32,7 +32,7 @@ def read_output(dfs, path, schema):
 
 class TestQ1Q2:
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
         self.page_views = seed_page_views(self.dfs)
         self.users = seed_users(self.dfs, include=range(6))  # u0..u5 known
 
@@ -100,7 +100,7 @@ class TestQ1Q2:
 
 class TestOperatorSemantics:
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
 
     def run(self, text, name="t"):
         return run_query(text, name, self.dfs)
@@ -214,7 +214,7 @@ class TestOperatorSemantics:
 
 class TestStatsCollection:
     def test_counters_populated(self):
-        dfs = make_dfs()
+        dfs = DistributedFileSystem()
         seed_page_views(dfs)
         seed_users(dfs)
         workflow = compile_query(Q2_TEXT, "stats", dfs)
@@ -229,7 +229,7 @@ class TestStatsCollection:
         assert ("join", "reduce") in join_stats.op_charges
 
     def test_execution_time_positive_and_deterministic(self):
-        dfs = make_dfs()
+        dfs = DistributedFileSystem()
         seed_page_views(dfs)
         seed_users(dfs)
         times = []

@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.dfs import DistributedFileSystem
 from repro.restore import (
     AggressiveHeuristic,
     load_repository,
@@ -44,7 +45,6 @@ from tests.faultinject import FaultSchedule, install_hang_guard
 from tests.helpers import (
     compile_query,
     make_cost_model,
-    make_dfs,
     Q1_TEXT,
     Q2_TEXT,
     seed_page_views,
@@ -66,7 +66,7 @@ def fresh_restore(dfs, **kwargs):
 
 
 def seeded_dfs():
-    dfs = make_dfs()
+    dfs = DistributedFileSystem()
     seed_page_views(dfs)
     seed_users(dfs, include=range(6))
     return dfs

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from repro import PigSystem
+from repro.dfs import DistributedFileSystem
 from repro.logical import build_logical_plan
 from repro.physical import logical_to_physical, PhysicalPlan
 from repro.piglatin import parse_query
@@ -27,7 +28,6 @@ from tests.helpers import (
     compile_query,
     load_querygen,
     make_cost_model,
-    make_dfs,
     Q1_TEXT,
     Q2_TEXT,
     seed_page_views,
@@ -41,7 +41,7 @@ def fresh_restore(dfs, **kwargs):
 
 def baseline_output(text, out_path):
     """Run ``text`` on a fresh, identical cluster without any reuse."""
-    dfs = make_dfs()
+    dfs = DistributedFileSystem()
     seed_page_views(dfs)
     seed_users(dfs, include=range(6))
     from repro.mapreduce import WorkflowExecutor
@@ -53,7 +53,7 @@ def baseline_output(text, out_path):
 
 class TestWholeJobReuse:
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
         seed_page_views(self.dfs)
         seed_users(self.dfs, include=range(6))
 
@@ -102,7 +102,7 @@ class TestWholeJobReuse:
         restore.submit(compile_query(Q2_TEXT, "q2", self.dfs))
         assert restore.last_report.num_rewrites == 0
         # Output must reflect the NEW data (no stale reuse).
-        fresh = make_dfs()
+        fresh = DistributedFileSystem()
         seed_page_views(fresh, seed=99)
         seed_users(fresh, include=range(6))
         from repro.mapreduce import WorkflowExecutor
@@ -115,7 +115,7 @@ class TestWholeJobReuse:
 
 class TestSubJobReuse:
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
         seed_page_views(self.dfs)
         seed_users(self.dfs, include=range(6))
 
@@ -134,7 +134,7 @@ class TestSubJobReuse:
             (ConservativeHeuristic(), {"foreach"}),
             (AggressiveHeuristic(), {"foreach", "group"}),
         ):
-            dfs = make_dfs()
+            dfs = DistributedFileSystem()
             seed_page_views(dfs)
             seed_users(dfs, include=range(6))
             restore = fresh_restore(dfs, heuristic=heuristic)
@@ -145,7 +145,7 @@ class TestSubJobReuse:
     def test_no_heuristic_injects_most(self):
         counts = {}
         for heuristic in (ConservativeHeuristic(), AggressiveHeuristic(), NoHeuristic()):
-            dfs = make_dfs()
+            dfs = DistributedFileSystem()
             seed_page_views(dfs)
             seed_users(dfs, include=range(6))
             restore = fresh_restore(dfs, heuristic=heuristic)
@@ -226,7 +226,7 @@ class TestSubJobReuse:
 
 class TestRepositoryBehaviour:
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
         seed_page_views(self.dfs)
         seed_users(self.dfs, include=range(6))
 
@@ -305,7 +305,7 @@ class TestScanPass:
     shared by every candidate of the pass."""
 
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
         seed_page_views(self.dfs)
 
     def test_second_entry_matches_only_after_the_first_rewrite(self):
@@ -462,7 +462,7 @@ class TestResourceAccounting:
     """Regression tests for the PR 4 leak fixes."""
 
     def setup_method(self):
-        self.dfs = make_dfs()
+        self.dfs = DistributedFileSystem()
         seed_page_views(self.dfs)
         seed_users(self.dfs, include=range(6))
 

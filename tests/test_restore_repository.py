@@ -165,7 +165,7 @@ class TestLookupAndRemoval:
         assert repo.find_equivalent(plan_of(FILTERED)) is None
 
     def test_remove_deletes_owned_file(self):
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/stored/x", ["data"])
         repo = Repository()
         stored = repo.insert(entry(PROJECT, output="/stored/x"))
@@ -174,7 +174,7 @@ class TestLookupAndRemoval:
         assert not dfs.exists("/stored/x")
 
     def test_remove_keeps_unowned_file(self):
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/user/out", ["data"])
         repo = Repository()
         unowned = entry(PROJECT, output="/user/out")

@@ -15,6 +15,7 @@ import textwrap
 import pytest
 
 from repro import PigSystem
+from repro.dfs import DistributedFileSystem
 from repro.mapreduce import WorkflowExecutor
 from repro.pigmix.datagen import PigMixConfig, PigMixData
 from repro.pigmix.queries import query_text
@@ -23,7 +24,6 @@ from repro.restore import AggressiveHeuristic, ReStore
 from tests.helpers import (
     compile_query,
     make_cost_model,
-    make_dfs,
     Q1_TEXT,
     Q2_TEXT,
     seed_page_views,
@@ -141,7 +141,7 @@ store D into '/out/project_group';
 
 
 def seeded_dfs():
-    dfs = make_dfs()
+    dfs = DistributedFileSystem()
     seed_page_views(dfs)
     seed_users(dfs, include=range(6))
     return dfs

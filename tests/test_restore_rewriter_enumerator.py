@@ -51,7 +51,7 @@ store B into '/stored/proj';
 
 class TestApplyRewrite:
     def _dfs_with(self, path):
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines(path, ["a\t1.0"])
         return dfs
 
@@ -84,7 +84,7 @@ class TestApplyRewrite:
         workflow, job = job_for(Q1_TEXT)
         entry = make_entry(PROJECT_PV, "/stored/missing")
         match = find_containment(entry.plan, job.plan)
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         new_load = apply_rewrite(job, match, entry, dfs)
         assert new_load.version == 0
 
@@ -121,7 +121,7 @@ class TestClassifyCopyStores:
         entry = make_entry(Q1_TEXT.replace("/out/L2_out", "/stored/join"),
                            "/stored/join")
         match = find_containment(entry.plan, job.plan)
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/stored/join", ["x\tx\t1.0"])
         apply_rewrite(job, match, entry, dfs)
         removable, kept = classify_copy_stores(job)
@@ -136,7 +136,7 @@ class TestClassifyCopyStores:
         entry = make_entry(Q1_TEXT.replace("/out/L2_out", "/stored/join"),
                            "/stored/join")
         match = find_containment(entry.plan, job.plan)
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/stored/join", ["x\tx\t1.0"])
         apply_rewrite(job, match, entry, dfs)
         removable, kept = classify_copy_stores(job)

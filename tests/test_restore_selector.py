@@ -44,7 +44,7 @@ class TestKeepEverything:
     def test_sweep_evicts_nothing(self):
         repo = Repository()
         repo.insert(make_entry())
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         assert KeepEverythingPolicy().sweep(repo, dfs, LogicalClock(100)) == []
         assert len(repo) == 1
 
@@ -83,7 +83,7 @@ class TestRule2TimeBenefit:
 class TestRule3ReuseWindow:
     def _repo_with_entry(self, created_tick, versions=None):
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["1\t2"])
         dfs.write_lines("/stored/out", ["1\t2"])
         entry = make_entry(created_tick=created_tick,
@@ -115,7 +115,7 @@ class TestRule3ReuseWindow:
 class TestRule4InputInvalidation:
     def test_deleted_input_evicts(self):
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/stored/out", ["x"])
         entry = make_entry(versions={"/data/in": 1})  # /data/in never written
         repo.insert(entry)
@@ -124,7 +124,7 @@ class TestRule4InputInvalidation:
 
     def test_modified_input_evicts(self):
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["old"])
         dfs.write_lines("/stored/out", ["x"])
         entry = make_entry(versions={"/data/in": 1})
@@ -135,7 +135,7 @@ class TestRule4InputInvalidation:
 
     def test_identical_rewrite_does_not_evict(self):
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["same"])
         dfs.write_lines("/stored/out", ["x"])
         entry = make_entry(versions={"/data/in": 1})
@@ -160,7 +160,7 @@ class TestRule4InputInvalidation:
         # Entry B reads entry A's output; evicting A (deleting its file)
         # must cascade to B via Rule 4.
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["1\t2"])
         dfs.write_lines("/stored/out", ["1\t2"])
         dfs.write_lines("/stored/downstream", ["1"])
@@ -193,7 +193,7 @@ class TestRule4InputInvalidation:
         # deleting B's file invalidates C — the sweep's re-check rounds
         # must follow the chain to the fixpoint, not stop after one.
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["1\t2"])
         for path in ("/stored/a", "/stored/b", "/stored/c"):
             dfs.write_lines(path, ["1\t2"])
@@ -224,7 +224,7 @@ class TestRule4InputInvalidation:
         # a subsequent insert re-derives the scan order over the pruned
         # edge sets without touching the removed ids.
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["1\t2"])
         dfs.write_lines("/stored/q", ["1\t2"])
         dfs.write_lines("/stored/p", ["1"])
@@ -266,7 +266,7 @@ class TestRule4InputInvalidation:
         # recently used and must survive the sweep with the edge sets
         # pruned (a follow-up insert exercises the post-removal reorder).
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["1\t2"])
         dfs.write_lines("/stored/q", ["1\t2"])
         dfs.write_lines("/stored/p", ["1"])
@@ -299,7 +299,7 @@ class TestRule4InputInvalidation:
         # The DFS continues the version sequence across the delete, so
         # the version recorded at registration never matches again.
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["old"])
         dfs.write_lines("/stored/out", ["x"])
         entry = make_entry(versions={"/data/in": 1})
@@ -316,7 +316,7 @@ class TestRule4InputInvalidation:
         # identical-looking re-creation is still a new version — the
         # deletion itself was the modification Rule 4 watches for.
         repo = Repository()
-        dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/in", ["same"])
         dfs.write_lines("/stored/out", ["x"])
         entry = make_entry(versions={"/data/in": 1})

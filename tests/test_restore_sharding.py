@@ -11,6 +11,7 @@ import pytest
 
 from repro import PigSystem
 from repro.common.errors import RepositoryError
+from repro.dfs import DistributedFileSystem
 from repro.physical.operators import POLoad, POStore
 from repro.physical.plan import PhysicalPlan
 from repro.restore import (
@@ -37,7 +38,6 @@ from repro.restore.stats import EntryStats
 
 from tests.faultinject import ARTIFACTS, FaultSchedule, install_hang_guard
 from tests.helpers import (
-    make_dfs,
     Q1_TEXT,
     Q2_TEXT,
     seed_page_views,
@@ -168,7 +168,7 @@ class TestShardLayout:
             ShardedRepository(num_shards=2, executor="processes", **removed)
         removed = {"worker" "_durable": True}
         with pytest.raises(TypeError, match="durable"):
-            RepositoryLog(make_dfs(), **removed)
+            RepositoryLog(DistributedFileSystem(), **removed)
 
 
 class TestFanOut:
@@ -373,7 +373,7 @@ class TestWorkerProcesses:
         # and prove the front-end replays that partition's durable
         # section + segment into the fresh worker: scan order, per-shard
         # stats, and match decisions bit-identical to the serial twin.
-        dfs = make_dfs()
+        dfs = DistributedFileSystem()
         serial, procs = _twin_repositories(num_shards=2, count=8, paths=3)
         log = RepositoryLog(dfs)
         log.attach(procs)

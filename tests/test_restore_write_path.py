@@ -43,7 +43,7 @@ def _paths(entries):
 
 
 def _dfs_with(*paths):
-    dfs = DistributedFileSystem(num_datanodes=3, replication=1)
+    dfs = DistributedFileSystem()
     for path in paths:
         dfs.write_lines(path, ["x"])
     return dfs

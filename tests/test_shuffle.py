@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     compile_query,
     make_cost_model,
-    make_dfs,
     outcome,
     reference_grouped_partitions,
 )
 from repro.common.errors import ExecutionError
+from repro.dfs import DistributedFileSystem
 from repro.mapreduce import WorkflowExecutor
 from repro.mapreduce.shuffle import grouped_partitions
 
@@ -76,7 +76,7 @@ def _run(dfs, name):
 
 class TestRunnerDataPath:
     def test_store_is_charged_the_bytes_the_dfs_holds(self):
-        dfs = make_dfs()
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/t", ["a\t1", "b\t2", "a\t3", "é\t4"])
         stats = _run(dfs, "first")
         assert dfs.read_lines("/out/sums") == ["a\t4", "b\t2", "é\t4"]
@@ -99,7 +99,7 @@ class TestRunnerDataPath:
         (["a\\q\t1"], "line 1: unknown escape \\q in 'a\\\\q'"),
     ])
     def test_bad_record_names_file_line_and_fault(self, lines, complaint):
-        dfs = make_dfs()
+        dfs = DistributedFileSystem()
         dfs.write_lines("/data/t", lines)
         with pytest.raises(ExecutionError) as caught:
             _run(dfs, "bad")

@@ -4,11 +4,12 @@ import pytest
 
 from repro.common.errors import ExecutionError
 from repro.data import DataType, encode_row, Field, Schema
+from repro.dfs import DistributedFileSystem
 from repro.mapreduce import Workflow, WorkflowExecutor
 from repro.mapreduce.runner import JobRunResult
 from repro.mrcompiler import JobControl
 
-from tests.helpers import compile_query, make_cost_model, make_dfs
+from tests.helpers import compile_query, make_cost_model
 
 DIAMOND_QUERY = """
 A = load '/data/a' as (x:int);
@@ -24,7 +25,7 @@ SCHEMA = Schema([Field("x", DataType.INT)])
 
 
 def seeded_dfs():
-    dfs = make_dfs()
+    dfs = DistributedFileSystem()
     dfs.write_lines("/data/a", [encode_row((i,), SCHEMA) for i in range(20)])
     dfs.write_lines("/data/c", [encode_row((i,), SCHEMA) for i in range(10, 30)])
     return dfs
