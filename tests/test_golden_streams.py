@@ -28,14 +28,13 @@ import sys
 
 import pytest
 
-E2E = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "benchmarks", "e2e")
-if E2E not in sys.path:
-    sys.path.insert(0, E2E)
+from repro.pigmix.datagen import PAGE_VIEWS_SCHEMA
+from repro.restore import save_repository
 
-import workload  # noqa: E402  (benchmarks/e2e is not a package)
-from repro.pigmix.datagen import PAGE_VIEWS_SCHEMA  # noqa: E402
-from repro.restore import save_repository  # noqa: E402
+# benchmarks/e2e is a directory of scripts, not a package.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks", "e2e"))
+import workload
 
 SEED = 7
 SECONDS = 2.0
